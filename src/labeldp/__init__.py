@@ -37,12 +37,11 @@ from .mechanisms import (
     discrete_staircase_sample,
     exponential_mechanism_sample,
     laplace_sample,
-    randomized_response_sample,
     rr_on_bins_matrix,
-    rr_on_bins_sample,
+    rr_on_bins_randomize,
     staircase_sample,
 )
-from .pipeline import RandomizationReport, label_randomizer, snap_to_universe
+from .pipeline import RandomizationReport, label_randomizer, randomize, snap_to_universe
 from .prior import HistogramEstimate, default_budget_split, laplace_histogram
 from .verify import (
     LpSolution,

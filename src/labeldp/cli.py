@@ -18,38 +18,17 @@ import json
 import math
 import os
 import sys
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
 from . import losses
 from .binopt import BinLayout, optimize_bins
 from .core import LabelSet, Prior, make_label_set, make_prior
-from .mechanisms import (
-    NoiseParams,
-    Rng,
-    clip,
-    discrete_laplace_sample,
-    discrete_staircase_sample,
-    exponential_mechanism_sample,
-    laplace_sample,
-    randomized_response_sample,
-    rr_on_bins_randomize,
-    staircase_sample,
-)
-from .pipeline import label_randomizer, snap_to_universe
-from .prior import default_budget_split
+from .mechanisms import Rng
+from .pipeline import MECHANISMS, randomize, snap_to_universe, universe_indices
 
 SEED_ENV = "LABELDP_SEED"
-MECHANISMS = (
-    "rr-on-bins",
-    "laplace",
-    "discrete-laplace",
-    "staircase",
-    "discrete-staircase",
-    "exponential",
-    "rr",
-)
-ADDITIVE = ("laplace", "discrete-laplace", "staircase", "discrete-staircase")
 
 
 class ParseError(Exception):
@@ -136,16 +115,20 @@ def parse_universe(spec: str) -> LabelSet:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ParseError(f"universe spec must be min:max:step, got {spec!r}")
+        # decimal arithmetic, so that each element is the double nearest to
+        # lo + i*step and labels written on the grid stay where they are
         try:
-            lo, hi, step = float(parts[0]), float(parts[1]), float(parts[2])
-        except ValueError:
+            lo, hi, step = (Decimal(t.strip()) for t in parts)
+        except InvalidOperation:
             raise ParseError(f"non-numeric universe spec: {spec!r}")
+        if not all(v.is_finite() for v in (lo, hi, step)):
+            raise ParseError(f"non-finite universe spec: {spec!r}")
         if step <= 0:
             raise ParseError(f"universe step must be positive, got {step}")
         if lo > hi:
             raise ParseError(f"universe min {lo} > max {hi}")
-        n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        return make_label_set([lo + i * step for i in range(n)])
+        n = int((hi - lo) // step) + 1
+        return make_label_set([float(lo + i * step) for i in range(n)])
     try:
         vals = [float(t) for t in spec.split(",") if t.strip()]
     except ValueError:
@@ -175,93 +158,26 @@ def _layout_json(layout: BinLayout) -> dict:
 # randomize
 # ---------------------------------------------------------------------------
 
-def _randomize_additive(mech, raw, universe, eps, do_clip, rng):
-    lo, hi = universe.y_min, universe.y_max
-    sens = hi - lo
-    params = NoiseParams(eps=eps, sensitivity=sens if sens > 0 else 1.0)
-    arr = np.asarray(raw, dtype=float)
-    if mech == "laplace":
-        out = laplace_sample(arr, params, rng)
-    elif mech == "staircase":
-        out = staircase_sample(arr, params, rng)
-    elif mech in ("discrete-laplace", "discrete-staircase"):
-        snapped = snap_to_universe(arr, universe)
-        if not np.all(np.equal(np.mod(universe.as_array(), 1), 0)):
-            raise ValueError(f"{mech} needs an integer universe")
-        ints = snapped.astype(np.int64)
-        if mech == "discrete-laplace":
-            out = discrete_laplace_sample(ints, params, rng)
-        else:
-            p2 = NoiseParams(eps=eps, sensitivity=float(int(round(sens))))
-            out = discrete_staircase_sample(ints, p2, rng)
-        out = out.astype(float)
-    else:
-        raise ValueError(f"not an additive mechanism: {mech}")
-    if do_clip:
-        out = clip(out, lo, hi)
-    return out
-
-
 def cmd_randomize(args) -> int:
     raw = read_labels(args.input, args.column)
     universe = parse_universe(args.universe)
-    rng = Rng(args.seed)
-    mech = args.mechanism
-    report: dict = {"mechanism": mech, "seed": args.seed, "n": len(raw)}
-    loss = losses.by_name(args.loss)
-
-    if mech == "rr-on-bins":
-        if args.eps1 is not None:
-            eps1 = args.eps1
-            eps2 = args.eps - eps1
-            if eps1 <= 0 or eps2 < 0:
-                raise ValueError(f"invalid split: eps1={eps1}, eps2={eps2}")
-        else:
-            budget = default_budget_split(args.eps, universe.k, len(raw))
-            eps1, eps2 = budget.eps1, budget.eps2
-        noisy, run_report = label_randomizer(raw, universe, eps1, eps2, loss, rng)
-        report.update(
-            budget={"eps1": fmt(eps1), "eps2": fmt(eps2), "total": fmt(eps1 + eps2)},
-            layout=_layout_json(run_report.layout),
-            estimated_prior={
-                "labels": [fmt(v) for v in run_report.estimated_prior.labels.values],
-                "probs": [fmt(p) for p in run_report.estimated_prior.probs],
-            },
-            mechanism_loss_on_inputs=fmt(run_report.mechanism_loss_on_inputs),
-            loss_kind=run_report.loss_kind,
-        )
-    elif mech in ADDITIVE:
-        noisy = _randomize_additive(mech, raw, universe, args.eps, args.clip, rng)
+    noisy, run = randomize(args.mechanism, raw, universe, args.eps, losses.by_name(args.loss),
+                           Rng(args.seed), clip=args.clip, eps1=args.eps1)
+    report: dict = {"mechanism": args.mechanism, "seed": args.seed, "n": len(raw),
+                    "mechanism_loss_on_inputs": fmt(run.mechanism_loss_on_inputs)}
+    if run.layout is None:
         report.update(eps=fmt(args.eps), clip=bool(args.clip))
-        report["mechanism_loss_on_inputs"] = fmt(
-            float(np.mean(loss.eval_fn(np.asarray(noisy), np.asarray(raw))))
-        )
-    elif mech == "exponential":
-        lo, hi = universe.y_min, universe.y_max
-        arr = clip(np.asarray(raw, dtype=float), lo, hi)
-        noisy = np.array(
-            [exponential_mechanism_sample(v, lo, hi, args.eps, rng) for v in arr]
-        )
-        report.update(eps=fmt(args.eps))
-        report["mechanism_loss_on_inputs"] = fmt(
-            float(np.mean(loss.eval_fn(noisy, np.asarray(raw))))
-        )
-    elif mech == "rr":
-        grid = universe.as_array()
-        snapped = snap_to_universe(np.asarray(raw, dtype=float), universe)
-        idx = np.searchsorted(grid, snapped)
-        noisy = np.array(
-            [
-                grid[randomized_response_sample(int(i) + 1, universe.k, args.eps, rng) - 1]
-                for i in idx
-            ]
-        )
-        report.update(eps=fmt(args.eps))
-        report["mechanism_loss_on_inputs"] = fmt(
-            float(np.mean(loss.eval_fn(noisy, np.asarray(raw))))
-        )
     else:
-        raise ValueError(f"unknown mechanism {mech!r}")
+        budget = run.budget
+        report.update(
+            budget={"eps1": fmt(budget.eps1), "eps2": fmt(budget.eps2), "total": fmt(budget.total)},
+            layout=_layout_json(run.layout),
+            estimated_prior={
+                "labels": [fmt(v) for v in run.estimated_prior.labels.values],
+                "probs": [fmt(p) for p in run.estimated_prior.probs],
+            },
+            loss_kind=run.loss_kind,
+        )
 
     _write_lines(args.output, noisy)
     with open(args.output + ".report.json", "w") as fh:
@@ -285,10 +201,7 @@ def cmd_optimize_bins(args) -> int:
             )
         raw = read_labels(args.input, args.column)
         universe = parse_universe(args.universe) if args.universe else make_label_set(raw)
-        snapped = snap_to_universe(raw, universe)
-        counts = np.bincount(
-            np.searchsorted(universe.as_array(), snapped), minlength=universe.k
-        )
+        counts = np.bincount(universe_indices(raw, universe), minlength=universe.k)
         prior = make_prior(universe, counts)
     else:
         raise ValueError("need --prior-file or --input with --public-prior")
@@ -336,27 +249,6 @@ def _synthetic_prior(spec: str, universe: LabelSet) -> Prior:
     return make_prior(universe, w)
 
 
-def _bench_less_loss(mech, ys, universe, eps, loss, do_clip, rng):
-    """Per-label losses of one mechanism at one eps on one replicate."""
-    if mech == "rr-on-bins":
-        budget = default_budget_split(eps, universe.k, len(ys))
-        noisy, _ = label_randomizer(ys, universe, budget.eps1, budget.eps2, loss, rng)
-    elif mech in ADDITIVE:
-        noisy = _randomize_additive(mech, ys, universe, eps, do_clip, rng)
-    elif mech == "exponential":
-        lo, hi = universe.y_min, universe.y_max
-        noisy = np.array([exponential_mechanism_sample(v, lo, hi, eps, rng) for v in ys])
-    elif mech == "rr":
-        grid = universe.as_array()
-        idx = np.searchsorted(grid, snap_to_universe(ys, universe))
-        noisy = np.array(
-            [grid[randomized_response_sample(int(i) + 1, universe.k, eps, rng) - 1] for i in idx]
-        )
-    else:
-        raise ValueError(f"unknown mechanism {mech!r}")
-    return float(np.mean(loss.eval_fn(np.asarray(noisy), np.asarray(ys))))
-
-
 def cmd_bench(args) -> int:
     universe = parse_universe(args.universe)
     loss = losses.by_name(args.loss)
@@ -370,8 +262,7 @@ def cmd_bench(args) -> int:
 
     root = Rng(args.seed)
     if args.input:
-        base = np.asarray(read_labels(args.input, args.column), dtype=float)
-        base = snap_to_universe(base, universe)
+        base = snap_to_universe(read_labels(args.input, args.column), universe)
         draw = lambda rng: base
     else:
         prior = _synthetic_prior(args.synthetic, universe)
@@ -387,8 +278,8 @@ def cmd_bench(args) -> int:
                 rng = root.spawn(cell)
                 cell += 1
                 ys = draw(rng)
-                val = _bench_less_loss(mech, ys, universe, eps, loss, args.clip, rng)
-                rows.append(f"{mech},{fmt(eps)},{rep},{fmt(val)}")
+                _, run = randomize(mech, ys, universe, eps, loss, rng, clip=args.clip)
+                rows.append(f"{mech},{fmt(eps)},{rep},{fmt(run.mechanism_loss_on_inputs)}")
     text = "\n".join(rows) + "\n"
     if args.output:
         with open(args.output, "w") as fh:

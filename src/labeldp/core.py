@@ -56,6 +56,18 @@ class LabelSet:
         return i
 
 
+def as_indices(indices, k: int) -> np.ndarray:
+    """Indices into a k-element sequence as an integer array; raises naming
+    the first entry that is not an integer in [0, k)."""
+    idx = np.asarray(indices)
+    if idx.dtype.kind in "iu" and (idx.size == 0 or (idx.min() >= 0 and idx.max() < k)):
+        return idx
+    bad = np.flatnonzero((idx < 0) | (idx >= k) | (np.mod(idx, 1) != 0))
+    if bad.size:
+        raise ValueError(f"entry at index {bad[0]} is not an index in [0, {k}): {idx.flat[bad[0]]!r}")
+    return idx.astype(np.intp)
+
+
 def make_label_set(values) -> LabelSet:
     """Sort and deduplicate raw values into a LabelSet.
 

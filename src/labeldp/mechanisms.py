@@ -3,8 +3,8 @@ the additive-noise baselines (continuous/discrete Laplace, continuous/discrete
 staircase, rejection-sampled exponential, plain randomized response), plus the
 clipping post-process.
 
-Every sampler takes an explicit Rng and is deterministic given its seed.
-Scalar inputs return scalars; array inputs return arrays of the same shape.
+Every sampler takes an explicit Rng, is deterministic given its seed, and
+draws for a whole array of labels at once.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binopt import BinLayout
-from .core import MechanismMatrix
+from .core import MechanismMatrix, as_indices
 
 _MAX_REJECTS = 10**6
 
@@ -101,37 +101,22 @@ def rr_on_bins_matrix(layout: BinLayout, eps: float) -> MechanismMatrix:
     return MechanismMatrix(layout.labels, layout.outputs, rows)
 
 
-def rr_on_bins_sample(layout: BinLayout, eps: float, y: float, rng: Rng) -> float:
-    """One draw of randomized response over bins for a member label y."""
-    idx = layout.labels.index_of(y)
-    own = int(layout.assignments()[idx])
-    d = layout.d
+def rr_on_bins_randomize(own_bins, outputs, eps: float, rng: Rng) -> np.ndarray:
+    """Randomized response over bin outputs for an array of labels given by
+    their own bin indices: each keeps its bin's output with probability
+    e^eps/(e^eps + d - 1) and otherwise moves to one of the other d - 1
+    outputs uniformly.  Plain randomized response is the case of one label
+    per bin (the universe indices with the universe as outputs)."""
+    if eps < 0:
+        raise ValueError(f"eps must be non-negative, got {eps}")
+    outs = np.asarray(outputs, dtype=float)
+    d = outs.size
+    own = as_indices(own_bins, d)
     if d == 1:
-        return layout.outputs[0]
-    stay = _stay_prob(eps, d)
-    if rng.gen.random() < stay:
-        return layout.outputs[own]
-    return layout.outputs[(own + int(rng.gen.integers(1, d))) % d]
-
-
-def rr_on_bins_randomize(layout: BinLayout, eps: float, ys: np.ndarray, rng: Rng) -> np.ndarray:
-    """Vectorized randomized response over bins for an array of member labels."""
-    arr = layout.labels.as_array()
-    idx = np.searchsorted(arr, ys)
-    idx = np.clip(idx, 0, layout.labels.k - 1)
-    if not np.all(arr[idx] == ys):
-        bad = int(np.nonzero(arr[idx] != ys)[0][0])
-        raise ValueError(f"label at index {bad} not in the label set: {ys[bad]!r}")
-    own = layout.assignments()[idx]
-    d = layout.d
-    outs = np.asarray(layout.outputs)
-    if d == 1:
-        return np.full(len(ys), outs[0])
-    stay = _stay_prob(eps, d)
-    keep = rng.gen.random(len(ys)) < stay
-    hop = rng.gen.integers(1, d, size=len(ys))
-    bins = np.where(keep, own, (own + hop) % d)
-    return outs[bins]
+        return np.full(own.shape, outs[0])
+    keep = rng.gen.random(own.shape) < _stay_prob(eps, d)
+    hop = rng.gen.integers(1, d, size=own.shape)
+    return outs[np.where(keep, own, (own + hop) % d)]
 
 
 def laplace_sample(y, params: NoiseParams, rng: Rng):
@@ -156,12 +141,6 @@ def discrete_laplace_sample(y, params: NoiseParams, rng: Rng):
     return int(out[0]) if y.ndim == 0 else out
 
 
-def discrete_laplace_pmf(j, scale: float):
-    """Exact pmf of the discrete Laplace with the given scale."""
-    q = math.exp(-1.0 / scale)
-    return (1 - q) / (1 + q) * q ** np.abs(np.asarray(j))
-
-
 def staircase_sample(y, params: NoiseParams, rng: Rng):
     """y plus continuous staircase noise: geometric rung with ratio e^(-eps),
     a high/low step within the rung (widths gamma*D and (1-gamma)*D, heights
@@ -182,32 +161,6 @@ def staircase_sample(y, params: NoiseParams, rng: Rng):
     sign = np.where(g.random(shape) < 0.5, -1.0, 1.0)
     out = y + sign * (rung * delta + offset)
     return float(out[0]) if y.ndim == 0 else out
-
-
-def staircase_interval_probs(edges: np.ndarray, eps: float, delta: float, gamma: float) -> np.ndarray:
-    """Exact probabilities of staircase noise landing in [edges[i], edges[i+1])."""
-    a = (1.0 - math.exp(-eps)) / (2.0 * delta * (gamma + math.exp(-eps) * (1.0 - gamma)))
-
-    def cdf_half(x):
-        # integral of the density over [0, x], x >= 0
-        if math.isinf(x):
-            return 0.5
-        total = 0.0
-        m = int(x // delta)
-        for r in range(m):
-            total += a * math.exp(-r * eps) * delta * (gamma + math.exp(-eps) * (1 - gamma))
-        rem = x - m * delta
-        h = a * math.exp(-m * eps)
-        total += h * min(rem, gamma * delta)
-        if rem > gamma * delta:
-            total += h * math.exp(-eps) * (rem - gamma * delta)
-        return total
-
-    def cdf(x):
-        return 0.5 + cdf_half(x) if x >= 0 else 0.5 - cdf_half(-x)
-
-    vals = np.array([cdf(e) for e in edges])
-    return np.diff(vals)
 
 
 def discrete_staircase_sample(y, params: NoiseParams, rng: Rng):
@@ -261,47 +214,32 @@ def discrete_staircase_sample(y, params: NoiseParams, rng: Rng):
     return int(out[0]) if y.ndim == 0 else out
 
 
-def discrete_staircase_pmf(i, eps: float, delta: int, r: int):
-    """Exact pmf of the discrete staircase noise at integer offsets i."""
-    b = math.exp(-eps)
-    a = (1.0 - b) / (2 * r + 2 * b * (delta - r) - (1.0 - b))
-    i = np.abs(np.asarray(i))
-    rung, off = np.divmod(i, delta)
-    return a * b**rung * np.where(off < r, 1.0, b)
-
-
-def exponential_mechanism_sample(y: float, lo: float, hi: float, eps: float, rng: Rng) -> float:
-    """Rejection-sampled exponential mechanism on [lo, hi]: redraw y plus
-    Laplace noise at scale 2*(hi-lo)/eps until it lands inside the range,
-    yielding density proportional to e^(-eps |out - y| / (2 Delta)) there."""
+def exponential_mechanism_sample(y, lo: float, hi: float, eps: float, rng: Rng) -> np.ndarray:
+    """Rejection-sampled exponential mechanism on [lo, hi] for an array of
+    inputs: y plus Laplace noise at scale 2*(hi-lo)/eps, with every draw that
+    lands outside the range redrawn (only those), yielding density
+    proportional to e^(-eps |out - y| / (2 Delta)) there."""
     if lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
-    if not lo <= y <= hi:
-        raise ValueError(f"input {y} outside the output range [{lo}, {hi}]")
+    y = np.asarray(y, dtype=float)
+    inside = (y >= lo) & (y <= hi)
+    if not inside.all():
+        raise ValueError(f"input {y.flat[np.argmin(inside)]} outside the output range [{lo}, {hi}]")
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    scale = 2.0 * (hi - lo) / eps if hi > lo else 0.0
-    if scale == 0.0:
-        return lo
+    if hi == lo:
+        return np.full(y.shape, float(lo))
+    scale = 2.0 * (hi - lo) / eps
+    out = np.empty_like(y)
+    todo = np.arange(y.size)
     for _ in range(_MAX_REJECTS):
-        out = y + rng.gen.laplace(0.0, scale)
-        if lo <= out <= hi:
-            return float(out)
+        draw = y.flat[todo] + rng.gen.laplace(0.0, scale, size=todo.size)
+        ok = (draw >= lo) & (draw <= hi)
+        out.flat[todo[ok]] = draw[ok]
+        todo = todo[~ok]
+        if not todo.size:
+            return out
     raise RuntimeError(f"rejection sampling exceeded {_MAX_REJECTS} attempts")
-
-
-def randomized_response_sample(y: int, q: int, eps: float, rng: Rng) -> int:
-    """Plain randomized response on {1..q}: keep y with probability
-    e^eps/(e^eps + q - 1), otherwise uniform over the other values."""
-    if not 1 <= y <= q or int(y) != y:
-        raise ValueError(f"index {y} outside 1..{q}")
-    if eps < 0:
-        raise ValueError(f"eps must be non-negative, got {eps}")
-    if q == 1:
-        return int(y)
-    if rng.gen.random() < _stay_prob(eps, q):
-        return int(y)
-    return int((y - 1 + rng.gen.integers(1, q)) % q + 1)
 
 
 def clip(value, lo: float, hi: float):

@@ -1,12 +1,14 @@
-"""End-to-end label randomizer for the unknown-prior case: estimate the prior
-with part of the budget, optimize the bin layout against the estimate, then
-randomize every label independently.  The whole output is (eps1 + eps2)-DP by
-basic composition; the raw labels are touched exactly twice (one histogram
-pass, one per-label randomization).
+"""One entry point, randomize(), for every mechanism in MECHANISMS.
+
+Each mechanism first maps the labels into the public universe, so it keeps
+its eps on any input: laplace, staircase and exponential clamp them into
+[y_min, y_max], the others snap them down to universe indices in one
+searchsorted pass.  rr-on-bins is the two-step pipeline for the unknown
+prior: estimate the prior with eps1, optimize the bins against it, then
+randomize every label with eps2, (eps1 + eps2)-DP by basic composition.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,10 +16,17 @@ import numpy as np
 from .binopt import BinLayout, optimize_bins
 from .core import EpsilonBudget, LabelSet, Prior
 from .losses import LossSpec
-from .mechanisms import Rng, rr_on_bins_randomize
-from .prior import laplace_histogram
-
-log = logging.getLogger(__name__)
+from .mechanisms import (
+    NoiseParams,
+    Rng,
+    discrete_laplace_sample,
+    discrete_staircase_sample,
+    exponential_mechanism_sample,
+    laplace_sample,
+    rr_on_bins_randomize,
+    staircase_sample,
+)
+from .prior import default_budget_split, laplace_histogram
 
 
 @dataclass(frozen=True)
@@ -27,65 +36,170 @@ class RandomizationReport:
     mechanism_loss_on_inputs is the empirical mean loss between raw and noisy
     labels; it is a diagnostic data statistic, not DP-protected, and mirrors
     the evaluation convention of reporting the mechanism's label error.
-    Contains no raw labels and no raw counts.
+    Contains no raw labels and no raw counts.  The one-step mechanisms have
+    budget (0, eps) and no estimated prior or layout.
     """
 
     budget: EpsilonBudget
-    estimated_prior: Prior
-    layout: BinLayout
+    estimated_prior: Prior | None
+    layout: BinLayout | None
     mechanism_loss_on_inputs: float
     n: int
     loss_kind: str
     seed: int
 
 
+def universe_indices(labels, universe: LabelSet) -> np.ndarray:
+    """Index of the universe element each label rounds down to; labels below
+    the minimum map to the first element, labels above the maximum to the
+    last."""
+    idx = np.searchsorted(universe.as_array(), labels, side="right")
+    idx -= 1
+    return np.clip(idx, 0, universe.k - 1, out=idx)
+
+
 def snap_to_universe(values, universe: LabelSet) -> np.ndarray:
     """Map arbitrary reals onto the universe by rounding down to the nearest
     universe element (values below the minimum clamp up to it)."""
-    vals = np.asarray(list(values), dtype=float)
-    grid = universe.as_array()
-    idx = np.searchsorted(grid, vals, side="right") - 1
-    idx = np.clip(idx, 0, universe.k - 1)
-    return grid[idx]
+    return universe.as_array()[universe_indices(values, universe)]
 
 
-def label_randomizer(
-    labels,
-    universe: LabelSet,
-    eps1: float,
-    eps2: float,
-    loss: LossSpec,
-    rng: Rng,
-):
-    """Randomize a batch of labels with total budget eps1 + eps2.
-
-    Returns (noisy_labels, report).  Order and length of the input are
-    preserved; snapping to the universe happens before the histogram pass.
-    """
+def _two_step(idx, universe, eps1, eps2, loss, rng):
     if not eps1 > 0:
         raise ValueError(f"eps1 must be positive, got {eps1}")
     if eps2 < 0:
         raise ValueError(f"eps2 must be non-negative, got {eps2}")
-    raw = np.asarray(list(labels), dtype=float)
+    estimate = laplace_histogram(idx, universe, eps1, rng)
+    layout = optimize_bins(estimate.prior, eps2, loss)
+    noisy = rr_on_bins_randomize(layout.assignments()[idx], layout.outputs, eps2, rng)
+    return noisy, EpsilonBudget(eps1=eps1, eps2=eps2), estimate.prior, layout
+
+
+def _rr_on_bins(idx, universe, eps, rng, loss, eps1, clip):
+    """Two-step rr-on-bins; eps1 defaults to sqrt(k/n) of the total eps."""
+    if eps1 is None:
+        split = default_budget_split(eps, universe.k, idx.size)
+        return _two_step(idx, universe, split.eps1, split.eps2, loss, rng)
+    return _two_step(idx, universe, eps1, eps - eps1, loss, rng)
+
+
+def _one_step(draw):
+    """Registry sampler for a mechanism that spends all of eps on draw(x,
+    universe, eps, rng), clipping its output into the range on request."""
+
+    def sample(x, universe, eps, rng, loss, eps1, clip):
+        noisy = draw(x, universe, eps, rng)
+        if clip:
+            np.clip(noisy, universe.y_min, universe.y_max, out=noisy)
+        return noisy, EpsilonBudget(eps1=0.0, eps2=eps), None, None
+
+    return sample
+
+
+def _noise_params(universe, eps):
+    span = universe.y_max - universe.y_min
+    return NoiseParams(eps=eps, sensitivity=span if span > 0 else 1.0)
+
+
+def _integer_labels(idx, universe):
+    grid = universe.as_array()
+    if not np.all(np.equal(np.mod(grid, 1), 0)):
+        raise ValueError("the discrete mechanisms need an integer universe")
+    return grid.astype(np.int64)[idx]
+
+
+@_one_step
+def _laplace(y, universe, eps, rng):
+    return laplace_sample(y, _noise_params(universe, eps), rng)
+
+
+@_one_step
+def _staircase(y, universe, eps, rng):
+    return staircase_sample(y, _noise_params(universe, eps), rng)
+
+
+@_one_step
+def _discrete_laplace(idx, universe, eps, rng):
+    ints = _integer_labels(idx, universe)
+    return discrete_laplace_sample(ints, _noise_params(universe, eps), rng).astype(float)
+
+
+@_one_step
+def _discrete_staircase(idx, universe, eps, rng):
+    ints = _integer_labels(idx, universe)
+    params = NoiseParams(eps=eps, sensitivity=float(round(universe.y_max - universe.y_min)))
+    return discrete_staircase_sample(ints, params, rng).astype(float)
+
+
+@_one_step
+def _exponential(y, universe, eps, rng):
+    return exponential_mechanism_sample(y, universe.y_min, universe.y_max, eps, rng)
+
+
+@_one_step
+def _rr(idx, universe, eps, rng):
+    return rr_on_bins_randomize(idx, universe.as_array(), eps, rng)
+
+
+# name -> (takes universe indices, sampler).  A sampler without indices gets
+# the labels clamped into [y_min, y_max].
+MECHANISMS = {
+    "rr-on-bins": (True, _rr_on_bins),
+    "laplace": (False, _laplace),
+    "discrete-laplace": (True, _discrete_laplace),
+    "staircase": (False, _staircase),
+    "discrete-staircase": (True, _discrete_staircase),
+    "exponential": (False, _exponential),
+    "rr": (True, _rr),
+}
+
+
+def _labels(labels) -> np.ndarray:
+    raw = np.asarray(labels, dtype=float)
     if raw.size == 0:
         raise ValueError("need at least one label")
-    snapped = snap_to_universe(raw, universe)
-    n_moved = int(np.sum(snapped != raw))
-    if n_moved:
-        log.debug("snapped %d labels onto the universe grid", n_moved)
+    return raw
 
-    estimate = laplace_histogram(snapped, universe, eps1, rng)
-    layout = optimize_bins(estimate.prior, eps2, loss)
-    noisy = rr_on_bins_randomize(layout, eps2, snapped, rng)
 
-    mech_loss = float(np.mean(loss.eval_fn(noisy, raw)))
-    report = RandomizationReport(
-        budget=EpsilonBudget(eps1=eps1, eps2=eps2),
-        estimated_prior=estimate.prior,
+def _report(raw, noisy, budget, prior, layout, loss, rng) -> RandomizationReport:
+    return RandomizationReport(
+        budget=budget,
+        estimated_prior=prior,
         layout=layout,
-        mechanism_loss_on_inputs=mech_loss,
+        mechanism_loss_on_inputs=float(np.mean(loss.eval_fn(noisy, raw))),
         n=int(raw.size),
         loss_kind=loss.kind,
         seed=rng.seed,
     )
-    return noisy, report
+
+
+def randomize(mechanism, labels, universe: LabelSet, eps: float, loss: LossSpec, rng: Rng,
+              *, clip: bool = True, eps1: float | None = None):
+    """Randomize a batch of labels with one mechanism at total budget eps.
+
+    eps1 is rr-on-bins' prior-estimation share (default sqrt(k/n)); clip
+    clamps the one-step mechanisms' outputs into the universe range.  Returns
+    (noisy_labels, report); order and length of the input are preserved.
+    """
+    if mechanism not in MECHANISMS:
+        raise ValueError(f"unknown mechanism {mechanism!r}; pick from {', '.join(MECHANISMS)}")
+    indexed, sample = MECHANISMS[mechanism]
+    raw = _labels(labels)
+    if indexed:
+        x = universe_indices(raw, universe)
+    else:
+        x = np.clip(raw, universe.y_min, universe.y_max)
+    noisy, budget, prior, layout = sample(x, universe, eps, rng, loss, eps1, clip)
+    return noisy, _report(raw, noisy, budget, prior, layout, loss, rng)
+
+
+def label_randomizer(labels, universe: LabelSet, eps1: float, eps2: float, loss: LossSpec, rng: Rng):
+    """rr-on-bins with an explicit budget split eps1 + eps2.
+
+    Returns (noisy_labels, report).  Order and length of the input are
+    preserved; snapping to the universe happens before the histogram pass.
+    """
+    raw = _labels(labels)
+    idx = universe_indices(raw, universe)
+    noisy, budget, prior, layout = _two_step(idx, universe, eps1, eps2, loss, rng)
+    return noisy, _report(raw, noisy, budget, prior, layout, loss, rng)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EpsilonBudget, LabelSet, Prior, make_prior
+from .core import EpsilonBudget, LabelSet, Prior, as_indices, make_prior
 from .mechanisms import Rng
 
 log = logging.getLogger(__name__)
@@ -31,26 +31,20 @@ class HistogramEstimate:
     raw_counts: tuple[int, ...] = field(repr=False)
 
 
-def laplace_histogram(labels, universe: LabelSet, eps1: float, rng: Rng) -> HistogramEstimate:
+def laplace_histogram(indices, universe: LabelSet, eps1: float, rng: Rng) -> HistogramEstimate:
     """Estimate the label distribution with eps1-DP Laplace noise.
 
-    Counts each universe cell, perturbs with Laplace(2/eps1), clamps negatives
-    to zero and normalizes.  If every noised count clamps to zero the estimate
+    Takes the labels as universe indices (pipeline.universe_indices), counts
+    each universe cell, perturbs with Laplace(2/eps1), clamps negatives to
+    zero and normalizes.  If every noised count clamps to zero the estimate
     falls back to the uniform distribution (logged).
     """
     if not eps1 > 0:
         raise ValueError(f"eps1 must be positive, got {eps1}")
-    ys = np.asarray(list(labels), dtype=float)
-    if ys.size == 0:
+    idx = as_indices(indices, universe.k)
+    if idx.size == 0:
         raise ValueError("need at least one label")
-    grid = universe.as_array()
-    idx = np.searchsorted(grid, ys)
-    idx_clipped = np.clip(idx, 0, universe.k - 1)
-    misses = grid[idx_clipped] != ys
-    if np.any(misses):
-        bad = int(np.nonzero(misses)[0][0])
-        raise ValueError(f"label at index {bad} not in the universe: {ys[bad]!r}")
-    counts = np.bincount(idx_clipped, minlength=universe.k).astype(float)
+    counts = np.bincount(idx, minlength=universe.k).astype(float)
     noised = counts + rng.gen.laplace(0.0, 2.0 / eps1, size=universe.k)
     noised = np.maximum(noised, 0.0)
     if noised.sum() <= 0.0:

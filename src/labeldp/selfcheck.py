@@ -11,15 +11,15 @@ from .core import make_label_set, make_prior
 from .mechanisms import (
     NoiseParams,
     Rng,
-    discrete_laplace_pmf,
     discrete_laplace_sample,
     rr_on_bins_matrix,
-    rr_on_bins_sample,
+    rr_on_bins_randomize,
 )
 from .verify import (
     best_rr_on_bins_over_grid,
     brute_force_optimal_bins,
     check_eps_dp,
+    discrete_laplace_pmf,
     empirical_sampler_check,
     lp_optimal_mechanism,
 )
@@ -100,11 +100,11 @@ def check_samplers(seed: int, trials: int):
     prior = make_prior(make_label_set([0, 1, 2, 3]), [4, 3, 2, 1])
     layout = optimize_bins(prior, 1.5, losses.SQUARED)
     matrix = rr_on_bins_matrix(layout, 1.5)
-    y = prior.labels.values[1]
+    own = layout.assignments()[1]
     row = matrix.rows[1]
 
     def sample_rr(n, rng):
-        return np.array([rr_on_bins_sample(layout, 1.5, y, rng) for _ in range(n)])
+        return rr_on_bins_randomize(np.full(n, own), layout.outputs, 1.5, rng)
 
     if not empirical_sampler_check(
         sample_rr, matrix.outputs, row, max(trials // 10, 10**4), root.spawn(0)

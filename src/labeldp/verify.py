@@ -355,6 +355,51 @@ def lp_optimal_mechanism(prior: Prior, outputs, eps: float, loss: LossSpec) -> L
 
 
 # ---------------------------------------------------------------------------
+# exact noise distributions the sampler checks compare against
+# ---------------------------------------------------------------------------
+
+def discrete_laplace_pmf(j, scale: float):
+    """Exact pmf of the discrete Laplace with the given scale."""
+    q = math.exp(-1.0 / scale)
+    return (1 - q) / (1 + q) * q ** np.abs(np.asarray(j))
+
+
+def staircase_interval_probs(edges: np.ndarray, eps: float, delta: float, gamma: float) -> np.ndarray:
+    """Exact probabilities of staircase noise landing in [edges[i], edges[i+1])."""
+    a = (1.0 - math.exp(-eps)) / (2.0 * delta * (gamma + math.exp(-eps) * (1.0 - gamma)))
+
+    def cdf_half(x):
+        # integral of the density over [0, x], x >= 0
+        if math.isinf(x):
+            return 0.5
+        total = 0.0
+        m = int(x // delta)
+        for r in range(m):
+            total += a * math.exp(-r * eps) * delta * (gamma + math.exp(-eps) * (1 - gamma))
+        rem = x - m * delta
+        h = a * math.exp(-m * eps)
+        total += h * min(rem, gamma * delta)
+        if rem > gamma * delta:
+            total += h * math.exp(-eps) * (rem - gamma * delta)
+        return total
+
+    def cdf(x):
+        return 0.5 + cdf_half(x) if x >= 0 else 0.5 - cdf_half(-x)
+
+    vals = np.array([cdf(e) for e in edges])
+    return np.diff(vals)
+
+
+def discrete_staircase_pmf(i, eps: float, delta: int, r: int):
+    """Exact pmf of the discrete staircase noise at integer offsets i."""
+    b = math.exp(-eps)
+    a = (1.0 - b) / (2 * r + 2 * b * (delta - r) - (1.0 - b))
+    i = np.abs(np.asarray(i))
+    rung, off = np.divmod(i, delta)
+    return a * b**rung * np.where(off < r, 1.0, b)
+
+
+# ---------------------------------------------------------------------------
 # privacy and sampler checks
 # ---------------------------------------------------------------------------
 

@@ -32,9 +32,8 @@ from labeldp import (
     make_label_set,
     make_prior,
     optimize_bins,
-    randomized_response_sample,
     rr_on_bins_matrix,
-    rr_on_bins_sample,
+    rr_on_bins_randomize,
     staircase_sample,
 )
 from labeldp.binopt import (
@@ -45,13 +44,15 @@ from labeldp.binopt import (
     inner_min_squared,
     tilt_factor,
 )
-from labeldp.mechanisms import (
+from labeldp.prior import default_budget_split
+from labeldp.verify import (
+    best_rr_on_bins_over_grid,
     discrete_laplace_pmf,
     discrete_staircase_pmf,
+    empirical_sampler_check,
+    lp_optimal_mechanism,
     staircase_interval_probs,
 )
-from labeldp.prior import default_budget_split
-from labeldp.verify import best_rr_on_bins_over_grid, empirical_sampler_check, lp_optimal_mechanism
 
 ALL_LOSSES = (SQUARED, ABSOLUTE, POISSON)
 SIGNIFICANCE = 0.001
@@ -261,8 +262,9 @@ def test_criterion_7_sampler_fidelity():
     layout = optimize_bins(prior, 1.5, SQUARED)
     matrix = rr_on_bins_matrix(layout, 1.5)
     row = matrix.rows[1]
+    own = layout.assignments()[layout.labels.index_of(1.0)]
     ok = empirical_sampler_check(
-        lambda m, r: np.array([rr_on_bins_sample(layout, 1.5, 1.0, r) for _ in range(m)]),
+        lambda m, r: rr_on_bins_randomize(np.full(m, own), layout.outputs, 1.5, r),
         matrix.outputs, row, n, root.spawn(0), SIGNIFICANCE,
     )
     details.append(("rr-on-bins", ok))
@@ -273,7 +275,7 @@ def test_criterion_7_sampler_fidelity():
     probs = np.full(q, (1 - stay) / (q - 1))
     probs[2] = stay
     ok = empirical_sampler_check(
-        lambda m, r: np.array([randomized_response_sample(3, q, eps, r) for _ in range(m)]),
+        lambda m, r: rr_on_bins_randomize(np.full(m, 2), np.arange(1, q + 1), eps, r),
         np.arange(1, q + 1), probs, n, root.spawn(1), SIGNIFICANCE,
     )
     details.append(("rr", ok))
@@ -327,8 +329,7 @@ def test_criterion_7_sampler_fidelity():
     # exponential mechanism: truncated-laplace cells on [lo, hi]
     y, lo, hi, eps = 3.0, 0.0, 10.0, 2.0
     scale = 2 * (hi - lo) / eps
-    rng = root.spawn(6)
-    draws = np.array([exponential_mechanism_sample(y, lo, hi, eps, rng) for _ in range(n)])
+    draws = exponential_mechanism_sample(np.full(n, y), lo, hi, eps, root.spawn(6))
 
     def trunc_cdf(x):
         def raw(t):
@@ -354,15 +355,14 @@ def test_criterion_8_prior_estimation_bound():
     universe = make_label_set(range(k))
     prior = zipf_prior(universe, 1.2)
     probs = prior.probs_array()
-    grid = universe.as_array()
     results = []
     for idx, eps1 in enumerate((0.05, 0.1, 0.5)):
         root = Rng(108 + idx)
         errs = []
         for t in range(200):
             rng = root.spawn(t)
-            ys = rng.gen.choice(grid, size=n, p=probs)
-            est = laplace_histogram(ys, universe, eps1, rng)
+            cells = rng.gen.choice(universe.k, size=n, p=probs)
+            est = laplace_histogram(cells, universe, eps1, rng)
             errs.append(float(np.abs(est.prior.probs_array() - probs).sum()))
         bound = 5 * (math.sqrt(k / n) + k / (eps1 * n))
         results.append((eps1, float(np.mean(errs)), bound))
@@ -378,7 +378,6 @@ def test_criterion_9_two_step_convergence():
     universe = make_label_set(range(51))
     prior = zipf_prior(universe, 1.5)
     probs = prior.probs_array()
-    grid = universe.as_array()
     lstar = optimize_bins(prior, eps, SQUARED).objective
     b_max = (universe.y_max - universe.y_min) ** 2
 
@@ -389,8 +388,8 @@ def test_criterion_9_two_step_convergence():
         trial_gaps = []
         for t in range(20):
             rng = root.spawn(t)
-            ys = rng.gen.choice(grid, size=n, p=probs)
-            est = laplace_histogram(ys, universe, budget.eps1, rng)
+            cells = rng.gen.choice(universe.k, size=n, p=probs)
+            est = laplace_histogram(cells, universe, budget.eps1, rng)
             layout = optimize_bins(est.prior, budget.eps2, SQUARED)
             achieved = expected_loss(rr_on_bins_matrix(layout, budget.eps2), prior, SQUARED)
             trial_gaps.append(achieved - lstar)
@@ -438,8 +437,7 @@ def test_criterion_10_baseline_dominance():
             stair = clip(staircase_sample(ys.astype(float), params, root.spawn(2)), lo, hi)
             table["staircase+clip"].append(float(np.mean((stair - ys) ** 2)))
 
-            rng = root.spawn(3)
-            expd = np.array([exponential_mechanism_sample(v, lo, hi, eps, rng) for v in ys.astype(float)])
+            expd = exponential_mechanism_sample(ys.astype(float), lo, hi, eps, root.spawn(3))
             table["exponential"].append(float(np.mean((expd - ys) ** 2)))
         means[eps] = {m: float(np.mean(v)) for m, v in table.items()}
         for m in mechanisms[1:]:

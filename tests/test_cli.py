@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from labeldp.cli import main, parse_universe, read_labels, read_prior_file
+from labeldp.pipeline import MECHANISMS, snap_to_universe, universe_indices
 
 
 def run(args):
@@ -50,6 +51,13 @@ def test_read_prior_file(tmp_path):
 def test_parse_universe():
     assert parse_universe("0:3:1").values == (0.0, 1.0, 2.0, 3.0)
     assert parse_universe("0,5,2").values == (0.0, 2.0, 5.0)
+    assert parse_universe("0:400:1").values == tuple(float(v) for v in range(401))
+    # decimal steps: every element is the double nearest to lo + i*step, so
+    # the index pass leaves labels written on the grid in place
+    tenths = parse_universe("0:1:0.1")
+    assert tenths.values == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+    assert universe_indices([0.3, 0.6, 0.7], tenths).tolist() == [3, 6, 7]
+    assert snap_to_universe([0.3, 0.6, 0.7], tenths).tolist() == [0.3, 0.6, 0.7]
     from labeldp.cli import ParseError
 
     with pytest.raises(ParseError):
@@ -149,7 +157,7 @@ def test_randomize_precondition_exit3(tmp_path, capsys):
     assert "explicit split" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mech", ["discrete-laplace", "discrete-staircase", "exponential", "rr", "staircase"])
+@pytest.mark.parametrize("mech", list(MECHANISMS))
 def test_randomize_other_mechanisms(tmp_path, mech):
     src = write(tmp_path / "in.txt", "\n".join(str(v % 10) for v in range(30)) + "\n")
     out = tmp_path / "out.txt"
@@ -159,6 +167,20 @@ def test_randomize_other_mechanisms(tmp_path, mech):
     assert len(vals) == 30
     report = json.loads((tmp_path / "out.txt.report.json").read_text())
     assert report["mechanism"] == mech
+
+
+@pytest.mark.parametrize("mech", list(MECHANISMS))
+def test_randomize_maps_labels_into_universe(tmp_path, mech):
+    # labels outside the universe must be randomized exactly like the
+    # universe ends they map to; noise added to the raw value would leak it
+    outs = []
+    for name, labels in (("far", "0\n400\n100000\n-50000\n"), ("ends", "0\n400\n400\n0\n")):
+        src = write(tmp_path / f"{name}.txt", labels)
+        out = tmp_path / f"{name}-out.txt"
+        assert run(["randomize", "--input", src, "--output", out, "--eps", "1", "--eps1", "0.5",
+                    "--mechanism", mech, "--universe", "0:400:1", "--no-clip", "--seed", "0"]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -15,17 +15,20 @@ from labeldp import (
     make_label_set,
     make_prior,
     optimize_bins,
-    randomized_response_sample,
     rr_on_bins_matrix,
-    rr_on_bins_sample,
+    rr_on_bins_randomize,
     staircase_sample,
 )
-from labeldp.mechanisms import (
+from labeldp.verify import (
     discrete_laplace_pmf,
     discrete_staircase_pmf,
-    rr_on_bins_randomize,
     staircase_interval_probs,
 )
+
+
+def own_bins(lay, y, n):
+    """n copies of member label y's bin index in the layout."""
+    return np.full(n, lay.assignments()[lay.labels.index_of(y)])
 
 
 def three_bin_layout():
@@ -76,8 +79,8 @@ def test_rr_sample_high_eps_sticks():
     lay = three_bin_layout()
     rng = Rng(1)
     phi = lay.output_for(2.0)
-    draws = [rr_on_bins_sample(lay, 50.0, 2.0, rng) for _ in range(10**4)]
-    assert np.mean(np.asarray(draws) == phi) >= 0.999
+    draws = rr_on_bins_randomize(own_bins(lay, 2.0, 10**4), lay.outputs, 50.0, rng)
+    assert np.mean(draws == phi) >= 0.999
 
 
 def test_rr_sample_eps0_uniform_two_bins():
@@ -85,7 +88,7 @@ def test_rr_sample_eps0_uniform_two_bins():
     lay = optimize_bins(pr, 5.0, SQUARED)
     assert lay.d == 2
     rng = Rng(2)
-    draws = np.array([rr_on_bins_sample(lay, 0.0, 0.0, rng) for _ in range(10**4)])
+    draws = rr_on_bins_randomize(own_bins(lay, 0.0, 10**4), lay.outputs, 0.0, rng)
     freq = np.mean(draws == lay.outputs[0])
     assert freq == pytest.approx(0.5, abs=0.02)
 
@@ -97,22 +100,26 @@ def test_rr_sample_matches_matrix_row():
     y = lay.labels.values[0]
     row = m.rows[0]
     rng = Rng(3)
-    draws = np.array([rr_on_bins_sample(lay, eps, y, rng) for _ in range(10**4)])
+    draws = rr_on_bins_randomize(own_bins(lay, y, 10**4), lay.outputs, eps, rng)
     for out, p in zip(m.outputs, row):
         assert np.mean(draws == out) == pytest.approx(p, abs=0.02)
 
 
 def test_rr_sample_rejects_foreign_label():
     lay = three_bin_layout()
-    with pytest.raises(ValueError):
-        rr_on_bins_sample(lay, 1.0, 2.5, Rng(0))
+    for own in ([lay.d], [-1], [0.5]):
+        with pytest.raises(ValueError, match="index 0"):
+            rr_on_bins_randomize(np.array(own), lay.outputs, 1.0, Rng(0))
+    with pytest.raises(ValueError, match="non-negative"):
+        rr_on_bins_randomize(np.array([0]), lay.outputs, -1.0, Rng(0))
 
 
 def test_rr_randomize_batch_matches_scalar_distribution():
     lay = three_bin_layout()
     eps = 1.0
     ys = np.array([0.0, 1.0, 5.0] * 2000)
-    out = rr_on_bins_randomize(lay, eps, ys, Rng(4))
+    own = lay.assignments()[np.searchsorted(lay.labels.as_array(), ys)]
+    out = rr_on_bins_randomize(own, lay.outputs, eps, Rng(4))
     assert out.shape == ys.shape
     assert set(np.unique(out)) <= set(lay.outputs)
 
@@ -234,10 +241,7 @@ def test_discrete_staircase_guards():
 
 
 def test_exponential_mechanism_stays_in_range():
-    rng = Rng(12)
-    draws = np.array(
-        [exponential_mechanism_sample(3.0, 0.0, 10.0, 2.0, rng) for _ in range(3000)]
-    )
+    draws = exponential_mechanism_sample(np.full(3000, 3.0), 0.0, 10.0, 2.0, Rng(12))
     assert np.all((draws >= 0.0) & (draws <= 10.0))
 
 
@@ -245,10 +249,7 @@ def test_exponential_mechanism_truncated_laplace_shape():
     # two-bin frequency ratio against the analytic truncated density
     y, lo, hi, eps = 5.0, 0.0, 10.0, 2.0
     scale = 2 * (hi - lo) / eps
-    rng = Rng(13)
-    draws = np.array(
-        [exponential_mechanism_sample(y, lo, hi, eps, rng) for _ in range(4 * 10**4)]
-    )
+    draws = exponential_mechanism_sample(np.full(4 * 10**4, y), lo, hi, eps, Rng(13))
     near = np.mean(np.abs(draws - y) < 1.0)
     far = np.mean((np.abs(draws - y) >= 4.0) & (np.abs(draws - y) < 5.0))
 
@@ -260,33 +261,34 @@ def test_exponential_mechanism_truncated_laplace_shape():
 
 
 def test_exponential_mechanism_high_eps_concentrates():
-    rng = Rng(14)
-    draws = np.array(
-        [exponential_mechanism_sample(5.0, 0.0, 10.0, 500.0, rng) for _ in range(200)]
-    )
+    draws = exponential_mechanism_sample(np.full(200, 5.0), 0.0, 10.0, 500.0, Rng(14))
     assert np.max(np.abs(draws - 5.0)) < 0.5
 
 
 def test_exponential_mechanism_guards():
     with pytest.raises(ValueError, match="outside"):
-        exponential_mechanism_sample(11.0, 0.0, 10.0, 1.0, Rng(0))
+        exponential_mechanism_sample(np.array([5.0, 11.0]), 0.0, 10.0, 1.0, Rng(0))
     with pytest.raises(ValueError, match="range"):
-        exponential_mechanism_sample(0.0, 1.0, 0.0, 1.0, Rng(0))
+        exponential_mechanism_sample(np.array([0.0]), 1.0, 0.0, 1.0, Rng(0))
+    with pytest.raises(ValueError, match="eps"):
+        exponential_mechanism_sample(np.array([5.0]), 0.0, 10.0, 0.0, Rng(0))
 
 
 def test_randomized_response_examples():
-    rng = Rng(15)
-    draws = np.array([randomized_response_sample(1, 2, 0.0, rng) for _ in range(10**4)])
+    # plain randomized response on {1..q}: one label per bin, index y - 1
+    def rr(y, q, eps, n, rng):
+        return rr_on_bins_randomize(np.full(n, y - 1), np.arange(1, q + 1), eps, rng)
+
+    draws = rr(1, 2, 0.0, 10**4, Rng(15))
     assert np.mean(draws == 1) == pytest.approx(0.5, abs=0.02)
 
-    rng = Rng(16)
-    draws = np.array([randomized_response_sample(2, 4, math.log(3), rng) for _ in range(10**4)])
+    draws = rr(2, 4, math.log(3), 10**4, Rng(16))
     assert np.mean(draws == 2) == pytest.approx(0.5, abs=0.02)
 
     rng = Rng(17)
-    assert all(randomized_response_sample(3, 5, 200.0, rng) == 3 for _ in range(100))
+    assert np.all(rr(3, 5, 200.0, 100, rng) == 3)
     with pytest.raises(ValueError):
-        randomized_response_sample(0, 4, 1.0, rng)
+        rr(0, 4, 1.0, 1, rng)
 
 
 def test_clip():

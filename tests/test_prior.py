@@ -30,8 +30,11 @@ def test_histogram_single_sample_point_mass():
 
 def test_histogram_rejects_foreign_label():
     ls = make_label_set([0, 1])
-    with pytest.raises(ValueError, match="index 1"):
-        laplace_histogram([0, 0.5], ls, 1.0, Rng(0))
+    # the histogram takes universe indices: non-integers and indices past
+    # the universe are foreign
+    for indices in ([0, 0.5], [0, 2], [0, -1]):
+        with pytest.raises(ValueError, match="index 1"):
+            laplace_histogram(indices, ls, 1.0, Rng(0))
     with pytest.raises(ValueError):
         laplace_histogram([], ls, 1.0, Rng(0))
     with pytest.raises(ValueError):
@@ -71,13 +74,12 @@ def test_histogram_l1_error_within_theory_bound():
     weights = 1.0 / np.arange(1, k + 1) ** 1.2
     pr = make_prior(ls, weights)
     probs = pr.probs_array()
-    grid = ls.as_array()
     root = Rng(5)
     errs = []
     for t in range(50):
         rng = root.spawn(t)
-        ys = rng.gen.choice(grid, size=n, p=probs)
-        est = laplace_histogram(ys, ls, eps1, rng)
+        cells = rng.gen.choice(k, size=n, p=probs)
+        est = laplace_histogram(cells, ls, eps1, rng)
         errs.append(float(np.abs(est.prior.probs_array() - probs).sum()))
     bound = 5 * (math.sqrt(k / n) + k / (eps1 * n))
     assert np.mean(errs) <= bound
