@@ -11,16 +11,25 @@ The single-bin subproblem for the interval [y^r, y^i] is
 
 and the best layout with d bins has cost A[k][d] = min over partitions of the
 sum of its bins' L values; the reported objective is A[k][d]/(d - 1 + e^eps),
-minimized over d.  L tables are filled in r-major order with amortized O(1)
-updates per i.  The search over (partition, d) runs as a parametric ratio
-search: each round solves an unconstrained segmentation with a per-bin price,
-which certifies the exact optimum in a handful of O(k^2) passes.  A literal
-layered fill of A[i][j] is kept as `layered_tables` for cross-checks.
+minimized over d.  L tables are filled one row r at a time, with numpy work
+over every bin end i of the row.  Squared and poisson losses take the tilted
+mean from running sums of p and p*y.  The absolute loss takes the tilted
+weighted median: with P the prefix sums of p and T = e^eps - 1, the tilted
+cumulative weight through label j is P(j) below the bin, (1+T)P(j) - T*P(r-1)
+inside it and P(j) + T*(P(i) - P(r-1)) above it, each piece monotone in P, so
+three searchsorted calls place every median of the row.  Any other convex
+loss runs one golden-section search per row over a vector of brackets, one
+per bin end, which converge in lockstep.
+
+The search over (partition, d) runs as a parametric ratio search
+(Dinkelbach's method): each round solves an unconstrained segmentation with a
+per-bin price, which certifies the exact optimum in a handful of O(k^2)
+passes.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +38,7 @@ from .losses import POISSON_YHAT_FLOOR, LossSpec
 
 TILT_CAP = 1e300          # e^eps saturates here; layouts beyond eps ~ 35 are identity-like
 GOLDEN_TOL = 1e-10        # absolute tolerance in yhat for the generic inner solver
-_MAX_RATIO_ROUNDS = 100   # parametric search safety cap; falls back to the layered fill
+_MAX_RATIO_ROUNDS = 100   # parametric search safety cap; never reached in practice
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -99,46 +108,66 @@ class BinLayout:
         return self.outputs[int(self.assignments()[i])]
 
 
-@dataclass
-class DPTables:
-    """Tables from the layered fill: a[i][j] is the best additive cost of
-    splitting the first i labels into j bins; parent[i][j] the chosen start
-    of the last bin.  lval/lhat hold the single-bin subproblem values and
-    their minimizers, indexed [r-1][i-1]."""
-
-    a: np.ndarray = field(repr=False)
-    parent: np.ndarray = field(repr=False)
-    lval: np.ndarray = field(repr=False)
-    lhat: np.ndarray = field(repr=False)
-
-
 # ---------------------------------------------------------------------------
-# single-bin subproblem tables, filled r-major with amortized updates
+# single-bin subproblem tables, one row r at a time
 # ---------------------------------------------------------------------------
 
-def _tables_squared(p: np.ndarray, y: np.ndarray, tilt: float):
-    k = len(p)
+def _empty_tables(k: int):
+    """The k x k value and minimizer tables.  Builders allocate them first: a
+    small array allocated before them can split the space the previous build's
+    tables freed, so that it no longer holds both and the peak grows a table."""
+    return np.full((k, k), np.inf), np.full((k, k), np.nan)
+
+
+def _tilted_means(p: np.ndarray, y: np.ndarray, tilt: float):
+    """Per row r, the moments of the bins [r, i] for every i >= r.
+
+    Yields (r, dp, sw, swy, yhat): the in-bin sum of p, the tilted sums of p
+    and p*y over all labels, and the tilted mean yhat, which minimizes
+    both the squared and the poisson loss.  At saturated tilt yhat is the
+    in-bin mean (the prior mean for a bin without mass), centred on the bin's
+    first label with mass so that a bin holding only that label returns it
+    exactly.
+    """
     T = tilt - 1.0
+    py = p * y
     w0 = float(np.sum(p))
     m0 = float(np.dot(p, y))
-    q0 = float(np.dot(p, y * y))
-    base_mean = m0 / w0
     capped = tilt >= TILT_CAP
-    lval = np.full((k, k), np.inf)
-    lhat = np.full((k, k), np.nan)
-    for r in range(k):
-        dp_ = np.cumsum(p[r:])
-        dm = np.cumsum((p * y)[r:])
-        dq = np.cumsum((p * y * y)[r:])
-        sw = w0 + T * dp_
+    for r in range(len(p)):
+        dp = np.cumsum(p[r:])
+        dm = np.cumsum(py[r:])
+        sw = w0 + T * dp
         swy = m0 + T * dm
-        swy2 = q0 + T * dq
         if capped:
-            # saturated tilt: the minimizer is the in-bin mean exactly
-            yhat = np.where(dp_ > 0, dm / np.where(dp_ > 0, dp_, 1.0), base_mean)
-            val = swy2 - 2.0 * yhat * swy + yhat * yhat * sw
+            c = y[r + int(np.argmax(dp > 0))]
+            spread = np.cumsum(p[r:] * (y[r:] - c))
+            yhat = np.where(dp > 0, c + spread / np.where(dp > 0, dp, 1.0), m0 / w0)
         else:
             yhat = swy / sw
+        yield r, dp, sw, swy, yhat
+
+
+def _tables_squared(p: np.ndarray, y: np.ndarray, tilt: float):
+    lval, lhat = _empty_tables(len(p))
+    T = tilt - 1.0
+    pyy = p * y * y
+    q0 = float(np.dot(p, y * y))
+    w0 = float(np.sum(p))
+    mean0 = float(np.dot(p, y)) / w0
+    var0 = float(np.dot(p, (y - mean0) ** 2))
+    for r, dp, sw, swy, yhat in _tilted_means(p, y, tilt):
+        if tilt >= TILT_CAP:
+            # swy2 - yhat*swy cancels at this scale; sum the in-bin spread from
+            # centred increments instead: adding label j to a bin with mass
+            # dp_prev and mean m_prev adds p_j * dp_prev / dp * (y_j - m_prev)^2,
+            # exactly 0 while the bin holds a single label with mass
+            dp_prev = np.concatenate(([0.0], dp[:-1]))
+            m_prev = np.concatenate(([0.0], yhat[:-1]))
+            grow = p[r:] * dp_prev / np.where(dp > 0, dp, 1.0) * (y[r:] - m_prev) ** 2
+            val = T * np.cumsum(grow) + (var0 + w0 * (yhat - mean0) ** 2)
+        else:
+            swy2 = q0 + T * np.cumsum(pyy[r:])
             val = swy2 - yhat * swy
         lhat[r, r:] = yhat
         lval[r, r:] = np.maximum(val, 0.0)
@@ -148,23 +177,8 @@ def _tables_squared(p: np.ndarray, y: np.ndarray, tilt: float):
 def _tables_poisson(p: np.ndarray, y: np.ndarray, tilt: float):
     if y[0] < 0:
         raise ValueError("poisson loss requires non-negative labels")
-    k = len(p)
-    T = tilt - 1.0
-    w0 = float(np.sum(p))
-    m0 = float(np.dot(p, y))
-    base_mean = m0 / w0
-    capped = tilt >= TILT_CAP
-    lval = np.full((k, k), np.inf)
-    lhat = np.full((k, k), np.nan)
-    for r in range(k):
-        dp_ = np.cumsum(p[r:])
-        dm = np.cumsum((p * y)[r:])
-        sw = w0 + T * dp_
-        swy = m0 + T * dm
-        if capped:
-            yhat = np.where(dp_ > 0, dm / np.where(dp_ > 0, dp_, 1.0), base_mean)
-        else:
-            yhat = swy / sw
+    lval, lhat = _empty_tables(len(p))
+    for r, _, sw, swy, yhat in _tilted_means(p, y, tilt):
         yhat = np.maximum(yhat, POISSON_YHAT_FLOOR)
         lhat[r, r:] = yhat
         lval[r, r:] = sw * yhat - swy * np.log(yhat)
@@ -173,101 +187,77 @@ def _tables_poisson(p: np.ndarray, y: np.ndarray, tilt: float):
 
 def _tables_absolute(p: np.ndarray, y: np.ndarray, tilt: float):
     k = len(p)
+    lval, lhat = _empty_tables(k)
     T = tilt - 1.0
-    lval = np.full((k, k), np.inf)
-    lhat = np.full((k, k), np.nan)
-    base_w = p.copy()
-    base_wy = p * y
+    # P[j] and Q[j] sum p and p*y over the first j labels
+    P = np.concatenate(([0.0], np.cumsum(p)))
+    Q = np.concatenate(([0.0], np.cumsum(p * y)))
+    ends = np.arange(k)
     for r in range(k):
-        w = base_w.copy()
-        wy = base_wy.copy()
-        w[r] *= tilt
-        wy[r] *= tilt
-        cum = np.cumsum(w)
-        total = cum[-1]
-        m = int(np.searchsorted(cum, 0.5 * total))
-        w_lo = float(cum[m])
-        w_hi = total - w_lo
-        s_lo = float(np.sum(wy[: m + 1]))
-        s_hi = float(np.sum(wy[m + 1:]))
-        for i in range(r, k):
-            if i > r:
-                dw = T * base_w[i]
-                dwy = T * base_wy[i]
-                w[i] += dw
-                wy[i] += dwy
-                if i <= m:
-                    w_lo += dw
-                    s_lo += dwy
-                else:
-                    w_hi += dw
-                    s_hi += dwy
-            # restore: w_lo >= half and w_lo - w[m] < half
-            half = 0.5 * (w_lo + w_hi)
-            while w_lo < half:
-                m += 1
-                w_lo += w[m]
-                w_hi -= w[m]
-                s_lo += wy[m]
-                s_hi -= wy[m]
-            while m > 0 and w_lo - w[m] >= half:
-                w_lo -= w[m]
-                w_hi += w[m]
-                s_lo -= wy[m]
-                s_hi += wy[m]
-                m -= 1
-            med = y[m]
-            lhat[r, i] = med
-            lval[r, i] = med * w_lo - s_lo + (s_hi - med * w_hi)
+        i = ends[r:]
+        tdP = T * (P[r + 1:] - P[r])  # weight the tilt adds to the bin [r, i]
+        total = P[k] + tdP
+        half = 0.5 * total
+        # smallest label whose tilted cumulative weight reaches half the total,
+        # looked up in the piece below, inside and above the bin in turn
+        below = np.searchsorted(P[1:r + 1], half)
+        inside = r + np.searchsorted(P[r + 1:] + tdP, half)
+        above = np.clip(np.searchsorted(P[1:], half - tdP), i + 1, k - 1)
+        m = np.where(below < r, below, np.where(inside <= i, inside, above))
+        # tilted weight and weighted label sum through the median
+        edge = np.clip(m + 1, r, i + 1)
+        w_lo = P[m + 1] + T * (P[edge] - P[r])
+        s_lo = Q[m + 1] + T * (Q[edge] - Q[r])
+        s_hi = Q[k] + T * (Q[r + 1:] - Q[r]) - s_lo
+        med = y[m]
+        lhat[r, r:] = med
+        lval[r, r:] = (med * w_lo - s_lo) + (s_hi - med * (total - w_lo))
     np.maximum(lval, 0.0, out=lval)
     return lval, lhat
 
 
-def _golden_min(fn, lo: float, hi: float, tol: float = GOLDEN_TOL):
-    """Golden-section minimum of a unimodal fn on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
-
-
-def _tables_generic(p: np.ndarray, y: np.ndarray, tilt: float, loss: LossSpec):
+def _golden_rows(w: np.ndarray, y: np.ndarray, loss: LossSpec):
+    """Golden-section minimum of g_n(x) = sum_j w[n, j] * loss(x, y_j) over the
+    label range (clipped to the loss's domain), for every row n of w at once.
+    All brackets start equal and shrink by the same factor each step, so the
+    rows converge in lockstep.  Returns (x, g(x)) arrays."""
     if not loss.convex_in_first_arg:
         raise ValueError("generic inner solver requires a convex loss")
-    k = len(p)
     lo, hi = float(y[0]), float(y[-1])
     if loss.domain_min is not None:
         lo = max(lo, loss.domain_min + POISSON_YHAT_FLOOR)
         hi = max(hi, lo)
-    lval = np.full((k, k), np.inf)
-    lhat = np.full((k, k), np.nan)
+
+    def g(x):
+        return np.sum(w * loss.eval_fn(x[:, None], y[None, :]), axis=1)
+
+    a = np.full(w.shape[0], lo)
+    b = np.full(w.shape[0], hi)
+    if lo == hi:
+        return a, g(a)
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = g(c), g(d)
+    while np.max(b - a) > GOLDEN_TOL:
+        left = fc <= fd  # the minimum lies in [a, d]: d becomes the new b
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        kept, fkept = np.where(left, c, d), np.where(left, fc, fd)
+        x = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
+        fx = g(x)
+        c, fc = np.where(left, x, kept), np.where(left, fx, fkept)
+        d, fd = np.where(left, kept, x), np.where(left, fkept, fx)
+    x = 0.5 * (a + b)
+    return x, g(x)
+
+
+def _tables_generic(p: np.ndarray, y: np.ndarray, tilt: float, loss: LossSpec):
+    k = len(p)
+    lval, lhat = _empty_tables(k)
+    j = np.arange(k)
     for r in range(k):
-        w = p.copy()
-        w[r] *= tilt
-        for i in range(r, k):
-            if i > r:
-                w[i] *= tilt
-
-            def g(yhat, w=w):
-                return float(np.dot(w, loss.eval_fn(yhat, y)))
-
-            if lo == hi:
-                yhat, v = lo, g(lo)
-            else:
-                yhat, v = _golden_min(g, lo, hi)
-            lhat[r, i] = yhat
-            lval[r, i] = v
+        in_bin = (j >= r) & (j <= np.arange(r, k)[:, None])
+        lhat[r, r:], lval[r, r:] = _golden_rows(np.where(in_bin, p * tilt, p), y, loss)
     return lval, lhat
 
 
@@ -300,13 +290,13 @@ def inner_min_squared(prior: Prior, r: int, i: int, eps: float):
     """Tilted squared-loss minimizer over one interval [y^r, y^i] (1-based).
 
     Returns (yhat, value) where yhat is the exponentially weighted mean and
-    value the weighted sum of squared losses at yhat.
+    value the weighted sum of squared losses at yhat.  The mean is centred on
+    the heaviest label, whose weight (up to 1e300) multiplies any ulp of error.
     """
     w = _interval_weights(prior, r, i, eps)
     y = prior.labels.as_array()
-    sw = float(np.sum(w))
-    swy = float(np.dot(w, y))
-    yhat = swy / sw
+    c = float(y[np.argmax(w)])
+    yhat = c + float(np.dot(w, y - c)) / float(np.sum(w))
     value = float(np.dot(w, (yhat - y) ** 2))
     return yhat, value
 
@@ -340,21 +330,9 @@ def inner_min_absolute(prior: Prior, r: int, i: int, eps: float):
 
 def inner_min_generic(prior: Prior, r: int, i: int, eps: float, loss: LossSpec):
     """Golden-section inner solver for an arbitrary convex loss."""
-    if not loss.convex_in_first_arg:
-        raise ValueError("generic inner solver requires a convex loss")
     w = _interval_weights(prior, r, i, eps)
-    y = prior.labels.as_array()
-    lo, hi = float(y[0]), float(y[-1])
-    if loss.domain_min is not None:
-        lo = max(lo, loss.domain_min + POISSON_YHAT_FLOOR)
-        hi = max(hi, lo)
-
-    def g(yhat):
-        return float(np.dot(w, loss.eval_fn(yhat, y)))
-
-    if lo == hi:
-        return lo, g(lo)
-    return _golden_min(g, lo, hi)
+    x, v = _golden_rows(w[None, :], prior.labels.as_array(), loss)
+    return float(x[0]), float(v[0])
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +412,7 @@ def _parametric_search(lval: np.ndarray, tilt: float):
             break
         lam, spans = new_lam, new_spans
     else:
-        return None  # caller falls back to the layered fill
+        raise RuntimeError(f"parametric ratio search did not settle in {_MAX_RATIO_ROUNDS} rounds")
     # settle exact value ties toward fewer bins, then smaller start indices
     parent = _segment_pass_min_d(lval, lam)
     tied = _backtrack(parent, k)
@@ -442,40 +420,6 @@ def _parametric_search(lval: np.ndarray, tilt: float):
     if tied_lam <= lam + 1e-14 * max(1.0, abs(lam)):
         return tied_lam, tied
     return lam, spans
-
-
-def layered_tables(lval: np.ndarray, lhat: np.ndarray | None = None) -> DPTables:
-    """Reference layered fill of the full A[i][j] table (quadratic states,
-    linear work per state).  Used for cross-checks and as a fallback."""
-    k = lval.shape[0]
-    a = np.full((k + 1, k + 1), np.inf)
-    parent = np.full((k + 1, k + 1), -1, dtype=np.int64)
-    a[0, 0] = 0.0
-    for j in range(1, k + 1):
-        aprev = a[:, j - 1]
-        for i in range(j, k + 1):
-            cand = aprev[j - 1: i] + lval[j - 1: i, i - 1]
-            m = int(np.argmin(cand))
-            a[i, j] = cand[m]
-            parent[i, j] = m + (j - 1)
-    if lhat is None:
-        lhat = np.empty((0, 0))
-    return DPTables(a=a, parent=parent, lval=lval, lhat=lhat)
-
-
-def _layered_select(tables: DPTables, tilt: float):
-    k = tables.a.shape[0] - 1
-    ds = np.arange(1, k + 1)
-    obj = tables.a[k, 1:] / (ds - 1 + tilt)
-    d = int(np.argmin(obj)) + 1
-    spans = []
-    i, j = k, d
-    while j > 0:
-        r = int(tables.parent[i, j])
-        spans.append((r, i - 1))
-        i, j = r, j - 1
-    spans.reverse()
-    return float(obj[d - 1]), spans
 
 
 def optimize_bins(prior: Prior, eps: float, loss: LossSpec) -> BinLayout:
@@ -489,10 +433,7 @@ def optimize_bins(prior: Prior, eps: float, loss: LossSpec) -> BinLayout:
         raise ValueError(f"eps must be non-negative, got {eps}")
     tilt = tilt_factor(eps)
     lval, lhat = _build_tables(prior, tilt, loss)
-    result = _parametric_search(lval, tilt)
-    if result is None:
-        result = _layered_select(layered_tables(lval, lhat), tilt)
-    objective, spans = result
+    objective, spans = _parametric_search(lval, tilt)
     outputs = [float(lhat[a, b]) for a, b in spans]
     spans, outputs, objective = _merge_degenerate_bins(
         lval, lhat, spans, outputs, objective, tilt

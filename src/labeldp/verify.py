@@ -1,7 +1,8 @@
 """Independent oracles for the optimality claims: exhaustive partition search,
-a small dense simplex solver for the mechanism-design linear program, the
-privacy ratio check on explicit matrices, and a chi-square harness for
-validating samplers against their analytic distributions.
+the layered fill of the full partition table, a small dense simplex solver
+for the mechanism-design linear program, the privacy ratio check on explicit
+matrices, and a chi-square harness for validating samplers against their
+analytic distributions.
 
 The brute-force search and the LP solver deliberately share no code with the
 dynamic-programming optimizer they are used to check.
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import chi2
@@ -117,6 +118,57 @@ def brute_force_optimal_bins(prior: Prior, eps: float, loss: LossSpec) -> BinLay
         eps=float(eps),
         objective=float(obj),
     )
+
+
+# ---------------------------------------------------------------------------
+# layered fill of the partition table
+# ---------------------------------------------------------------------------
+
+@dataclass
+class DPTables:
+    """Tables from the layered fill: a[i][j] is the best additive cost of
+    splitting the first i labels into j bins; parent[i][j] the chosen start
+    of the last bin.  lval/lhat hold the single-bin subproblem values and
+    their minimizers, indexed [r-1][i-1]."""
+
+    a: np.ndarray = field(repr=False)
+    parent: np.ndarray = field(repr=False)
+    lval: np.ndarray = field(repr=False)
+    lhat: np.ndarray = field(repr=False)
+
+
+def layered_tables(lval: np.ndarray, lhat: np.ndarray | None = None) -> DPTables:
+    """Reference layered fill of the full A[i][j] table (quadratic states,
+    linear work per state), to cross-check the parametric ratio search."""
+    k = lval.shape[0]
+    a = np.full((k + 1, k + 1), np.inf)
+    parent = np.full((k + 1, k + 1), -1, dtype=np.int64)
+    a[0, 0] = 0.0
+    for j in range(1, k + 1):
+        aprev = a[:, j - 1]
+        for i in range(j, k + 1):
+            cand = aprev[j - 1: i] + lval[j - 1: i, i - 1]
+            m = int(np.argmin(cand))
+            a[i, j] = cand[m]
+            parent[i, j] = m + (j - 1)
+    if lhat is None:
+        lhat = np.empty((0, 0))
+    return DPTables(a=a, parent=parent, lval=lval, lhat=lhat)
+
+
+def _layered_select(tables: DPTables, tilt: float):
+    k = tables.a.shape[0] - 1
+    ds = np.arange(1, k + 1)
+    obj = tables.a[k, 1:] / (ds - 1 + tilt)
+    d = int(np.argmin(obj)) + 1
+    spans = []
+    i, j = k, d
+    while j > 0:
+        r = int(tables.parent[i, j])
+        spans.append((r, i - 1))
+        i, j = r, j - 1
+    spans.reverse()
+    return float(obj[d - 1]), spans
 
 
 def best_rr_on_bins_over_grid(prior: Prior, grid, eps: float, loss: LossSpec) -> float:

@@ -17,14 +17,19 @@ from labeldp import (
     make_prior,
     optimize_bins,
 )
-from labeldp.binopt import (
-    _build_tables,
-    _layered_select,
-    layered_tables,
-    tilt_factor,
-)
+from labeldp import binopt
+from labeldp.binopt import TILT_CAP, _build_tables, tilt_factor
+from labeldp.verify import _layered_select, layered_tables
 
 ALL_LOSSES = (SQUARED, ABSOLUTE, POISSON)
+QUARTIC = custom_loss(lambda yhat, y: (np.asarray(yhat) - np.asarray(y)) ** 4,
+                      convex_in_first_arg=True)
+HUBER = custom_loss(
+    lambda yhat, y: np.where(np.abs(np.asarray(yhat) - np.asarray(y)) <= 2.0,
+                             0.5 * (np.asarray(yhat) - np.asarray(y)) ** 2,
+                             2.0 * (np.abs(np.asarray(yhat) - np.asarray(y)) - 1.0)),
+    convex_in_first_arg=True,
+)
 
 
 def uniform01():
@@ -37,6 +42,21 @@ def random_prior(rng, k_max=8, y_lo=0.5, y_hi=20.0):
     while len(np.unique(vals)) < k:
         vals = np.sort(rng.uniform(y_lo, y_hi, k))
     return make_prior(make_label_set(vals), rng.dirichlet(np.ones(k)))
+
+
+def random_cell_prior(rng, k_max=9):
+    """k in 1..k_max on a half-integer grid.  Small integer weights with zeros
+    put many tilted medians exactly on a half-weight tie; dirichlet weights
+    with dropped labels give zero-mass labels inside and around the bins."""
+    k = int(rng.integers(1, k_max + 1))
+    vals = np.sort(rng.choice(np.arange(60) * 0.5, size=k, replace=False))
+    if rng.random() < 0.5:
+        p = rng.integers(0, 4, size=k).astype(float)
+    else:
+        p = rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.6)
+    if p.sum() == 0:
+        p[rng.integers(k)] = 1.0
+    return make_prior(make_label_set(vals), p)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +179,67 @@ def test_amortized_tables_match_from_scratch():
             i = int(rng.integers(r, pr.k + 1))
             _, v = fast(pr, r, i, eps)
             assert lval[r - 1, i - 1] == pytest.approx(v, rel=1e-12, abs=1e-12)
+
+
+def test_tie_prior_puts_median_on_half_weight():
+    # the tie case the every-cell test relies on: cumulative weight 2 of 4
+    pr = make_prior(make_label_set([0, 1, 2, 3]), [1, 1, 1, 1])
+    lval, lhat = _build_tables(pr, 1.0, ABSOLUTE)
+    assert lhat[0, 3] == 1.0
+    assert lval[0, 3] == pytest.approx(inner_min_absolute(pr, 1, 4, 0.0)[1], abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "spec, fast, tol, trials",
+    [
+        (ABSOLUTE, inner_min_absolute, 1e-12, 1000),
+        (QUARTIC, lambda pr, r, i, eps: inner_min_generic(pr, r, i, eps, QUARTIC), 1e-9, 25),
+        (HUBER, lambda pr, r, i, eps: inner_min_generic(pr, r, i, eps, HUBER), 1e-9, 25),
+    ],
+    ids=["absolute", "quartic", "huber"],
+)
+def test_tables_match_from_scratch_every_cell(spec, fast, tol, trials):
+    rng = np.random.default_rng(12)
+    for t in range(trials):
+        pr = random_cell_prior(rng)
+        # every fourth prior at a tilt of 1, 2 or 3, where integer weights tie
+        eps = float(rng.choice([0.0, math.log(2), math.log(3)]) if t % 4 == 0
+                    else rng.uniform(0, 5))
+        lval, _ = _build_tables(pr, tilt_factor(eps), spec)
+        for r in range(1, pr.k + 1):
+            for i in range(r, pr.k + 1):
+                _, v = fast(pr, r, i, eps)
+                assert lval[r - 1, i - 1] == pytest.approx(v, rel=tol, abs=tol), (t, r, i, eps)
+
+
+def test_capped_squared_tables_match_from_scratch():
+    rng = np.random.default_rng(13)
+    for _ in range(60):
+        pr = random_cell_prior(rng, k_max=11)
+        eps = float(rng.choice([700.0, 1e6]))
+        assert tilt_factor(eps) == TILT_CAP
+        lval, _ = _build_tables(pr, TILT_CAP, SQUARED)
+        for r in range(1, pr.k + 1):
+            for i in range(r, pr.k + 1):
+                _, v = inner_min_squared(pr, r, i, eps)
+                assert lval[r - 1, i - 1] == pytest.approx(v, rel=1e-9, abs=1e-12)
+
+
+def test_capped_squared_objective_is_exact():
+    # at saturated tilt every label gets its own bin, and bin r costs
+    # sum_j p_j (j - r)^2, so the objective is 2 * 401 * var / (400 + tilt)
+    k = 401
+    pr = make_prior(make_label_set(range(k)), np.ones(k))
+    lay = optimize_bins(pr, 800.0, SQUARED)
+    assert lay.d == k
+    assert lay.outputs == tuple(float(v) for v in range(k))
+    assert lay.objective == pytest.approx(2 * k * (k * k - 1) / 12 / (k - 1 + TILT_CAP), rel=1e-9)
+
+
+def test_parametric_search_raises_past_round_cap(monkeypatch):
+    monkeypatch.setattr(binopt, "_MAX_RATIO_ROUNDS", 0)
+    with pytest.raises(RuntimeError, match="did not settle"):
+        optimize_bins(uniform01(), 1.0, SQUARED)
 
 
 # ---------------------------------------------------------------------------
