@@ -40,14 +40,44 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def read_labels(path: str, column: int | None = None) -> list[float]:
-    """One numeric label per row; a single non-numeric header line is allowed.
-    With column=N, rows are comma-split and field N (0-based) is used."""
+def read_labels(path: str, column: int | None = None) -> np.ndarray:
+    """One numeric label per row, as a float array; a single non-numeric
+    header line is allowed.  With column=N, rows are comma-split and field N
+    (0-based) is used."""
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}")
+    labels = _bulk_labels(lines) if column is None else None
+    if labels is None:
+        labels = np.array(_parse_lines(path, lines, column))
+    return labels
+
+
+def _bulk_labels(lines: list[str]) -> np.ndarray | None:
+    """Every line through one numpy conversion, which parses each string as
+    float() does, after dropping a non-numeric first line as the header.
+    None when that is not what the per-line parser would return: a blank or
+    malformed line, a non-finite value or no labels at all."""
+    start = 0
+    if lines:
+        try:
+            float(lines[0])
+        except ValueError:
+            start = 1
+    try:
+        labels = np.array(lines[start:], dtype=float)
+    except ValueError:
+        return None
+    if labels.size == 0 or not np.isfinite(labels).all():
+        return None
+    return labels
+
+
+def _parse_lines(path: str, lines: list[str], column: int | None) -> list[float]:
+    """Line by line, skipping blank lines; a malformed line raises a
+    ParseError that names it."""
     out: list[float] = []
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
@@ -98,15 +128,10 @@ def read_prior_file(path: str) -> Prior:
         weights.append(w)
     if not labels:
         raise ParseError(f"{path}: no prior rows found")
-    return make_prior(make_label_set(labels), _reorder(labels, weights))
-
-
-def _reorder(labels, weights):
-    order = sorted(range(len(labels)), key=lambda i: labels[i])
-    merged: dict[float, float] = {}
-    for i in order:
-        merged[labels[i]] = merged.get(labels[i], 0.0) + weights[i]
-    return [merged[y] for y in sorted(merged)]
+    # one weight per distinct label, in label order; bincount adds each
+    # label's weights in file order
+    _, inverse = np.unique(labels, return_inverse=True)
+    return make_prior(make_label_set(labels), np.bincount(inverse, weights))
 
 
 def parse_universe(spec: str) -> LabelSet:
@@ -138,10 +163,17 @@ def parse_universe(spec: str) -> LabelSet:
     return make_label_set(vals)
 
 
+WRITE_CHUNK = 1 << 16  # lines joined per write
+
+
 def _write_lines(path: str, values) -> None:
+    """One fmt(v) line per value.  Each distinct value is formatted once;
+    values are told apart by their bits, so -0.0 and 0.0 keep their signs."""
+    bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
+    texts = np.array(list(map(fmt, bits.view(float).tolist())), dtype=object)
     with open(path, "w") as fh:
-        for v in values:
-            fh.write(fmt(v) + "\n")
+        for start in range(0, inverse.size, WRITE_CHUNK):
+            fh.write("\n".join(texts[inverse[start:start + WRITE_CHUNK]].tolist()) + "\n")
 
 
 def _layout_json(layout: BinLayout) -> dict:

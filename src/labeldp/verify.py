@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2
 
 from .binopt import BinLayout, tilt_factor
 from .core import MechanismMatrix, Prior
@@ -483,6 +482,9 @@ def empirical_sampler_check(
     distribution.  sampler(n, rng) must return n draws; draws not matching any
     support value fall into an implicit remainder cell.  True iff the fit is
     not rejected at the given significance."""
+    # scipy.stats takes about a second to import; only this check needs it
+    from scipy.stats import chi2
+
     if trials < 10**4:
         raise ValueError("need at least 1e4 trials for a meaningful check")
     values = np.asarray(list(values), dtype=float)

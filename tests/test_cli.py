@@ -1,11 +1,29 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from labeldp.cli import main, parse_universe, read_labels, read_prior_file
+from labeldp import cli
+from labeldp.cli import (
+    ParseError,
+    _bulk_labels,
+    _parse_lines,
+    _write_lines,
+    fmt,
+    main,
+    parse_universe,
+    read_labels,
+    read_prior_file,
+)
+from labeldp.core import make_label_set, make_prior
 from labeldp.pipeline import MECHANISMS, snap_to_universe, universe_indices
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args):
@@ -23,22 +41,66 @@ def write(path, text):
 
 def test_read_labels_plain_and_header(tmp_path):
     p = write(tmp_path / "a.txt", "1\n2.5\n3\n")
-    assert read_labels(p) == [1.0, 2.5, 3.0]
+    assert read_labels(p).tolist() == [1.0, 2.5, 3.0]
     p = write(tmp_path / "b.txt", "value\n1\n2\n")
-    assert read_labels(p) == [1.0, 2.0]
+    assert read_labels(p).tolist() == [1.0, 2.0]
 
 
 def test_read_labels_column(tmp_path):
     p = write(tmp_path / "c.csv", "id,value\n7,1.5\n8,2.5\n")
-    assert read_labels(p, column=1) == [1.5, 2.5]
+    assert read_labels(p, column=1).tolist() == [1.5, 2.5]
 
 
 def test_read_labels_error_names_line(tmp_path):
-    from labeldp.cli import ParseError
-
     p = write(tmp_path / "bad.txt", "1\nnope\n3\n")
     with pytest.raises(ParseError, match=":2:"):
         read_labels(p)
+
+
+def _per_line(path):
+    with open(path) as fh:
+        return _parse_lines(path, fh.read().splitlines(), None)
+
+
+@pytest.mark.parametrize("text", [
+    "1\n2.5\n3\n",                 # no header
+    "label\n1\n2.5\n3\n",          # header
+    "label\r\n1\r\n2.5\r\n-3\r\n",  # CRLF line ends
+    "1\n2\n3",                     # no trailing newline
+    "+.5\n1_000\n1.\n -2e3 \n",    # float() spellings, padded line
+    "1 2\n3\n",                    # a non-numeric first line is the header
+])
+def test_bulk_parse_matches_per_line(tmp_path, text):
+    p = write(tmp_path / "l.txt", text)
+    with open(p) as fh:
+        bulk = _bulk_labels(fh.read().splitlines())
+    assert bulk is not None
+    assert bulk.tolist() == _per_line(p)
+    assert read_labels(p).tolist() == _per_line(p)
+
+
+def test_blank_line_goes_to_per_line_parser(tmp_path):
+    p = write(tmp_path / "l.txt", "label\n1\n\n  \n2\n")
+    with open(p) as fh:
+        assert _bulk_labels(fh.read().splitlines()) is None
+    assert read_labels(p).tolist() == _per_line(p) == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("text,match", [
+    ("1\n1 2\n3\n", ":2: not a number"),
+    ("label\nnan\n3\n", ":2: non-finite"),
+    ("1\ninf\n", ":2: non-finite"),
+    ("1\n1e400\n", ":2: non-finite"),
+    ("label\n", "no labels found"),
+    ("", "no labels found"),
+])
+def test_bulk_parse_keeps_per_line_errors(tmp_path, capsys, text, match):
+    p = write(tmp_path / "bad.txt", text)
+    with pytest.raises(ParseError, match=match):
+        read_labels(p)
+    assert run(["randomize", "--input", p, "--output", tmp_path / "o.txt",
+                "--eps", "1", "--universe", "0:1:1"]) == 2
+    assert match in capsys.readouterr().err
 
 
 def test_read_prior_file(tmp_path):
@@ -46,6 +108,13 @@ def test_read_prior_file(tmp_path):
     prior = read_prior_file(p)
     assert prior.labels.values == (0.0, 1.0)
     assert prior.probs == (0.25, 0.75)
+
+
+def test_read_prior_file_merges_duplicates_in_file_order(tmp_path):
+    # label 5's weights add up left to right: (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    p = write(tmp_path / "prior.csv", "5,0.1\n2,0.2\n5,0.2\n0,0.25\n5,0.3\n2,0.05\n")
+    expected = make_prior(make_label_set([0, 2, 5]), [0.25, 0.2 + 0.05, (0.1 + 0.2) + 0.3])
+    assert read_prior_file(p) == expected
 
 
 def test_parse_universe():
@@ -58,12 +127,34 @@ def test_parse_universe():
     assert tenths.values == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
     assert universe_indices([0.3, 0.6, 0.7], tenths).tolist() == [3, 6, 7]
     assert snap_to_universe([0.3, 0.6, 0.7], tenths).tolist() == [0.3, 0.6, 0.7]
-    from labeldp.cli import ParseError
-
     with pytest.raises(ParseError):
         parse_universe("0:3:0")
     with pytest.raises(ParseError):
         parse_universe("3:0:1")
+
+
+# ---------------------------------------------------------------------------
+# output
+# ---------------------------------------------------------------------------
+
+_rng = np.random.default_rng(0)
+WRITER_CASES = {
+    "few-distinct": _rng.choice([0.1, 2 / 3, 400.0], size=1000),
+    "all-distinct": _rng.normal(scale=100.0, size=1000),
+    "signed-zeros": np.array([0.0, -0.0, 0.0, -0.0, 1.0, -0.0]),
+    "extremes": np.array([5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300, 1e300]),
+    "empty": np.array([]),
+}
+
+
+@pytest.mark.parametrize("chunk", [cli.WRITE_CHUNK, 7])
+@pytest.mark.parametrize("case", list(WRITER_CASES))
+def test_write_lines_bytes(tmp_path, monkeypatch, case, chunk):
+    monkeypatch.setattr(cli, "WRITE_CHUNK", chunk)
+    values = WRITER_CASES[case]
+    dest = tmp_path / "out.txt"
+    _write_lines(str(dest), values)
+    assert dest.read_bytes() == "".join(fmt(v) + "\n" for v in values).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +367,18 @@ def test_bench_no_noise_limit(tmp_path):
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
+
+def test_cli_import_leaves_scipy_out():
+    # scipy.stats costs about a second to import; only the sampler check of
+    # `verify` loads it, on demand
+    code = ("import sys, labeldp, labeldp.cli\n"
+            "assert 'scipy.stats' not in sys.modules, 'imported at start'\n"
+            "assert labeldp.cli.main(['verify', '--quick', '--seed', '2']) == 0\n"
+            "assert 'scipy.stats' in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
 
 def test_verify_quick_passes(capsys):
     import time
