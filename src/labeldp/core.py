@@ -132,18 +132,19 @@ def make_prior(labels: LabelSet, weights) -> Prior:
 
 
 def prior_from_labels(raw_labels, universe: LabelSet | None = None) -> Prior:
-    """Empirical prior from raw labels; duplicate labels merge their mass."""
-    raw = [float(v) for v in raw_labels]
+    """Empirical prior from raw labels; duplicate labels merge their mass.
+    Every label must be a member of the universe; the error names the first
+    input index that is not."""
+    raw = np.asarray(raw_labels, dtype=float).reshape(-1)
     if universe is None:
         universe = make_label_set(raw)
     arr = universe.as_array()
-    counts = np.zeros(universe.k)
-    for idx, v in enumerate(raw):
-        i = int(np.searchsorted(arr, v))
-        if i >= len(arr) or arr[i] != v:
-            raise ValueError(f"label at index {idx} not in the universe: {v!r}")
-        counts[i] += 1.0
-    return make_prior(universe, counts)
+    idx = np.searchsorted(arr, raw)
+    member = arr[np.minimum(idx, universe.k - 1)] == raw
+    if not member.all():
+        bad = int(np.argmin(member))
+        raise ValueError(f"label at index {bad} not in the universe: {float(raw[bad])!r}")
+    return make_prior(universe, np.bincount(idx, minlength=universe.k))
 
 
 @dataclass(frozen=True)

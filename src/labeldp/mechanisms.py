@@ -1,7 +1,7 @@
 """Label randomization mechanisms: randomized response over bin outputs and
 the additive-noise baselines (continuous/discrete Laplace, continuous/discrete
-staircase, rejection-sampled exponential, plain randomized response), plus the
-clipping post-process.
+staircase, the exponential mechanism by inverse CDF, plain randomized
+response), plus the clipping post-process.
 
 Every sampler takes an explicit Rng, is deterministic given its seed, and
 draws for a whole array of labels at once.
@@ -16,7 +16,9 @@ import numpy as np
 from .binopt import BinLayout
 from .core import MechanismMatrix, as_indices
 
-_MAX_REJECTS = 10**6
+# the double just above -1: keeps log1p finite where a side's mass rounds to 1,
+# which needs eps * distance / Delta above about 70
+_LOG1P_FLOOR = np.nextafter(-1.0, 0.0)
 
 
 @dataclass
@@ -215,10 +217,14 @@ def discrete_staircase_sample(y, params: NoiseParams, rng: Rng):
 
 
 def exponential_mechanism_sample(y, lo: float, hi: float, eps: float, rng: Rng) -> np.ndarray:
-    """Rejection-sampled exponential mechanism on [lo, hi] for an array of
-    inputs: y plus Laplace noise at scale 2*(hi-lo)/eps, with every draw that
-    lands outside the range redrawn (only those), yielding density
-    proportional to e^(-eps |out - y| / (2 Delta)) there."""
+    """Exponential mechanism on [lo, hi] for an array of inputs: density
+    proportional to e^(-eps |out - y| / (2 Delta)) there, Delta = hi - lo,
+    which is Laplace noise at scale b = 2 Delta / eps truncated to the range.
+
+    One uniform per label goes through the inverse of the truncated CDF.
+    With A = 1 - e^(-(y-lo)/b) and C = 1 - e^(-(hi-y)/b), the masses below
+    and above y, u = U (A + C) lands below y when u < A, at y + b log(1 - u),
+    and above it otherwise, at y - b log(1 - (u - A))."""
     if lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
     y = np.asarray(y, dtype=float)
@@ -229,17 +235,18 @@ def exponential_mechanism_sample(y, lo: float, hi: float, eps: float, rng: Rng) 
         raise ValueError(f"eps must be positive, got {eps}")
     if hi == lo:
         return np.full(y.shape, float(lo))
-    scale = 2.0 * (hi - lo) / eps
-    out = np.empty_like(y)
-    todo = np.arange(y.size)
-    for _ in range(_MAX_REJECTS):
-        draw = y.flat[todo] + rng.gen.laplace(0.0, scale, size=todo.size)
-        ok = (draw >= lo) & (draw <= hi)
-        out.flat[todo[ok]] = draw[ok]
-        todo = todo[~ok]
-        if not todo.size:
-            return out
-    raise RuntimeError(f"rejection sampling exceeded {_MAX_REJECTS} attempts")
+    b = 2.0 * (hi - lo) / eps
+    if b == 0:  # eps = inf leaves no noise
+        return y.copy()
+    below = -np.expm1((lo - y) / b)
+    above = -np.expm1((y - hi) / b)
+    u = rng.gen.random(y.shape) * (below + above)
+    left = u < below
+    # the log1p argument is formed first, so np.where never evaluates a branch
+    # outside its domain; the clip only absorbs rounding at the ends
+    arg = np.where(left, -u, below - u)
+    step = b * np.log1p(np.maximum(arg, _LOG1P_FLOOR))
+    return np.clip(np.where(left, y + step, y - step), lo, hi)
 
 
 def clip(value, lo: float, hi: float):

@@ -2,13 +2,14 @@
 
 Each mechanism first maps the labels into the public universe, so it keeps
 its eps on any input: laplace, staircase and exponential clamp them into
-[y_min, y_max], the others snap them down to universe indices in one
-searchsorted pass.  rr-on-bins is the two-step pipeline for the unknown
-prior: estimate the prior with eps1, optimize the bins against it, then
-randomize every label with eps2, (eps1 + eps2)-DP by basic composition.
+[y_min, y_max], the others snap them down to universe indices once.
+rr-on-bins is the two-step pipeline for the unknown prior: estimate the
+prior with eps1, optimize the bins against it, then randomize every label
+with eps2, (eps1 + eps2)-DP by basic composition.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,13 +50,53 @@ class RandomizationReport:
     seed: int
 
 
+def _even_scale(grid: np.ndarray) -> float | None:
+    """The factor (k-1)/(y_max-y_min) that turns a label's offset from y_min
+    into a guess of its index, when that guess lands within one step of the
+    own index of every grid point; None for an uneven or single-point grid,
+    or one whose span overflows."""
+    k = grid.size
+    scale = (k - 1) / (float(grid[-1]) - float(grid[0])) if k > 1 else 0.0
+    if not 0 < scale < math.inf:
+        return None
+    guess = np.floor((grid - grid[0]) * scale)
+    return scale if np.all(np.abs(guess - np.arange(k)) <= 1) else None
+
+
 def universe_indices(labels, universe: LabelSet) -> np.ndarray:
     """Index of the universe element each label rounds down to; labels below
-    the minimum map to the first element, labels above the maximum to the
-    last."""
-    idx = np.searchsorted(universe.as_array(), labels, side="right")
-    idx -= 1
-    return np.clip(idx, 0, universe.k - 1, out=idx)
+    the minimum map to the first element, labels above the maximum (and NaN)
+    to the last.
+
+    On an evenly spaced universe the index is guessed from the label's
+    offset, moved down or up one step where the grid disagrees, and checked;
+    only the labels that fail the check are binary-searched."""
+    grid = universe.as_array()
+    x = np.asarray(labels, dtype=float)
+    scale = _even_scale(grid)
+    if scale is None:
+        idx = np.searchsorted(grid, x, side="right")
+        idx -= 1
+        return np.clip(idx, 0, grid.size - 1, out=idx)
+    # clamp into the range, NaN to the top as searchsorted sorts it; one
+    # float buffer takes the guess and both gathers, since fresh temporaries
+    # of 1e5 labels or more cost page faults
+    flat = np.maximum(x.reshape(-1), grid[0])
+    np.fmin(flat, grid[-1], out=flat)
+    buf = flat - grid[0]
+    buf *= scale
+    idx = buf.astype(np.intp)
+    padded = np.append(grid, np.inf)
+    down = np.greater(padded.take(idx, out=buf), flat)
+    idx -= down
+    up = np.less_equal(padded[1:].take(idx, out=buf), flat)
+    idx += up
+    # an index that did not move is verified by the two comparisons above
+    moved = np.flatnonzero(down | up)
+    at = idx[moved]
+    bad = moved[(padded[at] > flat[moved]) | (padded[at + 1] <= flat[moved])]
+    idx[bad] = np.searchsorted(grid, flat[bad], side="right") - 1
+    return idx.reshape(x.shape)
 
 
 def snap_to_universe(values, universe: LabelSet) -> np.ndarray:

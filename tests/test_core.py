@@ -62,6 +62,18 @@ def test_prior_from_labels_merges_duplicates():
     assert pr.probs == (pytest.approx(1 / 3), pytest.approx(1 / 6), pytest.approx(0.5))
 
 
+def test_prior_from_labels_rejects_off_universe_label():
+    ls = make_label_set([0, 1, 2])
+    assert prior_from_labels(np.array([2.0, 0.0, 2.0]), ls).probs == (
+        pytest.approx(1 / 3), 0.0, pytest.approx(2 / 3))
+    with pytest.raises(ValueError, match=r"label at index 2 not in the universe: 1\.5"):
+        prior_from_labels([0, 1, 1.5, 7], ls)
+    with pytest.raises(ValueError, match="label at index 1 not in the universe: 3.0"):
+        prior_from_labels([2, 3], ls)
+    with pytest.raises(ValueError, match="label at index 0 not in the universe: nan"):
+        prior_from_labels([np.nan], ls)
+
+
 def test_matrix_validation():
     ls = make_label_set([0, 1])
     with pytest.raises(ValueError, match="row"):

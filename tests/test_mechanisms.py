@@ -265,6 +265,46 @@ def test_exponential_mechanism_high_eps_concentrates():
     assert np.max(np.abs(draws - 5.0)) < 0.5
 
 
+@pytest.mark.parametrize("at_hi", [False, True])
+def test_exponential_mechanism_one_sided_at_range_ends(at_hi):
+    # at y = lo (or hi) every draw lies on one side, with the truncated CDF
+    # (1 - e^(-d/b)) / (1 - e^(-Delta/b)) at distance d
+    lo, hi, eps, n = 0.0, 10.0, 2.0, 10**5
+    y = hi if at_hi else lo
+    b = 2 * (hi - lo) / eps
+    draws = exponential_mechanism_sample(np.full(n, y), lo, hi, eps, Rng(15 + at_hi))
+    assert np.all((draws >= lo) & (draws <= hi))
+    expect = -math.expm1(-(hi - lo) / 10 / b) / -math.expm1(-(hi - lo) / b)
+    share = np.mean(np.abs(draws - y) < (hi - lo) / 10)
+    assert abs(share - expect) < 5 * math.sqrt(expect * (1 - expect) / n)
+
+
+def test_exponential_mechanism_tiny_eps_is_uniform():
+    from scipy.stats import chi2
+
+    lo, hi, n, cells = -3.0, 7.0, 10**5, 20
+    ys = np.random.default_rng(3).uniform(lo, hi, n)
+    draws = exponential_mechanism_sample(ys, lo, hi, 1e-9, Rng(17))
+    counts, _ = np.histogram(draws, bins=cells, range=(lo, hi))
+    assert counts.sum() == n
+    stat = float(np.sum((counts - n / cells) ** 2 / (n / cells)))
+    assert stat <= chi2.ppf(1 - 1e-3, df=cells - 1)
+
+
+def test_exponential_mechanism_huge_eps_stays_at_input():
+    lo, hi = 0.0, 10.0
+    ys = np.concatenate([[lo, hi], np.random.default_rng(4).uniform(lo, hi, 10**4)])
+    draws = exponential_mechanism_sample(ys, lo, hi, 1e6, Rng(18))
+    assert np.all(np.abs(draws - ys) <= 1e-3 * (hi - lo))
+    assert np.all((draws >= lo) & (draws <= hi))
+    assert np.array_equal(exponential_mechanism_sample(ys, lo, hi, math.inf, Rng(18)), ys)
+
+
+def test_exponential_mechanism_point_range():
+    draws = exponential_mechanism_sample(np.full(5, 2.0), 2.0, 2.0, 1.0, Rng(19))
+    assert draws.tolist() == [2.0] * 5
+
+
 def test_exponential_mechanism_guards():
     with pytest.raises(ValueError, match="outside"):
         exponential_mechanism_sample(np.array([5.0, 11.0]), 0.0, 10.0, 1.0, Rng(0))
