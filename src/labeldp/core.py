@@ -132,10 +132,10 @@ def make_prior(labels: LabelSet, weights) -> Prior:
 
 
 def prior_from_labels(raw_labels, universe: LabelSet | None = None) -> Prior:
-    """Empirical prior from raw labels; duplicate labels merge their mass.
-    Every label must be a member of the universe; the error names the first
-    input index that is not."""
-    raw = np.asarray(raw_labels, dtype=float).reshape(-1)
+    """Empirical prior from any iterable of raw labels; duplicate labels
+    merge their mass.  Every label must be a member of the universe; the
+    error names the first input index that is not."""
+    raw = np.fromiter(raw_labels, dtype=float)
     if universe is None:
         universe = make_label_set(raw)
     arr = universe.as_array()

@@ -235,9 +235,11 @@ def exponential_mechanism_sample(y, lo: float, hi: float, eps: float, rng: Rng) 
         raise ValueError(f"eps must be positive, got {eps}")
     if hi == lo:
         return np.full(y.shape, float(lo))
-    b = 2.0 * (hi - lo) / eps
+    b = 2.0 * (float(hi) - float(lo)) / float(eps)
     if b == 0:  # eps = inf leaves no noise
         return y.copy()
+    if b == math.inf:
+        raise ValueError(f"eps {eps} too small for the range [{lo}, {hi}]: the noise scale overflows")
     below = -np.expm1((lo - y) / b)
     above = -np.expm1((y - hi) / b)
     u = rng.gen.random(y.shape) * (below + above)

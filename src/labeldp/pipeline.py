@@ -50,51 +50,32 @@ class RandomizationReport:
     seed: int
 
 
-def _even_scale(grid: np.ndarray) -> float | None:
-    """The factor (k-1)/(y_max-y_min) that turns a label's offset from y_min
-    into a guess of its index, when that guess lands within one step of the
-    own index of every grid point; None for an uneven or single-point grid,
-    or one whose span overflows."""
-    k = grid.size
-    scale = (k - 1) / (float(grid[-1]) - float(grid[0])) if k > 1 else 0.0
-    if not 0 < scale < math.inf:
-        return None
-    guess = np.floor((grid - grid[0]) * scale)
-    return scale if np.all(np.abs(guess - np.arange(k)) <= 1) else None
-
-
 def universe_indices(labels, universe: LabelSet) -> np.ndarray:
     """Index of the universe element each label rounds down to; labels below
     the minimum map to the first element, labels above the maximum (and NaN)
     to the last.
 
-    On an evenly spaced universe the index is guessed from the label's
-    offset, moved down or up one step where the grid disagrees, and checked;
-    only the labels that fail the check are binary-searched."""
+    Each index is guessed from the label's offset as if the grid were evenly
+    spaced, moved down or up one step where the grid disagrees, and checked;
+    only the labels that fail the check are binary-searched, so the result is
+    exact on any grid."""
     grid = universe.as_array()
     x = np.asarray(labels, dtype=float)
-    scale = _even_scale(grid)
-    if scale is None:
-        idx = np.searchsorted(grid, x, side="right")
-        idx -= 1
-        return np.clip(idx, 0, grid.size - 1, out=idx)
-    # clamp into the range, NaN to the top as searchsorted sorts it; one
-    # float buffer takes the guess and both gathers, since fresh temporaries
-    # of 1e5 labels or more cost page faults
+    # clamp into the range, NaN to the top as searchsorted sorts it
     flat = np.maximum(x.reshape(-1), grid[0])
     np.fmin(flat, grid[-1], out=flat)
-    buf = flat - grid[0]
-    buf *= scale
-    idx = buf.astype(np.intp)
+    span = float(grid[-1]) - float(grid[0])
+    scale = (grid.size - 1) / span if 0 < span < math.inf else 0.0
+    if 0 < scale < math.inf:
+        idx = ((flat - grid[0]) * scale).astype(np.intp)
+    else:
+        # a single point, or a span or scale past the float range: every
+        # guess is the first index and the check below does the work
+        idx = np.zeros(flat.size, dtype=np.intp)
     padded = np.append(grid, np.inf)
-    down = np.greater(padded.take(idx, out=buf), flat)
-    idx -= down
-    up = np.less_equal(padded[1:].take(idx, out=buf), flat)
-    idx += up
-    # an index that did not move is verified by the two comparisons above
-    moved = np.flatnonzero(down | up)
-    at = idx[moved]
-    bad = moved[(padded[at] > flat[moved]) | (padded[at + 1] <= flat[moved])]
+    idx -= padded[idx] > flat
+    idx += padded[idx + 1] <= flat
+    bad = np.flatnonzero((padded[idx] > flat) | (padded[idx + 1] <= flat))
     idx[bad] = np.searchsorted(grid, flat[bad], side="right") - 1
     return idx.reshape(x.shape)
 

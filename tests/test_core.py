@@ -74,6 +74,17 @@ def test_prior_from_labels_rejects_off_universe_label():
         prior_from_labels([np.nan], ls)
 
 
+def test_prior_from_labels_takes_any_iterable_of_scalars():
+    ls = make_label_set([0, 1, 2])
+    assert prior_from_labels((v for v in [2, 0, 2]), ls).probs == (
+        pytest.approx(1 / 3), 0.0, pytest.approx(2 / 3))
+    assert prior_from_labels(iter([1.0, 1.0])).probs == (1.0,)
+    with pytest.raises(ValueError):
+        prior_from_labels(np.array([[0.0, 1.0], [2.0, 2.0]]), ls)
+    with pytest.raises(TypeError):
+        prior_from_labels(1.0, ls)
+
+
 def test_matrix_validation():
     ls = make_label_set([0, 1])
     with pytest.raises(ValueError, match="row"):

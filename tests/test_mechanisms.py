@@ -314,6 +314,15 @@ def test_exponential_mechanism_guards():
         exponential_mechanism_sample(np.array([5.0]), 0.0, 10.0, 0.0, Rng(0))
 
 
+@pytest.mark.parametrize("lo, hi, eps", [(0.0, 400.0, 1e-310), (0.0, 1e308, 1.0), (-1e308, 1e308, 1.0)])
+def test_exponential_mechanism_rejects_overflowing_scale(lo, hi, eps):
+    # b = 2 (hi - lo) / eps past the float range would turn every draw into NaN
+    with pytest.raises(ValueError, match="too small for the range"):
+        exponential_mechanism_sample(np.array([lo, hi]), lo, hi, eps, Rng(0))
+    with pytest.raises(ValueError, match="too small for the range"):
+        exponential_mechanism_sample(np.array([lo]), np.float64(lo), np.float64(hi), np.float64(eps), Rng(0))
+
+
 def test_randomized_response_examples():
     # plain randomized response on {1..q}: one label per bin, index y - 1
     def rr(y, q, eps, n, rng):

@@ -6,7 +6,7 @@ import pytest
 
 from labeldp import SQUARED, Rng, label_randomizer, make_label_set, snap_to_universe
 from labeldp.cli import parse_universe
-from labeldp.pipeline import _even_scale, universe_indices
+from labeldp.pipeline import universe_indices
 
 
 def test_no_privacy_limit_is_identity():
@@ -55,7 +55,6 @@ def test_snap_to_universe_rounds_down():
 
 
 EVEN_UNIVERSES = ("0:400:1", "0:1:0.1", "0:1:0.01", "-200:200:0.5")
-SKEWED = [0, 2.1, 2.5, 3, 4]
 
 
 def index_cases():
@@ -64,9 +63,11 @@ def index_cases():
         yield pytest.param(parse_universe(spec), id=spec)
     yield pytest.param(make_label_set([2.5]), id="single-point")
     yield pytest.param(make_label_set([1, 2, 5, 10, 100, 1000]), id="uneven")
-    # passes the one-step check, but labels in [2, 2.1) are guessed two
-    # steps high and need the binary search
-    yield pytest.param(make_label_set(SKEWED), id="skewed")
+    # labels in [2, 2.1) are guessed two steps high and need the binary search
+    yield pytest.param(make_label_set([0, 2.1, 2.5, 3, 4]), id="skewed")
+    # spans whose offsets or scale leave the float range guess index 0
+    yield pytest.param(make_label_set([-1e308, -1.0, 0.0, 1e308]), id="overflowing-span")
+    yield pytest.param(make_label_set([0.0, 5e-324, 1e-323]), id="subnormal-span")
     yield pytest.param(make_label_set(rng.uniform(-5, 5, 300)), id="random-300")
 
 
@@ -74,9 +75,11 @@ def index_cases():
 def test_universe_indices_match_searchsorted(universe):
     grid = universe.as_array()
     rng = np.random.default_rng(23)
-    width = grid[-1] - grid[0] + 1.0
+    # half the span plus one, in halves so that a span past the float range
+    # still gives finite labels spread over the range and beyond both ends
+    half = grid[-1] / 2 - grid[0] / 2 + 1.0
     x = np.concatenate([
-        rng.uniform(grid[0] - width, grid[-1] + width, 20000),
+        (grid[0] / 2 + grid[-1] / 2) + rng.uniform(-1.5, 1.5, 20000) * half,
         grid,
         np.nextafter(grid, np.inf),
         np.nextafter(grid, -np.inf),
@@ -87,15 +90,6 @@ def test_universe_indices_match_searchsorted(universe):
     assert got.dtype == oracle.dtype
     np.testing.assert_array_equal(got, oracle)
     np.testing.assert_array_equal(universe_indices(x.reshape(-1, 1), universe), oracle[:, None])
-
-
-def test_even_universes_take_the_arithmetic_index():
-    for spec in EVEN_UNIVERSES:
-        assert _even_scale(parse_universe(spec).as_array()) is not None
-    assert _even_scale(np.array(SKEWED, dtype=float)) is not None
-    assert _even_scale(np.array([1.0, 2, 5, 10, 100, 1000])) is None
-    assert _even_scale(np.array([2.5])) is None
-    assert _even_scale(np.array([-1e308, 1e308])) is None
 
 
 def test_randomizer_snaps_before_estimating():
