@@ -11,20 +11,19 @@ The single-bin subproblem for the interval [y^r, y^i] is
 
 and the best layout with d bins has cost A[k][d] = min over partitions of the
 sum of its bins' L values; the reported objective is A[k][d]/(d - 1 + e^eps),
-minimized over d.  L tables are filled one row r at a time, with numpy work
-over every bin end i of the row.  Squared and poisson losses take the tilted
-mean from running sums of p and p*y.  The absolute loss takes the tilted
-weighted median: with P the prefix sums of p and T = e^eps - 1, the tilted
-cumulative weight through label j is P(j) below the bin, (1+T)P(j) - T*P(r-1)
-inside it and P(j) + T*(P(i) - P(r-1)) above it, each piece monotone in P, so
-three searchsorted calls place every median of the row.  Any other convex
-loss runs one golden-section search per row over a vector of brackets, one
-per bin end, which converge in lockstep.
+minimized over d.  One k x k table holds the L values, not their minimizers.
+It is filled by bin end, with numpy work over every start of a block of ends,
+and each built-in loss has one formula that is exact at every tilt
+T = e^eps - 1: the parallel-axis form for the squared loss, sums of absolute
+deviations about the tilted median for the absolute loss, and the tilted mean,
+where every sum is positive, for the poisson loss.  Any other convex loss runs
+one golden-section search per bin, in lockstep.
 
 The search over (partition, d) runs as a parametric ratio search
 (Dinkelbach's method): each round solves an unconstrained segmentation with a
-per-bin price, which certifies the exact optimum in a handful of O(k^2)
-passes.
+per-bin price in one O(k^2) pass, which breaks exact ties toward fewer bins
+and certifies the exact optimum in a handful of rounds.  The outputs of the
+chosen bins are then solved from scratch by the single-interval solvers.
 """
 from __future__ import annotations
 
@@ -109,111 +108,115 @@ class BinLayout:
 
 
 # ---------------------------------------------------------------------------
-# single-bin subproblem tables, one row r at a time
+# the single-bin table
 # ---------------------------------------------------------------------------
 
-def _empty_tables(k: int):
-    """The k x k value and minimizer tables.  Builders allocate them first: a
-    small array allocated before them can split the space the previous build's
-    tables freed, so that it no longer holds both and the peak grows a table."""
-    return np.full((k, k), np.inf), np.full((k, k), np.nan)
+def _row_blocks(p: np.ndarray):
+    """Blocks of about 2^14 cells: starts r0..r1-1 and the prior masked to
+    each start's bins, pm[t, j] = p[r0 + j] for j >= t and 0 before."""
+    k = len(p)
+    r0 = 0
+    while r0 < k:
+        r1 = min(k, r0 + max(1, (1 << 14) // (k - r0)))
+        yield r0, np.triu(np.tile(p[r0:], (r1 - r0, 1)))
+        r0 = r1
 
 
-def _tilted_means(p: np.ndarray, y: np.ndarray, tilt: float):
-    """Per row r, the moments of the bins [r, i] for every i >= r.
+def _deviations(p: np.ndarray, y: np.ndarray):
+    """Per label j, sum_{l<j} p_l*(y_j - y_l) and sum_{l>j} p_l*(y_l - y_j),
+    each built up one gap at a time from terms of one sign."""
+    gap = np.diff(y)
+    below = np.concatenate(([0.0], np.cumsum(np.cumsum(p)[:-1] * gap)))
+    above = np.cumsum(p[::-1])[::-1][1:] * gap
+    return below, np.concatenate((np.cumsum(above[::-1])[::-1], [0.0]))
 
-    Yields (r, dp, sw, swy, yhat): the in-bin sum of p, the tilted sums of p
-    and p*y over all labels, and the tilted mean yhat, which minimizes
-    both the squared and the poisson loss.  At saturated tilt yhat is the
-    in-bin mean (the prior mean for a bin without mass), centred on the bin's
-    first label with mass so that a bin holding only that label returns it
-    exactly.
+
+def _rows_squared(p: np.ndarray, y: np.ndarray, tilt: float):
+    """Per start r, the tilted squared-loss minimum of the bins [r, r+n].
+
+    The parallel-axis sum (Chan, Golub and LeVeque, 1979) of the prior's
+    spread v0 about its mean mu0, the tilt's spread T*S on the bin about the
+    bin's mean mu, and T*w0*dp/(w0 + T*dp) * (mu0 - mu)^2.  S grows by centred
+    increments and the means are taken less the bin's first label, so every
+    term is non-negative and accurate at any tilt.
     """
     T = tilt - 1.0
-    py = p * y
+    w0 = float(np.sum(p))
+    below, above = _deviations(p, y)
+    g = (above - below) / w0  # mu0 - y_j
+    v0 = float(np.dot(p, g * g))
+    for r0, pm in _row_blocks(p):
+        c = y[r0:r0 + len(pm), None]  # each row's first label
+        d = y[r0:] - c
+        dp = np.cumsum(pm, axis=1)
+        # the bin mean less c; any finite value serves while the bin has no
+        # mass, as it is then weighted by zero
+        mass = np.where(dp > 0, dp, 1.0)
+        mc = np.cumsum(pm * d, axis=1) / mass
+        # adding label j to a bin of mass dp' and mean mu' adds p_j*dp'/dp*(y_j - mu')^2
+        grow = pm[:, 1:] * dp[:, :-1] / mass[:, 1:] * (d[:, 1:] - mc[:, :-1]) ** 2
+        spread = np.zeros_like(dp)
+        np.cumsum(grow, axis=1, out=spread[:, 1:])
+        dmu = g[r0:r0 + len(pm), None] - mc  # mu0 - mu
+        vals = v0 + T * (spread + w0 * dp / (w0 + T * dp) * dmu ** 2)
+        for t, row in enumerate(vals):
+            yield r0 + t, row[t:]
+
+
+def _rows_poisson(p: np.ndarray, y: np.ndarray, tilt: float):
+    """Per start r, the tilted poisson-loss minimum, at the tilted mean."""
+    if np.min(y) < 0:
+        raise ValueError("poisson loss requires non-negative labels")
+    T = tilt - 1.0
     w0 = float(np.sum(p))
     m0 = float(np.dot(p, y))
-    capped = tilt >= TILT_CAP
-    for r in range(len(p)):
-        dp = np.cumsum(p[r:])
-        dm = np.cumsum(py[r:])
-        sw = w0 + T * dp
-        swy = m0 + T * dm
-        if capped:
-            c = y[r + int(np.argmax(dp > 0))]
-            spread = np.cumsum(p[r:] * (y[r:] - c))
-            yhat = np.where(dp > 0, c + spread / np.where(dp > 0, dp, 1.0), m0 / w0)
-        else:
-            yhat = swy / sw
-        yield r, dp, sw, swy, yhat
+    for r0, pm in _row_blocks(p):
+        sw = w0 + T * np.cumsum(pm, axis=1)
+        swy = m0 + T * np.cumsum(pm * y[r0:], axis=1)
+        yhat = np.maximum(swy / sw, POISSON_YHAT_FLOOR)
+        vals = sw * yhat - swy * np.log(yhat)
+        for t, row in enumerate(vals):
+            yield r0 + t, row[t:]
 
 
-def _tables_squared(p: np.ndarray, y: np.ndarray, tilt: float):
-    lval, lhat = _empty_tables(len(p))
-    T = tilt - 1.0
-    pyy = p * y * y
-    q0 = float(np.dot(p, y * y))
-    w0 = float(np.sum(p))
-    mean0 = float(np.dot(p, y)) / w0
-    var0 = float(np.dot(p, (y - mean0) ** 2))
-    for r, dp, sw, swy, yhat in _tilted_means(p, y, tilt):
-        if tilt >= TILT_CAP:
-            # swy2 - yhat*swy cancels at this scale; sum the in-bin spread from
-            # centred increments instead: adding label j to a bin with mass
-            # dp_prev and mean m_prev adds p_j * dp_prev / dp * (y_j - m_prev)^2,
-            # exactly 0 while the bin holds a single label with mass
-            dp_prev = np.concatenate(([0.0], dp[:-1]))
-            m_prev = np.concatenate(([0.0], yhat[:-1]))
-            grow = p[r:] * dp_prev / np.where(dp > 0, dp, 1.0) * (y[r:] - m_prev) ** 2
-            val = T * np.cumsum(grow) + (var0 + w0 * (yhat - mean0) ** 2)
-        else:
-            swy2 = q0 + T * np.cumsum(pyy[r:])
-            val = swy2 - yhat * swy
-        lhat[r, r:] = yhat
-        lval[r, r:] = np.maximum(val, 0.0)
-    return lval, lhat
+def _rows_absolute(p: np.ndarray, y: np.ndarray, tilt: float):
+    """Per start r, the tilted absolute-loss minimum over ascending labels y.
 
-
-def _tables_poisson(p: np.ndarray, y: np.ndarray, tilt: float):
-    if y[0] < 0:
-        raise ValueError("poisson loss requires non-negative labels")
-    lval, lhat = _empty_tables(len(p))
-    for r, _, sw, swy, yhat in _tilted_means(p, y, tilt):
-        yhat = np.maximum(yhat, POISSON_YHAT_FLOOR)
-        lhat[r, r:] = yhat
-        lval[r, r:] = sw * yhat - swy * np.log(yhat)
-    return lval, lhat
-
-
-def _tables_absolute(p: np.ndarray, y: np.ndarray, tilt: float):
+    With P the prefix sums of p, the tilted cumulative weight through label j
+    is P(j) below the bin, (1+T)P(j) - T*P(r-1) inside it and
+    P(j) + T*(P(i) - P(r-1)) above it, each piece monotone in P, so three
+    searchsorted calls place the median m of every bin of the row.  The value
+    is D_all(m) + T*D_bin(m), the sums of p_j*|y_j - y_m| over all labels and
+    over the bin.  Both are built from deviations about a label, never from
+    sums of p*y, so the tilt scales no cancelling difference.
+    """
     k = len(p)
-    lval, lhat = _empty_tables(k)
     T = tilt - 1.0
-    # P[j] and Q[j] sum p and p*y over the first j labels
     P = np.concatenate(([0.0], np.cumsum(p)))
-    Q = np.concatenate(([0.0], np.cumsum(p * y)))
-    ends = np.arange(k)
+    gap = np.diff(y)
+    d_all = sum(_deviations(p, y))
+    ends = np.arange(k + 1)
     for r in range(k):
-        i = ends[r:]
-        tdP = T * (P[r + 1:] - P[r])  # weight the tilt adds to the bin [r, i]
-        total = P[k] + tdP
-        half = 0.5 * total
+        i = ends[r:k]
+        dp = np.cumsum(p[r:])  # mass of the bin [r, i]
+        tdp = T * dp
+        half = 0.5 * (P[k] + tdp)
         # smallest label whose tilted cumulative weight reaches half the total,
         # looked up in the piece below, inside and above the bin in turn
         below = np.searchsorted(P[1:r + 1], half)
-        inside = r + np.searchsorted(P[r + 1:] + tdP, half)
-        above = np.clip(np.searchsorted(P[1:], half - tdP), i + 1, k - 1)
-        m = np.where(below < r, below, np.where(inside <= i, inside, above))
-        # tilted weight and weighted label sum through the median
-        edge = np.clip(m + 1, r, i + 1)
-        w_lo = P[m + 1] + T * (P[edge] - P[r])
-        s_lo = Q[m + 1] + T * (Q[edge] - Q[r])
-        s_hi = Q[k] + T * (Q[r + 1:] - Q[r]) - s_lo
-        med = y[m]
-        lhat[r, r:] = med
-        lval[r, r:] = (med * w_lo - s_lo) + (s_hi - med * (total - w_lo))
-    np.maximum(lval, 0.0, out=lval)
-    return lval, lhat
+        inside = r + np.searchsorted(P[r + 1:] + tdp, half)
+        above_bin = np.maximum(np.searchsorted(P[1:], half - tdp), i + 1)
+        m = np.where(below < r, below, np.where(inside <= i, inside, above_bin))
+        # D_bin from the bin's mass, deviations below each label and above the
+        # first, each led by a zero; u counts the bin's labels up to the median
+        mass = np.concatenate(([0.0], dp))
+        dev_lo = np.concatenate(([0.0, 0.0], np.cumsum(dp[:-1] * gap[r:])))
+        dev_hi = np.concatenate(([0.0], np.cumsum(p[r:] * (y[r:] - y[r]))))
+        u = np.minimum(np.maximum(m - (r - 1), 0), ends[1:k - r + 1])
+        ym = y[m]
+        d_bin = (dev_lo[u] + (dev_hi[1:] - dev_hi[u]) + (dp - mass[u]) * (y[r] - ym)
+                 + dp * np.maximum(ym - y[r:], 0.0))
+        yield r, d_all[m] + T * d_bin
 
 
 def _golden_rows(w: np.ndarray, y: np.ndarray, loss: LossSpec):
@@ -223,7 +226,7 @@ def _golden_rows(w: np.ndarray, y: np.ndarray, loss: LossSpec):
     rows converge in lockstep.  Returns (x, g(x)) arrays."""
     if not loss.convex_in_first_arg:
         raise ValueError("generic inner solver requires a convex loss")
-    lo, hi = float(y[0]), float(y[-1])
+    lo, hi = float(np.min(y)), float(np.max(y))
     if loss.domain_min is not None:
         lo = max(lo, loss.domain_min + POISSON_YHAT_FLOOR)
         hi = max(hi, lo)
@@ -251,26 +254,39 @@ def _golden_rows(w: np.ndarray, y: np.ndarray, loss: LossSpec):
     return x, g(x)
 
 
-def _tables_generic(p: np.ndarray, y: np.ndarray, tilt: float, loss: LossSpec):
+def _rows_generic(p: np.ndarray, y: np.ndarray, tilt: float, loss: LossSpec):
+    """Per start r, one lockstep golden-section search per bin end."""
     k = len(p)
-    lval, lhat = _empty_tables(k)
     j = np.arange(k)
     for r in range(k):
         in_bin = (j >= r) & (j <= np.arange(r, k)[:, None])
-        lhat[r, r:], lval[r, r:] = _golden_rows(np.where(in_bin, p * tilt, p), y, loss)
-    return lval, lhat
+        yield r, _golden_rows(np.where(in_bin, p * tilt, p), y, loss)[1]
 
 
-def _build_tables(prior: Prior, tilt: float, loss: LossSpec):
-    p = prior.probs_array()
-    y = prior.labels.as_array()
+def _build_tables(prior: Prior, tilt: float, loss: LossSpec) -> np.ndarray:
+    """The single-bin table L, indexed [r][i] (0-based) with inf for r > i.
+
+    Rows are solved on the mirrored labels, where a row of starts is a column
+    of ends of L, and stored as the contiguous columns the segmentation pass
+    reads.  The table comes first: a small array allocated before it can split
+    the space the last build's table freed, so that the peak grows a table.
+    """
+    k = prior.k
+    cols = np.full((k, k), np.inf)
+    p = np.ascontiguousarray(prior.probs_array()[::-1])
+    y = np.ascontiguousarray(prior.labels.as_array()[::-1])
     if loss.kind == "squared":
-        return _tables_squared(p, y, tilt)
-    if loss.kind == "poisson":
-        return _tables_poisson(p, y, tilt)
-    if loss.kind == "absolute":
-        return _tables_absolute(p, y, tilt)
-    return _tables_generic(p, y, tilt, loss)
+        rows = _rows_squared(p, y, tilt)
+    elif loss.kind == "poisson":
+        rows = _rows_poisson(p, y, tilt)
+    elif loss.kind == "absolute":
+        rows = _rows_absolute(p, -y, tilt)  # negated, the labels ascend again
+    else:
+        rows = _rows_generic(p, y, tilt, loss)
+    for r, vals in rows:
+        end = k - 1 - r  # the mirrored row r holds the bins [end - n, end]
+        cols[end, :end + 1] = vals[::-1]
+    return cols.T
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +306,21 @@ def inner_min_squared(prior: Prior, r: int, i: int, eps: float):
     """Tilted squared-loss minimizer over one interval [y^r, y^i] (1-based).
 
     Returns (yhat, value) where yhat is the exponentially weighted mean and
-    value the weighted sum of squared losses at yhat.  The mean is centred on
-    the heaviest label, whose weight (up to 1e300) multiplies any ulp of error.
+    value the weighted sum of squared losses at yhat.  The mean takes the
+    weights over e^eps, p outside the interval times e^-eps, which need no
+    cap: past eps ~745 that mass underflows and yhat is the interval's own
+    mean, the limit that the capped tilt stands for.  It is centred on the
+    heaviest label, whose weight multiplies any ulp of error.
     """
     w = _interval_weights(prior, r, i, eps)
     y = prior.labels.as_array()
-    c = float(y[np.argmax(w)])
-    yhat = c + float(np.dot(w, y - c)) / float(np.sum(w))
+    p = prior.probs_array()
+    u = p * math.exp(-eps)
+    u[r - 1: i] = p[r - 1: i]
+    if not u.any():  # no mass inside the interval and none left outside
+        u = w
+    c = float(y[np.argmax(u)])
+    yhat = c + float(np.dot(u, y - c)) / float(np.sum(u))
     value = float(np.dot(w, (yhat - y) ** 2))
     return yhat, value
 
@@ -342,36 +366,21 @@ def inner_min_generic(prior: Prior, r: int, i: int, eps: float, loss: LossSpec):
 def _segment_pass(lval: np.ndarray, lam: float):
     """Best additive segmentation with a per-bin price of lam.
 
-    B[i] = min_{0 <= r < i} B[r] + lval[r][i-1] - lam, smallest-r argmin.
+    B[i] = min_{0 <= r < i} B[r] + lval[r][i-1] - lam.  Exact value ties go to
+    the start whose segmentation has the fewest bins, then the smallest start.
     """
     k = lval.shape[0]
-    B = np.empty(k + 1)
+    B = np.zeros(k + 1)
+    bins = np.zeros(k + 1, dtype=np.int64)
     parent = np.empty(k + 1, dtype=np.int64)
-    B[0] = 0.0
     for i in range(1, k + 1):
         cand = B[:i] + lval[:i, i - 1]
-        m = int(np.argmin(cand))
+        m = int(cand.argmin())
+        if int(cand[::-1].argmin()) != i - 1 - m:  # the last minimum is another start
+            ties = (cand == cand[m]).nonzero()[0]
+            m = int(ties[bins[ties].argmin()])
         B[i] = cand[m] - lam
-        parent[i] = m
-    return B[k], parent
-
-
-def _segment_pass_min_d(lval: np.ndarray, lam: float):
-    """Like _segment_pass but breaks exact value ties toward fewer bins,
-    then toward the smallest start index."""
-    k = lval.shape[0]
-    B = np.empty(k + 1)
-    D = np.empty(k + 1, dtype=np.int64)
-    parent = np.empty(k + 1, dtype=np.int64)
-    B[0] = 0.0
-    D[0] = 0
-    for i in range(1, k + 1):
-        cand = B[:i] + lval[:i, i - 1]
-        vmin = cand.min()
-        ties = np.nonzero(cand == vmin)[0]
-        m = int(ties[np.argmin(D[ties])])
-        B[i] = vmin - lam
-        D[i] = D[m] + 1
+        bins[i] = bins[m] + 1
         parent[i] = m
     return parent
 
@@ -397,71 +406,61 @@ def _parametric_search(lval: np.ndarray, tilt: float):
 
     Iterates lam <- cost(P)/(d-1+tilt) of the best segmentation at price lam,
     which strictly improves until the optimum certifies itself; terminates in
-    a few rounds for any finite instance.
+    a few rounds for any finite instance.  Each pass breaks exact ties toward
+    fewer bins; the last two layouts, when their ratios agree to rounding,
+    resolve the same way.
     """
     k = lval.shape[0]
     lam = lval[0, k - 1] / tilt  # single-bin layout seeds the ratio
     spans = [(0, k - 1)]
     for _ in range(_MAX_RATIO_ROUNDS):
-        _, parent = _segment_pass(lval, lam)
-        new_spans = _backtrack(parent, k)
+        new_spans = _backtrack(_segment_pass(lval, lam), k)
         new_lam = _partition_cost(lval, new_spans) / (len(new_spans) - 1 + tilt)
-        if new_lam >= lam - 1e-14 * max(1.0, abs(lam)):
-            if new_lam < lam:
-                lam, spans = new_lam, new_spans
-            break
+        slack = 1e-14 * max(1.0, abs(lam))
+        if new_lam >= lam - slack:
+            if new_lam > lam + slack or len(spans) < len(new_spans):
+                return lam, spans
+            return new_lam, new_spans
         lam, spans = new_lam, new_spans
-    else:
-        raise RuntimeError(f"parametric ratio search did not settle in {_MAX_RATIO_ROUNDS} rounds")
-    # settle exact value ties toward fewer bins, then smaller start indices
-    parent = _segment_pass_min_d(lval, lam)
-    tied = _backtrack(parent, k)
-    tied_lam = _partition_cost(lval, tied) / (len(tied) - 1 + tilt)
-    if tied_lam <= lam + 1e-14 * max(1.0, abs(lam)):
-        return tied_lam, tied
-    return lam, spans
+    raise RuntimeError(f"parametric ratio search did not settle in {_MAX_RATIO_ROUNDS} rounds")
+
+
+def _bin_outputs(prior: Prior, spans, eps: float, loss: LossSpec) -> list[float]:
+    """Each bin's output, solved from scratch; in lockstep for a custom loss."""
+    closed = {"squared": inner_min_squared, "poisson": inner_min_poisson,
+              "absolute": inner_min_absolute}.get(loss.kind)
+    if closed is not None:
+        return [closed(prior, a + 1, b + 1, eps)[0] for a, b in spans]
+    w = np.stack([_interval_weights(prior, a + 1, b + 1, eps) for a, b in spans])
+    return [float(x) for x in _golden_rows(w, prior.labels.as_array(), loss)[0]]
 
 
 def optimize_bins(prior: Prior, eps: float, loss: LossSpec) -> BinLayout:
     """Compute the loss-optimal bin layout for randomized response at eps.
 
-    Fills the single-bin tables, searches over interval partitions and bin
-    counts, and backtracks the optimal partition with per-bin outputs.  Ties
-    resolve toward fewer bins and smaller start indices.
+    Fills the single-bin table, searches over interval partitions and bin
+    counts, then solves each chosen bin's output from scratch.  Ties resolve
+    toward fewer bins and smaller start indices.
     """
     if eps < 0:
         raise ValueError(f"eps must be non-negative, got {eps}")
     tilt = tilt_factor(eps)
-    lval, lhat = _build_tables(prior, tilt, loss)
+    lval = _build_tables(prior, tilt, loss)
     objective, spans = _parametric_search(lval, tilt)
-    outputs = [float(lhat[a, b]) for a, b in spans]
-    spans, outputs, objective = _merge_degenerate_bins(
-        lval, lhat, spans, outputs, objective, tilt
-    )
-    boundaries = tuple(b + 1 for _, b in spans)
+    outputs = _bin_outputs(prior, spans, eps, loss)
+    # adjacent outputs that coincide or invert cannot occur at an exact optimum
+    # (the outputs form a set and are non-decreasing there), but float ties
+    # on degenerate priors can make them: merge such bins and re-cost honestly
+    while len(spans) > 1 and any(a >= b for a, b in zip(outputs, outputs[1:])):
+        t = next(t for t in range(len(spans) - 1) if outputs[t] >= outputs[t + 1])
+        a, b = spans[t][0], spans[t + 1][1]
+        spans[t:t + 2] = [(a, b)]
+        outputs[t:t + 2] = _bin_outputs(prior, [(a, b)], eps, loss)
+        objective = _partition_cost(lval, spans) / (len(spans) - 1 + tilt)
     return BinLayout(
         labels=prior.labels,
-        boundaries=boundaries,
+        boundaries=tuple(b + 1 for _, b in spans),
         outputs=tuple(outputs),
         eps=float(eps),
         objective=float(objective),
     )
-
-
-def _merge_degenerate_bins(lval, lhat, spans, outputs, objective, tilt):
-    """Collapse adjacent bins whose outputs coincide or invert.
-
-    Neither can occur at an exact optimum (the outputs form a set and are
-    non-decreasing there), but float ties on degenerate priors can
-    manufacture them; the merged layout is re-costed honestly.
-    """
-    while len(spans) > 1 and any(
-        outputs[t] >= outputs[t + 1] for t in range(len(spans) - 1)
-    ):
-        t = next(t for t in range(len(spans) - 1) if outputs[t] >= outputs[t + 1])
-        a, _ = spans[t]
-        _, b = spans[t + 1]
-        spans = spans[:t] + [(a, b)] + spans[t + 2:]
-        outputs = outputs[:t] + [float(lhat[a, b])] + outputs[t + 2:]
-        objective = _partition_cost(lval, spans) / (len(spans) - 1 + tilt)
-    return spans, outputs, objective

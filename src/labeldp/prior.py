@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,13 +22,11 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class HistogramEstimate:
-    """A privately estimated prior.  raw_counts are the true per-label counts
-    and must never leave this process; only prior / noised_counts are DP."""
+    """A privately estimated prior; prior and noised_counts are DP."""
 
     prior: Prior
     noised_counts: tuple[float, ...]
     eps_used: float
-    raw_counts: tuple[int, ...] = field(repr=False)
 
 
 def laplace_histogram(indices, universe: LabelSet, eps1: float, rng: Rng) -> HistogramEstimate:
@@ -56,7 +54,6 @@ def laplace_histogram(indices, universe: LabelSet, eps1: float, rng: Rng) -> His
         prior=prior,
         noised_counts=tuple(float(c) for c in noised),
         eps_used=float(eps1),
-        raw_counts=tuple(int(c) for c in counts),
     )
 
 

@@ -51,11 +51,14 @@ def _interval_minimum(p, y, lo, hi, tilt, loss: LossSpec):
     """Exact tilted minimizer for one interval [lo, hi] of label indices."""
     w = p.copy()
     w[lo: hi + 1] *= tilt
-    if loss.kind in ("squared", "poisson"):
-        mean = float(np.dot(w, y) / np.sum(w))
-        if loss.kind == "squared":
-            return mean, float(np.dot(w, (mean - y) ** 2))
-        mean = max(mean, POISSON_YHAT_FLOOR)
+    if loss.kind == "squared":
+        # centred on the heaviest label, whose weight (up to 1e300) would
+        # multiply any rounding of an uncentred mean
+        c = float(y[np.argmax(w)])
+        shift = float(np.dot(w, y - c) / np.sum(w))
+        return c + shift, float(np.dot(w, (y - c - shift) ** 2))
+    if loss.kind == "poisson":
+        mean = max(float(np.dot(w, y) / np.sum(w)), POISSON_YHAT_FLOOR)
         return mean, float(np.sum(w) * mean - np.dot(w, y) * math.log(mean))
     if loss.kind == "absolute":
         cum = np.cumsum(w)
@@ -127,16 +130,15 @@ def brute_force_optimal_bins(prior: Prior, eps: float, loss: LossSpec) -> BinLay
 class DPTables:
     """Tables from the layered fill: a[i][j] is the best additive cost of
     splitting the first i labels into j bins; parent[i][j] the chosen start
-    of the last bin.  lval/lhat hold the single-bin subproblem values and
-    their minimizers, indexed [r-1][i-1]."""
+    of the last bin.  lval holds the single-bin subproblem values, indexed
+    [r-1][i-1]."""
 
     a: np.ndarray = field(repr=False)
     parent: np.ndarray = field(repr=False)
     lval: np.ndarray = field(repr=False)
-    lhat: np.ndarray = field(repr=False)
 
 
-def layered_tables(lval: np.ndarray, lhat: np.ndarray | None = None) -> DPTables:
+def layered_tables(lval: np.ndarray) -> DPTables:
     """Reference layered fill of the full A[i][j] table (quadratic states,
     linear work per state), to cross-check the parametric ratio search."""
     k = lval.shape[0]
@@ -150,9 +152,7 @@ def layered_tables(lval: np.ndarray, lhat: np.ndarray | None = None) -> DPTables
             m = int(np.argmin(cand))
             a[i, j] = cand[m]
             parent[i, j] = m + (j - 1)
-    if lhat is None:
-        lhat = np.empty((0, 0))
-    return DPTables(a=a, parent=parent, lval=lval, lhat=lhat)
+    return DPTables(a=a, parent=parent, lval=lval)
 
 
 def _layered_select(tables: DPTables, tilt: float):

@@ -195,7 +195,7 @@ def test_criterion_4_inner_solver_identities():
             (POISSON, inner_min_poisson),
             (ABSOLUTE, inner_min_absolute),
         ):
-            lval, _ = _build_tables(prior, tilt_factor(eps), spec)
+            lval = _build_tables(prior, tilt_factor(eps), spec)
             _, v = fast(prior, r, i, eps)
             gap = abs(lval[r - 1, i - 1] - v)
             worst_amort = max(worst_amort, gap / max(1.0, abs(v)))

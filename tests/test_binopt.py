@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,9 +20,11 @@ from labeldp import (
 )
 from labeldp import binopt
 from labeldp.binopt import TILT_CAP, _build_tables, tilt_factor
-from labeldp.verify import _layered_select, layered_tables
+from labeldp.verify import _layered_select, brute_force_optimal_bins, layered_tables
 
 ALL_LOSSES = (SQUARED, ABSOLUTE, POISSON)
+# past eps 5 the tilt outweighs the mass outside a bin by e^eps; 800 is capped
+HIGH_EPS = (8.0, 12.0, 20.0, 30.0, 50.0, 800.0)
 QUARTIC = custom_loss(lambda yhat, y: (np.asarray(yhat) - np.asarray(y)) ** 4,
                       convex_in_first_arg=True)
 HUBER = custom_loss(
@@ -174,7 +177,7 @@ def test_amortized_tables_match_from_scratch():
             (POISSON, inner_min_poisson),
             (ABSOLUTE, inner_min_absolute),
         ):
-            lval, _ = _build_tables(pr, tilt, spec)
+            lval = _build_tables(pr, tilt, spec)
             r = int(rng.integers(1, pr.k + 1))
             i = int(rng.integers(r, pr.k + 1))
             _, v = fast(pr, r, i, eps)
@@ -184,45 +187,67 @@ def test_amortized_tables_match_from_scratch():
 def test_tie_prior_puts_median_on_half_weight():
     # the tie case the every-cell test relies on: cumulative weight 2 of 4
     pr = make_prior(make_label_set([0, 1, 2, 3]), [1, 1, 1, 1])
-    lval, lhat = _build_tables(pr, 1.0, ABSOLUTE)
-    assert lhat[0, 3] == 1.0
-    assert lval[0, 3] == pytest.approx(inner_min_absolute(pr, 1, 4, 0.0)[1], abs=1e-15)
+    yhat, value = inner_min_absolute(pr, 1, 4, 0.0)
+    assert yhat == 1.0
+    assert optimize_bins(pr, 0.0, ABSOLUTE).outputs == (1.0,)
+    assert _build_tables(pr, 1.0, ABSOLUTE)[0, 3] == pytest.approx(value, abs=1e-15)
 
 
 @pytest.mark.parametrize(
     "spec, fast, tol, trials",
     [
+        (SQUARED, inner_min_squared, 1e-12, 1000),
         (ABSOLUTE, inner_min_absolute, 1e-12, 1000),
         (QUARTIC, lambda pr, r, i, eps: inner_min_generic(pr, r, i, eps, QUARTIC), 1e-9, 25),
         (HUBER, lambda pr, r, i, eps: inner_min_generic(pr, r, i, eps, HUBER), 1e-9, 25),
     ],
-    ids=["absolute", "quartic", "huber"],
+    ids=["squared", "absolute", "quartic", "huber"],
 )
 def test_tables_match_from_scratch_every_cell(spec, fast, tol, trials):
     rng = np.random.default_rng(12)
     for t in range(trials):
         pr = random_cell_prior(rng)
-        # every fourth prior at a tilt of 1, 2 or 3, where integer weights tie
-        eps = float(rng.choice([0.0, math.log(2), math.log(3)]) if t % 4 == 0
-                    else rng.uniform(0, 5))
-        lval, _ = _build_tables(pr, tilt_factor(eps), spec)
+        # every fourth prior at a tilt of 1, 2 or 3, where integer weights
+        # tie, and every fourth past eps 5, up to and beyond the capped tilt
+        if t % 4 == 0:
+            eps = float(rng.choice([0.0, math.log(2), math.log(3)]))
+        elif t % 4 == 1:
+            eps = float(rng.choice(HIGH_EPS + (1e6,)))
+        else:
+            eps = float(rng.uniform(0, 5))
+        lval = _build_tables(pr, tilt_factor(eps), spec)
         for r in range(1, pr.k + 1):
             for i in range(r, pr.k + 1):
                 _, v = fast(pr, r, i, eps)
                 assert lval[r - 1, i - 1] == pytest.approx(v, rel=tol, abs=tol), (t, r, i, eps)
 
 
-def test_capped_squared_tables_match_from_scratch():
-    rng = np.random.default_rng(13)
-    for _ in range(60):
-        pr = random_cell_prior(rng, k_max=11)
-        eps = float(rng.choice([700.0, 1e6]))
-        assert tilt_factor(eps) == TILT_CAP
-        lval, _ = _build_tables(pr, TILT_CAP, SQUARED)
+def exact_cell(pr, r, i, tilt, kind):
+    """L[r][i] (1-based) for the squared or absolute loss, in exact rational
+    arithmetic on the float weights, labels and tilt."""
+    y = [Fraction(float(v)) for v in pr.labels.values]
+    w = [Fraction(float(q)) * (Fraction(tilt) if r - 1 <= j < i else 1)
+         for j, q in enumerate(pr.probs_array())]
+    if kind == "squared":
+        swy = sum(a * b for a, b in zip(w, y))
+        return sum(a * b * b for a, b in zip(w, y)) - swy * swy / sum(w)
+    cum = np.cumsum(np.array(w, dtype=object))
+    med = y[next(j for j, c in enumerate(cum) if 2 * c >= cum[-1])]
+    return sum(a * abs(b - med) for a, b in zip(w, y))
+
+
+@pytest.mark.parametrize("eps", (0.0, 1.0, 5.0) + HIGH_EPS)
+@pytest.mark.parametrize("spec", (SQUARED, ABSOLUTE), ids=lambda s: s.kind)
+def test_tables_match_exact_rationals(spec, eps):
+    rng = np.random.default_rng(14)
+    tilt = tilt_factor(eps)
+    for _ in range(15):
+        pr = random_prior(rng, k_max=7)
+        lval = _build_tables(pr, tilt, spec)
         for r in range(1, pr.k + 1):
             for i in range(r, pr.k + 1):
-                _, v = inner_min_squared(pr, r, i, eps)
-                assert lval[r - 1, i - 1] == pytest.approx(v, rel=1e-9, abs=1e-12)
+                exact = float(exact_cell(pr, r, i, tilt, spec.kind))
+                assert lval[r - 1, i - 1] == pytest.approx(exact, rel=1e-12, abs=0), (r, i)
 
 
 def test_capped_squared_objective_is_exact():
@@ -322,9 +347,27 @@ def test_parametric_matches_layered_reference(loss):
         pr = make_prior(make_label_set(vals), rng.dirichlet(np.ones(k)))
         eps = float(rng.choice([0.0, 0.5, 1.5, 4.0, 20.0]))
         lay = optimize_bins(pr, eps, loss)
-        lval, lhat = _build_tables(pr, tilt_factor(eps), loss)
-        obj_ref, _ = _layered_select(layered_tables(lval, lhat), tilt_factor(eps))
+        lval = _build_tables(pr, tilt_factor(eps), loss)
+        obj_ref, _ = _layered_select(layered_tables(lval), tilt_factor(eps))
         assert lay.objective == pytest.approx(obj_ref, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "vals, p, d",
+    [
+        # a 2-bin and a 3-bin layout tie: the segmentation pass decides
+        ([1.5, 2.5, 7.5, 10.5, 12.0, 18.0, 19.5], [0, 0, 2, 1, 0, 0, 2], 2),
+        # a 1-bin and a 2-bin layout tie to rounding: the ratio search decides
+        ([2.0, 3.5, 5.5, 7.0, 12.0, 14.0, 14.5], [0, 0, 0, 1, 0, 0, 2], 1),
+    ],
+)
+def test_ties_resolve_toward_fewer_bins(vals, p, d):
+    # zero-mass labels and a tilt of 2 make layouts of different sizes tie
+    pr = make_prior(make_label_set(vals), p)
+    lay = optimize_bins(pr, math.log(2), ABSOLUTE)
+    ref = brute_force_optimal_bins(pr, math.log(2), ABSOLUTE)
+    assert lay.d == ref.d == d
+    assert lay.objective == pytest.approx(ref.objective, rel=1e-12)
 
 
 def test_custom_convex_loss_route():
