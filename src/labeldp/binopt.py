@@ -17,12 +17,14 @@ and each built-in loss has one formula that is exact at every tilt
 T = e^eps - 1: the parallel-axis form for the squared loss, sums of absolute
 deviations about the tilted median for the absolute loss, and the tilted mean,
 where every sum is positive, for the poisson loss.  Any other convex loss runs
-one golden-section search per bin, in lockstep.
+one lockstep golden-section search for all the bins of a block of starts, about
+2^16 weighted labels a block: O(k^3) loss evaluations a step, for about 56 steps.
 
 The search over (partition, d) runs as a parametric ratio search
 (Dinkelbach's method): each round solves an unconstrained segmentation with a
-per-bin price in one O(k^2) pass, which breaks exact ties toward fewer bins
-and certifies the exact optimum in a handful of rounds.  The outputs of the
+per-bin price in one O(k^2) pass and certifies the exact optimum in a handful
+of rounds.  Exact float ties go to fewer bins, then to the smaller start; ties
+that are exact only in real arithmetic may go either way.  The outputs of the
 chosen bins are then solved from scratch by the single-interval solvers.
 """
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .losses import POISSON_YHAT_FLOOR, LossSpec
 
 TILT_CAP = 1e300          # e^eps saturates here; layouts beyond eps ~ 35 are identity-like
 GOLDEN_TOL = 1e-10        # absolute tolerance in yhat for the generic inner solver
+_GOLDEN_CELLS = 1 << 16   # weighted labels per lockstep search of a custom-loss table
 _MAX_RATIO_ROUNDS = 100   # parametric search safety cap; never reached in practice
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -46,9 +49,7 @@ def tilt_factor(eps: float) -> float:
     """e^eps, capped at 1e300 for overflow safety."""
     if eps < 0:
         raise ValueError(f"eps must be non-negative, got {eps}")
-    if eps >= 690.0:
-        return TILT_CAP
-    return min(math.exp(eps), TILT_CAP)
+    return TILT_CAP if eps >= 690.0 else min(math.exp(eps), TILT_CAP)
 
 
 @dataclass(frozen=True)
@@ -72,16 +73,12 @@ class BinLayout:
         k = self.labels.k
         if not self.boundaries or self.boundaries[-1] != k:
             raise ValueError("interval boundaries must cover all labels")
-        prev = 0
-        for b in self.boundaries:
-            if b <= prev:
-                raise ValueError("interval boundaries must be strictly increasing")
-            prev = b
+        if any(b <= a for a, b in zip((0, *self.boundaries), self.boundaries)):
+            raise ValueError("interval boundaries must be strictly increasing")
         if len(self.outputs) != len(self.boundaries):
             raise ValueError("need exactly one output per interval")
-        for a, b in zip(self.outputs, self.outputs[1:]):
-            if b < a:
-                raise ValueError("bin outputs must be non-decreasing")
+        if any(b < a for a, b in zip(self.outputs, self.outputs[1:])):
+            raise ValueError("bin outputs must be non-decreasing")
         lo, hi = self.labels.y_min, self.labels.y_max
         slack = 1e-9 * max(1.0, abs(lo), abs(hi))
         for v in self.outputs:
@@ -94,12 +91,7 @@ class BinLayout:
 
     def assignments(self) -> np.ndarray:
         """Bin index of each label, in label order."""
-        out = np.empty(self.labels.k, dtype=np.int64)
-        start = 0
-        for b_idx, end in enumerate(self.boundaries):
-            out[start:end] = b_idx
-            start = end
-        return out
+        return np.repeat(np.arange(self.d), np.diff((0, *self.boundaries)))
 
     def output_for(self, y: float) -> float:
         """The bin output this layout maps a member label to."""
@@ -234,12 +226,10 @@ def _golden_rows(w: np.ndarray, y: np.ndarray, loss: LossSpec):
     def g(x):
         return np.sum(w * loss.eval_fn(x[:, None], y[None, :]), axis=1)
 
-    a = np.full(w.shape[0], lo)
-    b = np.full(w.shape[0], hi)
+    a, b = np.full(w.shape[0], lo), np.full(w.shape[0], hi)
     if lo == hi:
         return a, g(a)
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
     fc, fd = g(c), g(d)
     while np.max(b - a) > GOLDEN_TOL:
         left = fc <= fd  # the minimum lies in [a, d]: d becomes the new b
@@ -254,13 +244,27 @@ def _golden_rows(w: np.ndarray, y: np.ndarray, loss: LossSpec):
     return x, g(x)
 
 
+def _tilted_rows(p: np.ndarray, spans, tilt: float) -> np.ndarray:
+    """One row of weights per bin (start, end), 0-based and inclusive: p, times
+    the tilt on the bin's labels."""
+    spans, j = np.asarray(spans), np.arange(len(p))
+    return np.where((j >= spans[:, :1]) & (j <= spans[:, 1:]), p * tilt, p)
+
+
 def _rows_generic(p: np.ndarray, y: np.ndarray, tilt: float, loss: LossSpec):
-    """Per start r, one lockstep golden-section search per bin end."""
+    """Per start r, the golden-section minimum of every bin [r, n].  The bins
+    of a block of starts, about _GOLDEN_CELLS weighted labels and never fewer
+    than one start, share one lockstep search.  Rows are summed one by one and
+    every bracket shrinks by the same factor, so blocking changes no cell."""
     k = len(p)
-    j = np.arange(k)
-    for r in range(k):
-        in_bin = (j >= r) & (j <= np.arange(r, k)[:, None])
-        yield r, _golden_rows(np.where(in_bin, p * tilt, p), y, loss)[1]
+    bins = np.column_stack(np.triu_indices(k))  # every (start, end), by start, then end
+    first = np.searchsorted(bins[:, 0], np.arange(k + 1))  # each start's first bin
+    r0 = 0
+    while r0 < k:
+        r1 = max(r0 + 1, int(np.searchsorted(first, first[r0] + _GOLDEN_CELLS // k, "right")) - 1)
+        vals = _golden_rows(_tilted_rows(p, bins[first[r0]:first[r1]], tilt), y, loss)[1]
+        yield from zip(range(r0, r1), np.split(vals, first[r0 + 1:r1] - first[r0]))
+        r0 = r1
 
 
 def _build_tables(prior: Prior, tilt: float, loss: LossSpec) -> np.ndarray:
@@ -297,9 +301,7 @@ def _interval_weights(prior: Prior, r: int, i: int, eps: float) -> np.ndarray:
     k = prior.k
     if not (1 <= r <= i <= k):
         raise ValueError(f"need 1 <= r <= i <= k={k}, got r={r}, i={i}")
-    w = prior.probs_array().copy()
-    w[r - 1: i] *= tilt_factor(eps)
-    return w
+    return _tilted_rows(prior.probs_array(), [(r - 1, i - 1)], tilt_factor(eps))[0]
 
 
 def inner_min_squared(prior: Prior, r: int, i: int, eps: float):
@@ -387,14 +389,11 @@ def _segment_pass(lval: np.ndarray, lam: float):
 
 def _backtrack(parent: np.ndarray, k: int) -> list[tuple[int, int]]:
     """0-based inclusive (start, end) intervals from last-bin parent pointers."""
-    spans = []
-    i = k
+    spans, i = [], k
     while i > 0:
-        r = int(parent[i])
-        spans.append((r, i - 1))
-        i = r
-    spans.reverse()
-    return spans
+        spans.append((int(parent[i]), i - 1))
+        i = spans[-1][0]
+    return spans[::-1]
 
 
 def _partition_cost(lval: np.ndarray, spans) -> float:
@@ -406,9 +405,9 @@ def _parametric_search(lval: np.ndarray, tilt: float):
 
     Iterates lam <- cost(P)/(d-1+tilt) of the best segmentation at price lam,
     which strictly improves until the optimum certifies itself; terminates in
-    a few rounds for any finite instance.  Each pass breaks exact ties toward
-    fewer bins; the last two layouts, when their ratios agree to rounding,
-    resolve the same way.
+    a few rounds for any finite instance.  Each pass sends exact float ties to
+    fewer bins, then the smaller start; the last two layouts, when their
+    ratios agree to rounding, resolve toward fewer bins.
     """
     k = lval.shape[0]
     lam = lval[0, k - 1] / tilt  # single-bin layout seeds the ratio
@@ -431,7 +430,7 @@ def _bin_outputs(prior: Prior, spans, eps: float, loss: LossSpec) -> list[float]
               "absolute": inner_min_absolute}.get(loss.kind)
     if closed is not None:
         return [closed(prior, a + 1, b + 1, eps)[0] for a, b in spans]
-    w = np.stack([_interval_weights(prior, a + 1, b + 1, eps) for a, b in spans])
+    w = _tilted_rows(prior.probs_array(), spans, tilt_factor(eps))
     return [float(x) for x in _golden_rows(w, prior.labels.as_array(), loss)[0]]
 
 
@@ -439,8 +438,9 @@ def optimize_bins(prior: Prior, eps: float, loss: LossSpec) -> BinLayout:
     """Compute the loss-optimal bin layout for randomized response at eps.
 
     Fills the single-bin table, searches over interval partitions and bin
-    counts, then solves each chosen bin's output from scratch.  Ties resolve
-    toward fewer bins and smaller start indices.
+    counts, then solves each chosen bin's output from scratch.  Exact float
+    ties resolve toward fewer bins, then smaller start indices; layouts that
+    tie only in real arithmetic may resolve either way.
     """
     if eps < 0:
         raise ValueError(f"eps must be non-negative, got {eps}")
@@ -453,9 +453,8 @@ def optimize_bins(prior: Prior, eps: float, loss: LossSpec) -> BinLayout:
     # on degenerate priors can make them: merge such bins and re-cost honestly
     while len(spans) > 1 and any(a >= b for a, b in zip(outputs, outputs[1:])):
         t = next(t for t in range(len(spans) - 1) if outputs[t] >= outputs[t + 1])
-        a, b = spans[t][0], spans[t + 1][1]
-        spans[t:t + 2] = [(a, b)]
-        outputs[t:t + 2] = _bin_outputs(prior, [(a, b)], eps, loss)
+        spans[t:t + 2] = [(spans[t][0], spans[t + 1][1])]
+        outputs[t:t + 2] = _bin_outputs(prior, spans[t:t + 1], eps, loss)
         objective = _partition_cost(lval, spans) / (len(spans) - 1 + tilt)
     return BinLayout(
         labels=prior.labels,

@@ -27,6 +27,16 @@ from .verify import (
 # 12, 30 and 800 check the tables where e^eps swamps the mass outside a bin
 EPS_GRID = (0.0, 0.5, 1.0, 2.0, 5.0, 12.0, 30.0, 800.0)
 ALL_LOSSES = (losses.SQUARED, losses.ABSOLUTE, losses.POISSON)
+HUBER_EPS = tuple(e for e in EPS_GRID if e <= 5.0)
+
+
+def _huber(yhat, y):
+    """Huber loss with delta 5: on labels in 0.5..50, bins use both pieces."""
+    r = np.abs(np.asarray(yhat, dtype=float) - np.asarray(y, dtype=float))
+    return np.where(r <= 5.0, 0.5 * r * r, 5.0 * (r - 2.5))
+
+
+HUBER = losses.custom_loss(_huber, convex_in_first_arg=True)
 
 
 def _random_prior(rng, k_max, y_lo=0.0, y_hi=50.0):
@@ -40,12 +50,14 @@ def _random_prior(rng, k_max, y_lo=0.0, y_hi=50.0):
 
 
 def check_oracle_equivalence(seed: int, instances: int, k_max: int):
+    """The built-in losses over EPS_GRID, then one Huber instance per eps up
+    to 5, drawn after them from the same stream."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for t in range(instances):
+    cases = [(EPS_GRID[t % len(EPS_GRID)], ALL_LOSSES[t % len(ALL_LOSSES)])
+             for t in range(instances)] + [(e, HUBER) for e in HUBER_EPS]
+    for t, (eps, loss) in enumerate(cases):
         prior = _random_prior(rng, k_max, y_lo=0.5)
-        eps = float(EPS_GRID[t % len(EPS_GRID)])
-        loss = ALL_LOSSES[t % len(ALL_LOSSES)]
         fast = optimize_bins(prior, eps, loss)
         slow = brute_force_optimal_bins(prior, eps, loss)
         # relative: at high eps the squared and absolute objectives are tiny
@@ -53,7 +65,8 @@ def check_oracle_equivalence(seed: int, instances: int, k_max: int):
         if gap > 1e-9 * abs(slow.objective):
             return False, f"instance {t}: objective gap {gap:.3e} at eps {eps:g}"
         worst = max(worst, gap / abs(slow.objective) if gap else 0.0)
-    return True, f"{instances} instances, worst relative gap {worst:.2e}"
+    return True, (f"{instances} instances and {len(HUBER_EPS)} huber, "
+                  f"worst relative gap {worst:.2e}")
 
 
 def check_lp_cross(seed: int, instances: int):

@@ -222,6 +222,28 @@ def test_tables_match_from_scratch_every_cell(spec, fast, tol, trials):
                 assert lval[r - 1, i - 1] == pytest.approx(v, rel=tol, abs=tol), (t, r, i, eps)
 
 
+@pytest.mark.parametrize("eps", (0.0, 1.0, 8.0))
+def test_generic_table_blocks_match_from_scratch(monkeypatch, eps):
+    # a budget of 2^8 weighted labels at k=20 puts each of the first starts,
+    # over the budget alone, in a block of its own and the last ones together
+    # in shared blocks, so the table crosses many block seams
+    rng = np.random.default_rng(16)
+    k = 20
+    pr = make_prior(make_label_set(np.sort(rng.choice(np.arange(60) * 0.5, k, replace=False))),
+                    rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.8))
+    golden, blocks = binopt._golden_rows, []
+    monkeypatch.setattr(binopt, "_GOLDEN_CELLS", 1 << 8)
+    monkeypatch.setattr(binopt, "_golden_rows",
+                        lambda w, y, loss: blocks.append(len(w)) or golden(w, y, loss))
+    lval = _build_tables(pr, tilt_factor(eps), HUBER)
+    monkeypatch.undo()
+    assert blocks[0] == k and 3 <= len(blocks) < k
+    for r in range(1, k + 1):
+        for i in range(r, k + 1):
+            _, v = inner_min_generic(pr, r, i, eps, HUBER)
+            assert lval[r - 1, i - 1] == pytest.approx(v, rel=1e-9, abs=1e-9), (r, i)
+
+
 def exact_cell(pr, r, i, tilt, kind):
     """L[r][i] (1-based) for the squared or absolute loss, in exact rational
     arithmetic on the float weights, labels and tilt."""
@@ -362,12 +384,32 @@ def test_parametric_matches_layered_reference(loss):
     ],
 )
 def test_ties_resolve_toward_fewer_bins(vals, p, d):
-    # zero-mass labels and a tilt of 2 make layouts of different sizes tie
+    # zero-mass labels and a tilt of 2 make layouts of different sizes tie.
+    # Layouts of one size whose cells differ only by rounding may take either
+    # boundaries: in the first case (6, 7) here and (4, 7) in the brute force
     pr = make_prior(make_label_set(vals), p)
     lay = optimize_bins(pr, math.log(2), ABSOLUTE)
     ref = brute_force_optimal_bins(pr, math.log(2), ABSOLUTE)
     assert lay.d == ref.d == d
     assert lay.objective == pytest.approx(ref.objective, rel=1e-12)
+    tilt = tilt_factor(math.log(2))
+    lval = _build_tables(pr, tilt, ABSOLUTE)
+    for ends in (lay.boundaries, ref.boundaries):
+        cost = sum(lval[a, b - 1] for a, b in zip((0,) + ends, ends))
+        assert cost / (d - 1 + tilt) == pytest.approx(lay.objective, rel=1e-12)
+
+
+@pytest.mark.parametrize("loss", (HUBER, QUARTIC), ids=("huber", "quartic"))
+def test_brute_force_matches_custom_losses(loss):
+    # the brute force solves every bin with its own scalar golden section,
+    # so it shares no code with the lockstep table search
+    rng = np.random.default_rng(22)
+    for eps in (0.0, 0.5, 1.0, 2.0, 5.0, 8.0):
+        for _ in range(3):
+            pr = random_prior(rng, k_max=7)
+            fast = optimize_bins(pr, eps, loss)
+            slow = brute_force_optimal_bins(pr, eps, loss)
+            assert fast.objective == pytest.approx(slow.objective, rel=1e-9, abs=0), (eps, pr.k)
 
 
 def test_custom_convex_loss_route():

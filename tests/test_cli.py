@@ -388,6 +388,7 @@ def test_verify_quick_passes(capsys):
     assert time.perf_counter() - t0 < 10.0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+    assert "huber" in out  # the oracle check covers a custom loss too
 
 
 def test_verify_detects_injected_dp_fault(capsys):
