@@ -14,10 +14,12 @@ environment variable; an explicit --seed wins.  Output is a pure function of
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
+import warnings
 from decimal import Decimal, InvalidOperation
 
 import numpy as np
@@ -26,7 +28,7 @@ from . import losses
 from .binopt import BinLayout, optimize_bins
 from .core import LabelSet, Prior, make_label_set, make_prior
 from .mechanisms import Rng
-from .pipeline import MECHANISMS, randomize, snap_to_universe, universe_indices
+from .pipeline import MECHANISMS, randomize, randomize_mapped, universe_indices
 
 SEED_ENV = "LABELDP_SEED"
 
@@ -44,35 +46,42 @@ def read_labels(path: str, column: int | None = None) -> np.ndarray:
     """One numeric label per row, as a float array; a single non-numeric
     header line is allowed.  With column=N, rows are comma-split and field N
     (0-based) is used."""
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}")
-    labels = _bulk_labels(lines) if column is None else None
+    labels = _bulk_labels(path) if column is None else None
     if labels is None:
+        try:
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+        except OSError as e:
+            raise ParseError(f"cannot read {path}: {e}")
         labels = np.array(_parse_lines(path, lines, column))
     return labels
 
 
-def _bulk_labels(lines: list[str]) -> np.ndarray | None:
-    """Every line through one numpy conversion, which parses each string as
-    float() does, after dropping a non-numeric first line as the header.
-    None when that is not what the per-line parser would return: a blank or
-    malformed line, a non-finite value or no labels at all."""
-    start = 0
-    if lines:
-        try:
-            float(lines[0])
-        except ValueError:
-            start = 1
+def _bulk_labels(path: str) -> np.ndarray | None:
+    """The file through numpy's C reader, which parses each token as float()
+    does, after skipping a first line that float() rejects as the header.
+    None where the per-line parser might differ: a row that is not one
+    finite float, no labels, a first line that splitlines() would split, or
+    a compressed suffix, which numpy's opener would decompress."""
+    path = os.path.abspath(path)  # numpy's opener never takes it for a URL
+    header = 0
     try:
-        labels = np.array(lines[start:], dtype=float)
-    except ValueError:
+        with open(path) as fh:
+            first = fh.readline()
+        if len(first.splitlines()) > 1 or path.endswith((".gz", ".bz2", ".xz", ".lzma")):
+            return None
+        try:
+            float(first)
+        except ValueError:
+            header = 1
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            labels = np.loadtxt(path, dtype=float, comments=None, ndmin=2, skiprows=header)
+    except (OSError, ValueError):
         return None
-    if labels.size == 0 or not np.isfinite(labels).all():
+    if labels.shape[1:] != (1,) or labels.size == 0 or not np.isfinite(labels).all():
         return None
-    return labels
+    return labels.reshape(-1)
 
 
 def _parse_lines(path: str, lines: list[str], column: int | None) -> list[float]:
@@ -170,7 +179,8 @@ def _write_lines(path: str, values) -> None:
     """One fmt(v) line per value.  Each distinct value is formatted once;
     values are told apart by their bits, so -0.0 and 0.0 keep their signs."""
     bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
-    texts = np.array(list(map(fmt, bits.view(float).tolist())), dtype=object)
+    texts = np.array(list(map(format, bits.view(float).tolist(), itertools.repeat(".17g"))),
+                     dtype=object)
     with open(path, "w") as fh:
         for start in range(0, inverse.size, WRITE_CHUNK):
             fh.write("\n".join(texts[inverse[start:start + WRITE_CHUNK]].tolist()) + "\n")
@@ -293,14 +303,18 @@ def cmd_bench(args) -> int:
             raise ValueError(f"unknown mechanism {m!r}; pick from {', '.join(MECHANISMS)}")
 
     root = Rng(args.seed)
+    grid = universe.as_array()
     if args.input:
-        base = snap_to_universe(read_labels(args.input, args.column), universe)
-        draw = lambda rng: base
+        # every cell runs on these labels, so they are mapped only once
+        idx = universe_indices(read_labels(args.input, args.column), universe)
+        fixed = idx, grid[idx]
+        draw = lambda rng: fixed
     else:
-        prior = _synthetic_prior(args.synthetic, universe)
-        grid = universe.as_array()
-        probs = prior.probs_array()
-        draw = lambda rng: rng.gen.choice(grid, size=args.n, p=probs)
+        probs = _synthetic_prior(args.synthetic, universe).probs_array()
+
+        def draw(rng):
+            idx = rng.gen.choice(universe.k, size=args.n, p=probs)
+            return idx, grid[idx]
 
     rows = ["mechanism,eps,rep,loss"]
     cell = 0
@@ -309,8 +323,9 @@ def cmd_bench(args) -> int:
             for rep in range(args.reps):
                 rng = root.spawn(cell)
                 cell += 1
-                ys = draw(rng)
-                _, run = randomize(mech, ys, universe, eps, loss, rng, clip=args.clip)
+                idx, ys = draw(rng)
+                x = idx if MECHANISMS[mech][0] else ys
+                _, run = randomize_mapped(mech, ys, x, universe, eps, loss, rng, clip=args.clip)
                 rows.append(f"{mech},{fmt(eps)},{rep},{fmt(run.mechanism_loss_on_inputs)}")
     text = "\n".join(rows) + "\n"
     if args.output:

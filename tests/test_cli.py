@@ -1,14 +1,19 @@
+import functools
+import gzip
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from labeldp import cli
+from labeldp import cli, losses, pipeline
 from labeldp.cli import (
     ParseError,
     _bulk_labels,
@@ -21,7 +26,8 @@ from labeldp.cli import (
     read_prior_file,
 )
 from labeldp.core import make_label_set, make_prior
-from labeldp.pipeline import MECHANISMS, snap_to_universe, universe_indices
+from labeldp.mechanisms import Rng
+from labeldp.pipeline import MECHANISMS, randomize, snap_to_universe, universe_indices
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -72,18 +78,75 @@ def _per_line(path):
 ])
 def test_bulk_parse_matches_per_line(tmp_path, text):
     p = write(tmp_path / "l.txt", text)
-    with open(p) as fh:
-        bulk = _bulk_labels(fh.read().splitlines())
-    assert bulk is not None
-    assert bulk.tolist() == _per_line(p)
+    bulk = _bulk_labels(p)
+    if "_" in text:
+        assert bulk is None  # numpy's reader takes no digit separators
+    else:
+        assert bulk is not None
+        assert bulk.tolist() == _per_line(p)
     assert read_labels(p).tolist() == _per_line(p)
 
 
-def test_blank_line_goes_to_per_line_parser(tmp_path):
+def test_blank_lines_skipped_as_per_line_parser_does(tmp_path):
     p = write(tmp_path / "l.txt", "label\n1\n\n  \n2\n")
-    with open(p) as fh:
-        assert _bulk_labels(fh.read().splitlines()) is None
+    assert _bulk_labels(p).tolist() == [1.0, 2.0]
     assert read_labels(p).tolist() == _per_line(p) == [1.0, 2.0]
+
+
+def _assert_matches_per_line(path, open_text=open):
+    """read_labels gives the per-line parser's labels, bit for bit, or
+    raises the ParseError it raises."""
+    try:
+        with open_text(path) as fh:
+            expected = np.array(_parse_lines(path, fh.read().splitlines(), None))
+    except ParseError as e:
+        with pytest.raises(ParseError) as got:
+            read_labels(path)
+        assert str(got.value) == str(e)
+    else:
+        got = read_labels(path)
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+
+
+_TOKENS = ["0", "7", "-3", "12.5", "+.5", "1.", "-0", "2e3", "-2.5E-3", "1e-400",
+           "  4\t", "\t-6 ", "1_000", "nan", "inf", "-inf", "1e400", "\u0661\u0662",
+           "1 2", "abc", "label", "", "   ", "\x0c", "\x1c", "\x85", "\u2028", "\x0b", "\x00"]
+_NUMBERS = ["0", "7", "-3", "12.5", "+.5", "1.", "-0", "2e3", "-2.5E-3", " 9 "]
+_line = st.one_of(st.sampled_from(_NUMBERS),
+                  st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=3).map("".join))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(header=st.sampled_from(["", "label", "\ufefflabel", "\ufeff", "y\x0c1", "\x0c"]),
+       lines=st.lists(_line, max_size=8),
+       newline=st.sampled_from(["\n", "\r\n", "\r"]),
+       tail=st.booleans())
+def test_read_labels_matches_per_line_parser(tmp_path, header, lines, newline, tail):
+    rows = ([header] if header else []) + lines
+    p = tmp_path / "labels.txt"
+    p.write_bytes((newline.join(rows) + (newline if tail else "")).encode())
+    _assert_matches_per_line(str(p))
+
+
+def test_compressed_suffix_is_read_as_text(tmp_path, monkeypatch):
+    # numpy's opener would decompress a .gz path; the CLI reads its bytes as
+    # text, here as a latin-1 locale does (utf-8 rejects gzip's magic byte)
+    latin1 = functools.partial(open, encoding="latin-1")
+    monkeypatch.setattr(cli, "open", latin1, raising=False)
+    p = tmp_path / "labels.gz"
+    p.write_bytes(gzip.compress(b"label\n1\n2\n", mtime=0))
+    _assert_matches_per_line(str(p), latin1)
+
+
+@pytest.mark.parametrize("text", ["", "label\n", "label\n\n  \n"])
+def test_read_labels_without_labels_warns_nothing(tmp_path, text):
+    p = write(tmp_path / "l.txt", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="no labels found"):
+            read_labels(p)
 
 
 @pytest.mark.parametrize("text,match", [
@@ -348,6 +411,78 @@ def test_bench_from_file(tmp_path):
     assert run(["bench", "--input", src, "--universe", "0:3:1", "--eps-list", "2",
                 "--mechanisms", "laplace,staircase", "--reps", "1", "--output", out]) == 0
     assert len(out.read_text().splitlines()) == 3
+
+
+def _bench_per_cell(labels_per_cell, universe, mechs, eps_list, reps, seed):
+    """The bench CSV as one randomize() call per cell on grid labels."""
+    uni = parse_universe(universe)
+    root = Rng(seed)
+    rows = ["mechanism,eps,rep,loss"]
+    cell = 0
+    for mech in mechs:
+        for eps in eps_list:
+            for rep in range(reps):
+                rng = root.spawn(cell)
+                cell += 1
+                ys = labels_per_cell(rng, uni)
+                _, report = randomize(mech, ys, uni, eps, losses.SQUARED, rng)
+                rows.append(f"{mech},{fmt(eps)},{rep},{fmt(report.mechanism_loss_on_inputs)}")
+    return "\n".join(rows) + "\n"
+
+
+BENCH_UNIVERSES = {  # universe -> mechanisms it admits (the discrete ones need integers)
+    "0:2:0.25": [m for m in MECHANISMS if not m.startswith("discrete")],
+    "-2:9:1": list(MECHANISMS),
+    "0,1,3,7,8": list(MECHANISMS),
+}
+
+
+@pytest.mark.parametrize("universe", list(BENCH_UNIVERSES))
+def test_bench_from_file_matches_randomize_per_cell(tmp_path, universe):
+    labels = [-1.3, 0.0, 0.1, 0.25, 0.6, 1.99, 2.0, 2.7, 3, 5.5, 7.9, 9.0, 11.2] * 20
+    src = write(tmp_path / "l.txt", "label\n" + "\n".join(map(repr, labels)) + "\n")
+    mechs = BENCH_UNIVERSES[universe]
+    out = tmp_path / "b.csv"
+    assert run(["bench", "--input", src, f"--universe={universe}", "--eps-list", "0.5,1,4",
+                "--mechanisms", ",".join(mechs), "--reps", "2", "--seed", "9",
+                "--output", out]) == 0
+    snapped = snap_to_universe(read_labels(src), parse_universe(universe))
+    expected = _bench_per_cell(lambda rng, uni: snapped, universe, mechs, [0.5, 1.0, 4.0], 2, 9)
+    assert out.read_text() == expected
+
+
+def test_bench_synthetic_matches_randomize_per_cell(tmp_path):
+    universe = "0:2:0.25"
+    mechs = BENCH_UNIVERSES[universe]
+    out = tmp_path / "b.csv"
+    assert run(["bench", "--synthetic", "zipf:1.1", "--n", "300", "--universe", universe,
+                "--eps-list", "1,4", "--mechanisms", ",".join(mechs), "--reps", "2",
+                "--seed", "5", "--output", out]) == 0
+
+    def draw(rng, uni):
+        probs = cli._synthetic_prior("zipf:1.1", uni).probs_array()
+        return rng.gen.choice(uni.as_array(), size=300, p=probs)
+
+    assert out.read_text() == _bench_per_cell(draw, universe, mechs, [1.0, 4.0], 2, 5)
+
+
+def test_bench_maps_input_to_universe_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(labels, universe):
+        calls.append(len(labels))
+        return universe_indices(labels, universe)
+
+    monkeypatch.setattr(pipeline, "universe_indices", counting)
+    monkeypatch.setattr(cli, "universe_indices", counting)
+    src = write(tmp_path / "l.txt", "\n".join(str(v % 7) for v in range(300)) + "\n")
+    common = ["--universe", "0:6:1", "--eps-list", "1,2", "--reps", "2", "--output",
+              tmp_path / "b.csv"]
+    assert run(["bench", "--input", src, *common]) == 0
+    assert calls == [300]
+    calls.clear()
+    assert run(["bench", "--synthetic", "uniform", "--n", "300", *common]) == 0
+    assert calls == []
 
 
 def test_bench_rejects_bad_mechanism(tmp_path):
