@@ -60,15 +60,17 @@ def read_labels(path: str, column: int | None = None) -> np.ndarray:
 def _bulk_labels(path: str) -> np.ndarray | None:
     """The file through numpy's C reader, which parses each token as float()
     does, after skipping a first line that float() rejects as the header.
-    None where the per-line parser might differ: a row that is not one
-    finite float, no labels, a first line that splitlines() would split, or
-    a compressed suffix, which numpy's opener would decompress."""
+    None where the per-line parser might differ: a row that is not one finite
+    float, no labels or a first line that splitlines() would split; and for a
+    pipe, which yields its data once, or a suffix numpy's opener decompresses."""
     path = os.path.abspath(path)  # numpy's opener never takes it for a URL
+    if not os.path.isfile(path) or path.endswith((".gz", ".bz2", ".xz", ".lzma")):
+        return None
     header = 0
     try:
         with open(path) as fh:
             first = fh.readline()
-        if len(first.splitlines()) > 1 or path.endswith((".gz", ".bz2", ".xz", ".lzma")):
+        if len(first.splitlines()) > 1:
             return None
         try:
             float(first)
@@ -324,8 +326,7 @@ def cmd_bench(args) -> int:
                 rng = root.spawn(cell)
                 cell += 1
                 idx, ys = draw(rng)
-                x = idx if MECHANISMS[mech][0] else ys
-                _, run = randomize_mapped(mech, ys, x, universe, eps, loss, rng, clip=args.clip)
+                _, run = randomize_mapped(mech, ys, idx, universe, eps, loss, rng, clip=args.clip)
                 rows.append(f"{mech},{fmt(eps)},{rep},{fmt(run.mechanism_loss_on_inputs)}")
     text = "\n".join(rows) + "\n"
     if args.output:

@@ -203,23 +203,23 @@ def randomize(mechanism, labels, universe: LabelSet, eps: float, loss: LossSpec,
     clamps the one-step mechanisms' outputs into the universe range.  Returns
     (noisy_labels, report); order and length of the input are preserved.
     """
+    return randomize_mapped(mechanism, labels, None, universe, eps, loss, rng, clip=clip, eps1=eps1)
+
+
+def randomize_mapped(mechanism, labels, indices, universe: LabelSet, eps: float, loss: LossSpec,
+                     rng: Rng, *, clip: bool = True, eps1: float | None = None):
+    """randomize() given indices = universe_indices(labels, universe), or None
+    to map them here, so that a caller running many mechanisms on one batch
+    maps it once.  Mechanisms that do not take indices clamp the labels."""
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}; pick from {', '.join(MECHANISMS)}")
-    raw = np.asarray(labels, dtype=float)
-    if MECHANISMS[mechanism][0]:
-        x = universe_indices(raw, universe)
+    indexed, sample = MECHANISMS[mechanism]
+    raw = _labels(labels)
+    if indexed:
+        x = universe_indices(raw, universe) if indices is None else indices
     else:
         x = np.clip(raw, universe.y_min, universe.y_max)
-    return randomize_mapped(mechanism, raw, x, universe, eps, loss, rng, clip=clip, eps1=eps1)
-
-
-def randomize_mapped(mechanism, raw, x, universe: LabelSet, eps: float, loss: LossSpec, rng: Rng,
-                     *, clip: bool = True, eps1: float | None = None):
-    """randomize() from its mapped labels, so that a caller running many
-    mechanisms on one batch maps it once: x is universe_indices(raw, universe)
-    if MECHANISMS[mechanism][0] is true, else raw clamped into the range."""
-    raw = _labels(raw)
-    noisy, budget, prior, layout = MECHANISMS[mechanism][1](x, universe, eps, rng, loss, eps1, clip)
+    noisy, budget, prior, layout = sample(x, universe, eps, rng, loss, eps1, clip)
     return noisy, _report(raw, noisy, budget, prior, layout, loss, rng)
 
 

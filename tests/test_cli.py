@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import urllib.request
 import warnings
 from pathlib import Path
 
@@ -138,6 +140,43 @@ def test_compressed_suffix_is_read_as_text(tmp_path, monkeypatch):
     p = tmp_path / "labels.gz"
     p.write_bytes(gzip.compress(b"label\n1\n2\n", mtime=0))
     _assert_matches_per_line(str(p), latin1)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_labels_reads_a_pipe_once(tmp_path):
+    # a pipe yields its data once, so it goes straight to the per-line
+    # parser; a first read for the header would drain part of it
+    text = "label\n" + "".join(f"{i / 7:.6f}\n" for i in range(20000))  # several pipe buffers
+    fifo = str(tmp_path / "labels.fifo")
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "w") as fh:
+            fh.write(text)
+
+    got = []
+    threads = [threading.Thread(target=feed, daemon=True),
+               threading.Thread(target=lambda: got.append(read_labels(fifo)), daemon=True)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert got, "read_labels blocked on the pipe"
+    assert got[0].tolist() == _parse_lines(fifo, text.splitlines(), None)
+
+
+def test_url_like_path_is_read_as_local_file(tmp_path, monkeypatch):
+    # numpy's opener fetches a string with a scheme and a host; the relative
+    # path http://host/x names the local file http:/host/x
+    def no_network(*args, **kwargs):
+        raise AssertionError("tried to fetch a URL")
+
+    monkeypatch.setattr(urllib.request, "urlopen", no_network)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "http:" / "host").mkdir(parents=True)
+    write(tmp_path / "http:" / "host" / "x", "label\n1\n2.5\n")
+    assert _bulk_labels("http://host/x").tolist() == [1.0, 2.5]
+    assert read_labels("http://host/x").tolist() == [1.0, 2.5]
 
 
 @pytest.mark.parametrize("text", ["", "label\n", "label\n\n  \n"])
