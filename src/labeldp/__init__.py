@@ -43,12 +43,16 @@ from .mechanisms import (
 )
 from .pipeline import RandomizationReport, label_randomizer, randomize, snap_to_universe
 from .prior import HistogramEstimate, default_budget_split, laplace_histogram
-from .verify import (
-    LpSolution,
-    brute_force_optimal_bins,
-    check_eps_dp,
-    empirical_sampler_check,
-    lp_optimal_mechanism,
-)
 
 __version__ = "0.1.0"
+
+# the oracles are loaded on first use, so the CLI's cold start never compiles them
+_VERIFY_NAMES = ("LpSolution", "brute_force_optimal_bins", "check_eps_dp",
+                 "empirical_sampler_check", "lp_optimal_mechanism")
+
+
+def __getattr__(name):
+    if name in _VERIFY_NAMES:
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,7 +11,8 @@ The single-bin subproblem for the interval [y^r, y^i] is
 
 and the best layout with d bins has cost A[k][d] = min over partitions of the
 sum of its bins' L values; the reported objective is A[k][d]/(d - 1 + e^eps),
-minimized over d.  One k x k table holds the L values, not their minimizers.
+minimized over d.  One table of k(k+1)/2 doubles holds the L values, not
+their minimizers, packed by bin end: L[0..i][i] (0-based) at i(i+1)/2 onwards.
 It is filled by bin end, with numpy work over every start of a block of ends,
 and each built-in loss has one formula that is exact at every tilt
 T = e^eps - 1: the parallel-axis form for the squared loss, sums of absolute
@@ -41,6 +42,7 @@ TILT_CAP = 1e300          # e^eps saturates here; layouts beyond eps ~ 35 are id
 GOLDEN_TOL = 1e-10        # absolute tolerance in yhat for the generic inner solver
 _GOLDEN_CELLS = 1 << 16   # weighted labels per lockstep search of a custom-loss table
 _MAX_RATIO_ROUNDS = 100   # parametric search safety cap; never reached in practice
+_RATIO_SLACK = 1e-14      # relative: ratios this close to lam agree to rounding
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -267,8 +269,13 @@ def _rows_generic(p: np.ndarray, y: np.ndarray, tilt: float, loss: LossSpec):
         r0 = r1
 
 
+def _cell(a: int, b: int) -> int:
+    """Index of L[a][b] (0-based, a <= b) in the packed table."""
+    return b * (b + 1) // 2 + a
+
+
 def _build_tables(prior: Prior, tilt: float, loss: LossSpec) -> np.ndarray:
-    """The single-bin table L, indexed [r][i] (0-based) with inf for r > i.
+    """The single-bin table L, packed by bin end: L[r][i] at _cell(r, i).
 
     Rows are solved on the mirrored labels, where a row of starts is a column
     of ends of L, and stored as the contiguous columns the segmentation pass
@@ -276,7 +283,7 @@ def _build_tables(prior: Prior, tilt: float, loss: LossSpec) -> np.ndarray:
     the space the last build's table freed, so that the peak grows a table.
     """
     k = prior.k
-    cols = np.full((k, k), np.inf)
+    cols = np.empty(k * (k + 1) // 2)
     p = np.ascontiguousarray(prior.probs_array()[::-1])
     y = np.ascontiguousarray(prior.labels.as_array()[::-1])
     if loss.kind == "squared":
@@ -289,8 +296,8 @@ def _build_tables(prior: Prior, tilt: float, loss: LossSpec) -> np.ndarray:
         rows = _rows_generic(p, y, tilt, loss)
     for r, vals in rows:
         end = k - 1 - r  # the mirrored row r holds the bins [end - n, end]
-        cols[end, :end + 1] = vals[::-1]
-    return cols.T
+        cols[_cell(0, end):_cell(0, end + 1)] = vals[::-1]
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +372,17 @@ def inner_min_generic(prior: Prior, r: int, i: int, eps: float, loss: LossSpec):
 # search over partitions
 # ---------------------------------------------------------------------------
 
-def _segment_pass(lval: np.ndarray, lam: float):
+def _segment_pass(lval: np.ndarray, k: int, lam: float):
     """Best additive segmentation with a per-bin price of lam.
 
-    B[i] = min_{0 <= r < i} B[r] + lval[r][i-1] - lam.  Exact value ties go to
+    B[i] = min_{0 <= r < i} B[r] + L[r][i-1] - lam.  Exact value ties go to
     the start whose segmentation has the fewest bins, then the smallest start.
     """
-    k = lval.shape[0]
     B = np.zeros(k + 1)
     bins = np.zeros(k + 1, dtype=np.int64)
     parent = np.empty(k + 1, dtype=np.int64)
     for i in range(1, k + 1):
-        cand = B[:i] + lval[:i, i - 1]
+        cand = B[:i] + lval[_cell(0, i - 1):_cell(0, i)]
         m = int(cand.argmin())
         if int(cand[::-1].argmin()) != i - 1 - m:  # the last minimum is another start
             ties = (cand == cand[m]).nonzero()[0]
@@ -397,25 +403,29 @@ def _backtrack(parent: np.ndarray, k: int) -> list[tuple[int, int]]:
 
 
 def _partition_cost(lval: np.ndarray, spans) -> float:
-    return float(math.fsum(lval[a, b] for a, b in spans))
+    return float(math.fsum(lval[_cell(a, b)] for a, b in spans))
 
 
-def _parametric_search(lval: np.ndarray, tilt: float):
+def _parametric_search(lval: np.ndarray, k: int, tilt: float):
     """Exact minimizer of sum(L over bins) / (d - 1 + tilt) over partitions.
 
     Iterates lam <- cost(P)/(d-1+tilt) of the best segmentation at price lam,
     which strictly improves until the optimum certifies itself; terminates in
-    a few rounds for any finite instance.  Each pass sends exact float ties to
-    fewer bins, then the smaller start; the last two layouts, when their
-    ratios agree to rounding, resolve toward fewer bins.
+    a few rounds for any finite instance.  The best layout of at most two bins,
+    found in O(k), seeds the ratio.  Each pass sends exact float ties to
+    fewer bins, then the smaller start; two layouts whose ratios agree to
+    rounding, the seeds or the last two, resolve toward fewer bins.
     """
-    k = lval.shape[0]
-    lam = lval[0, k - 1] / tilt  # single-bin layout seeds the ratio
-    spans = [(0, k - 1)]
+    lam, spans = lval[_cell(0, k - 1)] / tilt, [(0, k - 1)]
+    if k > 1:  # L[0][s] + L[s+1][k-1] over every split s, the smallest s on ties
+        two = lval[_cell(0, np.arange(k - 1))] + lval[_cell(1, k - 1):]
+        s = int(two.argmin())
+        if two[s] / (1.0 + tilt) < lam - _RATIO_SLACK * max(1.0, abs(lam)):
+            lam, spans = two[s] / (1.0 + tilt), [(0, s), (s + 1, k - 1)]
     for _ in range(_MAX_RATIO_ROUNDS):
-        new_spans = _backtrack(_segment_pass(lval, lam), k)
+        new_spans = _backtrack(_segment_pass(lval, k, lam), k)
         new_lam = _partition_cost(lval, new_spans) / (len(new_spans) - 1 + tilt)
-        slack = 1e-14 * max(1.0, abs(lam))
+        slack = _RATIO_SLACK * max(1.0, abs(lam))
         if new_lam >= lam - slack:
             if new_lam > lam + slack or len(spans) < len(new_spans):
                 return lam, spans
@@ -446,7 +456,7 @@ def optimize_bins(prior: Prior, eps: float, loss: LossSpec) -> BinLayout:
         raise ValueError(f"eps must be non-negative, got {eps}")
     tilt = tilt_factor(eps)
     lval = _build_tables(prior, tilt, loss)
-    objective, spans = _parametric_search(lval, tilt)
+    objective, spans = _parametric_search(lval, prior.k, tilt)
     outputs = _bin_outputs(prior, spans, eps, loss)
     # adjacent outputs that coincide or invert cannot occur at an exact optimum
     # (the outputs form a set and are non-decreasing there), but float ties

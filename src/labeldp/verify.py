@@ -126,12 +126,26 @@ def brute_force_optimal_bins(prior: Prior, eps: float, loss: LossSpec) -> BinLay
 # layered fill of the partition table
 # ---------------------------------------------------------------------------
 
+def _table_k(lval: np.ndarray) -> int:
+    """k of a packed table of k(k+1)/2 cells."""
+    return (math.isqrt(8 * len(lval) + 1) - 1) // 2
+
+
+def square_table(lval: np.ndarray) -> np.ndarray:
+    """The packed single-bin table as a k x k array indexed [r-1][i-1], with
+    inf where r > i."""
+    k = _table_k(lval)
+    square = np.full((k, k), np.inf)
+    square.T[np.tril_indices(k)] = lval  # row-major lower triangle of L^T = packed by end
+    return square
+
+
 @dataclass
 class DPTables:
     """Tables from the layered fill: a[i][j] is the best additive cost of
     splitting the first i labels into j bins; parent[i][j] the chosen start
-    of the last bin.  lval holds the single-bin subproblem values, indexed
-    [r-1][i-1]."""
+    of the last bin.  lval holds the single-bin subproblem values, packed by
+    bin end as optimize_bins builds them."""
 
     a: np.ndarray = field(repr=False)
     parent: np.ndarray = field(repr=False)
@@ -141,14 +155,15 @@ class DPTables:
 def layered_tables(lval: np.ndarray) -> DPTables:
     """Reference layered fill of the full A[i][j] table (quadratic states,
     linear work per state), to cross-check the parametric ratio search."""
-    k = lval.shape[0]
+    k = _table_k(lval)
     a = np.full((k + 1, k + 1), np.inf)
     parent = np.full((k + 1, k + 1), -1, dtype=np.int64)
     a[0, 0] = 0.0
     for j in range(1, k + 1):
         aprev = a[:, j - 1]
         for i in range(j, k + 1):
-            cand = aprev[j - 1: i] + lval[j - 1: i, i - 1]
+            col = (i - 1) * i // 2  # L[0][i-1] in the packed table
+            cand = aprev[j - 1: i] + lval[col + j - 1: col + i]
             m = int(np.argmin(cand))
             a[i, j] = cand[m]
             parent[i, j] = m + (j - 1)

@@ -51,6 +51,7 @@ from labeldp.verify import (
     discrete_staircase_pmf,
     empirical_sampler_check,
     lp_optimal_mechanism,
+    square_table,
     staircase_interval_probs,
 )
 
@@ -195,7 +196,7 @@ def test_criterion_4_inner_solver_identities():
             (POISSON, inner_min_poisson),
             (ABSOLUTE, inner_min_absolute),
         ):
-            lval = _build_tables(prior, tilt_factor(eps), spec)
+            lval = square_table(_build_tables(prior, tilt_factor(eps), spec))
             _, v = fast(prior, r, i, eps)
             gap = abs(lval[r - 1, i - 1] - v)
             worst_amort = max(worst_amort, gap / max(1.0, abs(v)))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,12 @@ from labeldp import (
 )
 from labeldp import binopt
 from labeldp.binopt import TILT_CAP, _build_tables, tilt_factor
-from labeldp.verify import _layered_select, brute_force_optimal_bins, layered_tables
+from labeldp.verify import (
+    _layered_select,
+    brute_force_optimal_bins,
+    layered_tables,
+    square_table,
+)
 
 ALL_LOSSES = (SQUARED, ABSOLUTE, POISSON)
 # past eps 5 the tilt outweighs the mass outside a bin by e^eps; 800 is capped
@@ -177,7 +183,7 @@ def test_amortized_tables_match_from_scratch():
             (POISSON, inner_min_poisson),
             (ABSOLUTE, inner_min_absolute),
         ):
-            lval = _build_tables(pr, tilt, spec)
+            lval = square_table(_build_tables(pr, tilt, spec))
             r = int(rng.integers(1, pr.k + 1))
             i = int(rng.integers(r, pr.k + 1))
             _, v = fast(pr, r, i, eps)
@@ -190,7 +196,7 @@ def test_tie_prior_puts_median_on_half_weight():
     yhat, value = inner_min_absolute(pr, 1, 4, 0.0)
     assert yhat == 1.0
     assert optimize_bins(pr, 0.0, ABSOLUTE).outputs == (1.0,)
-    assert _build_tables(pr, 1.0, ABSOLUTE)[0, 3] == pytest.approx(value, abs=1e-15)
+    assert square_table(_build_tables(pr, 1.0, ABSOLUTE))[0, 3] == pytest.approx(value, abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -215,7 +221,7 @@ def test_tables_match_from_scratch_every_cell(spec, fast, tol, trials):
             eps = float(rng.choice(HIGH_EPS + (1e6,)))
         else:
             eps = float(rng.uniform(0, 5))
-        lval = _build_tables(pr, tilt_factor(eps), spec)
+        lval = square_table(_build_tables(pr, tilt_factor(eps), spec))
         for r in range(1, pr.k + 1):
             for i in range(r, pr.k + 1):
                 _, v = fast(pr, r, i, eps)
@@ -235,7 +241,7 @@ def test_generic_table_blocks_match_from_scratch(monkeypatch, eps):
     monkeypatch.setattr(binopt, "_GOLDEN_CELLS", 1 << 8)
     monkeypatch.setattr(binopt, "_golden_rows",
                         lambda w, y, loss: blocks.append(len(w)) or golden(w, y, loss))
-    lval = _build_tables(pr, tilt_factor(eps), HUBER)
+    lval = square_table(_build_tables(pr, tilt_factor(eps), HUBER))
     monkeypatch.undo()
     assert blocks[0] == k and 3 <= len(blocks) < k
     for r in range(1, k + 1):
@@ -265,11 +271,49 @@ def test_tables_match_exact_rationals(spec, eps):
     tilt = tilt_factor(eps)
     for _ in range(15):
         pr = random_prior(rng, k_max=7)
-        lval = _build_tables(pr, tilt, spec)
+        lval = square_table(_build_tables(pr, tilt, spec))
         for r in range(1, pr.k + 1):
             for i in range(r, pr.k + 1):
                 exact = float(exact_cell(pr, r, i, tilt, spec.kind))
                 assert lval[r - 1, i - 1] == pytest.approx(exact, rel=1e-12, abs=0), (r, i)
+
+
+@pytest.mark.parametrize("spec", ALL_LOSSES + (HUBER,), ids=("squared", "absolute", "poisson", "huber"))
+def test_table_holds_one_cell_per_bin(spec):
+    # one finite value per bin [r, i], packed, and nothing below the diagonal
+    k = 12
+    rng = np.random.default_rng(17)
+    p = rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.7)
+    pr = make_prior(make_label_set(np.arange(k) * 1.5 + 0.5), p)
+    for eps in (0.0, 1.0, 8.0, 800.0):
+        lval = _build_tables(pr, tilt_factor(eps), spec)
+        assert lval.shape == (k * (k + 1) // 2,)
+        assert np.isfinite(lval).all(), eps
+
+
+@pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda s: s.kind)
+def test_optimize_peak_memory_below_a_square_table(loss):
+    # the packed table takes 4k^2 bytes; a k x k table alone would take 8k^2
+    k = 1001
+    pr = make_prior(make_label_set(range(k)), np.arange(1, k + 1, dtype=float) ** -1.2)
+    tracemalloc.start()
+    try:
+        optimize_bins(pr, 8.0, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.8 * 8 * k * k
+
+
+@pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda s: s.kind)
+def test_two_bin_optimum_takes_one_pass(monkeypatch, loss):
+    # the two-bin seed is the optimum, so the first pass certifies it
+    segment, calls = binopt._segment_pass, []
+    monkeypatch.setattr(binopt, "_segment_pass", lambda *a: calls.append(1) or segment(*a))
+    k = 101
+    pr = make_prior(make_label_set(range(k)), np.arange(1, k + 1, dtype=float) ** -1.2)
+    assert optimize_bins(pr, 1.0, loss).d == 2
+    assert len(calls) == 1
 
 
 def test_capped_squared_objective_is_exact():
@@ -386,14 +430,15 @@ def test_parametric_matches_layered_reference(loss):
 def test_ties_resolve_toward_fewer_bins(vals, p, d):
     # zero-mass labels and a tilt of 2 make layouts of different sizes tie.
     # Layouts of one size whose cells differ only by rounding may take either
-    # boundaries: in the first case (6, 7) here and (4, 7) in the brute force
+    # boundaries: in the first case (4, 7) and (6, 7) differ only in where the
+    # zero-mass labels 12 and 18 go
     pr = make_prior(make_label_set(vals), p)
     lay = optimize_bins(pr, math.log(2), ABSOLUTE)
     ref = brute_force_optimal_bins(pr, math.log(2), ABSOLUTE)
     assert lay.d == ref.d == d
     assert lay.objective == pytest.approx(ref.objective, rel=1e-12)
     tilt = tilt_factor(math.log(2))
-    lval = _build_tables(pr, tilt, ABSOLUTE)
+    lval = square_table(_build_tables(pr, tilt, ABSOLUTE))
     for ends in (lay.boundaries, ref.boundaries):
         cost = sum(lval[a, b - 1] for a, b in zip((0,) + ends, ends))
         assert cost / (d - 1 + tilt) == pytest.approx(lay.objective, rel=1e-12)

@@ -554,6 +554,18 @@ def test_cli_import_leaves_scipy_out():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_leaves_oracles_out():
+    # the oracles load on first use of their names, not with the CLI
+    code = ("import sys, labeldp.cli\n"
+            "assert 'labeldp.verify' not in sys.modules, 'oracles imported'\n"
+            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules), 'scipy imported'\n"
+            "from labeldp import brute_force_optimal_bins\n"
+            "assert brute_force_optimal_bins is sys.modules['labeldp.verify'].brute_force_optimal_bins\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_quick_passes(capsys):
     import time
 
