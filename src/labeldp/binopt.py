@@ -17,9 +17,12 @@ It is filled by bin end, with numpy work over every start of a block of ends,
 and each built-in loss has one formula that is exact at every tilt
 T = e^eps - 1: the parallel-axis form for the squared loss, sums of absolute
 deviations about the tilted median for the absolute loss, and the tilted mean,
-where every sum is positive, for the poisson loss.  Any other convex loss runs
-one lockstep golden-section search for all the bins of a block of starts, about
-2^16 weighted labels a block: O(k^3) loss evaluations a step, for about 56 steps.
+where every sum is positive, for the poisson loss.  The blocks change no cell:
+each is computed as for its bin alone, down to the median searches, which
+look in the start's own tilted prefix sums inside the bin and in the prior's
+outside it.  Any other convex loss runs one lockstep golden-section search
+for all the bins of a block of starts, about 2^16 weighted labels a block:
+O(k^3) loss evaluations a step, for about 56 steps.
 
 The search over (partition, d) runs as a parametric ratio search
 (Dinkelbach's method): each round solves an unconstrained segmentation with a
@@ -40,6 +43,7 @@ from .losses import POISSON_YHAT_FLOOR, LossSpec
 
 TILT_CAP = 1e300          # e^eps saturates here; layouts beyond eps ~ 35 are identity-like
 GOLDEN_TOL = 1e-10        # absolute tolerance in yhat for the generic inner solver
+_TABLE_CELLS = 1 << 14    # cells per block of starts of a built-in loss's table
 _GOLDEN_CELLS = 1 << 16   # weighted labels per lockstep search of a custom-loss table
 _MAX_RATIO_ROUNDS = 100   # parametric search safety cap; never reached in practice
 _RATIO_SLACK = 1e-14      # relative: ratios this close to lam agree to rounding
@@ -106,13 +110,17 @@ class BinLayout:
 # ---------------------------------------------------------------------------
 
 def _row_blocks(p: np.ndarray):
-    """Blocks of about 2^14 cells: starts r0..r1-1 and the prior masked to
-    each start's bins, pm[t, j] = p[r0 + j] for j >= t and 0 before."""
+    """Blocks of about _TABLE_CELLS cells, never fewer than one start: starts
+    r0..r1-1 and the prior masked to each start's bins, pm[t, j] = p[r0 + j]
+    for j >= t and 0 before."""
     k = len(p)
     r0 = 0
     while r0 < k:
-        r1 = min(k, r0 + max(1, (1 << 14) // (k - r0)))
-        yield r0, np.triu(np.tile(p[r0:], (r1 - r0, 1)))
+        r1 = min(k, r0 + max(1, _TABLE_CELLS // (k - r0)))
+        pm = np.zeros((r1 - r0, k - r0))
+        for t in range(r1 - r0):
+            pm[t, t:] = p[r0 + t:]
+        yield r0, pm
         r0 = r1
 
 
@@ -174,43 +182,78 @@ def _rows_poisson(p: np.ndarray, y: np.ndarray, tilt: float):
 
 
 def _rows_absolute(p: np.ndarray, y: np.ndarray, tilt: float):
-    """Per start r, the tilted absolute-loss minimum over ascending labels y.
-
-    With P the prefix sums of p, the tilted cumulative weight through label j
-    is P(j) below the bin, (1+T)P(j) - T*P(r-1) inside it and
-    P(j) + T*(P(i) - P(r-1)) above it, each piece monotone in P, so three
-    searchsorted calls place the median m of every bin of the row.  The value
-    is D_all(m) + T*D_bin(m), the sums of p_j*|y_j - y_m| over all labels and
-    over the bin.  Both are built from deviations about a label, never from
-    sums of p*y, so the tilt scales no cancelling difference.
-    """
-    k = len(p)
+    """Per start r, the tilted absolute-loss minimum over ascending labels y,
+    one block of starts at a time (see _absolute_block), whose temporaries
+    are freed before the next block's are made."""
     T = tilt - 1.0
     P = np.concatenate(([0.0], np.cumsum(p)))
-    gap = np.diff(y)
     d_all = sum(_deviations(p, y))
-    ends = np.arange(k + 1)
-    for r in range(k):
-        i = ends[r:k]
-        dp = np.cumsum(p[r:])  # mass of the bin [r, i]
-        tdp = T * dp
-        half = 0.5 * (P[k] + tdp)
-        # smallest label whose tilted cumulative weight reaches half the total,
-        # looked up in the piece below, inside and above the bin in turn
-        below = np.searchsorted(P[1:r + 1], half)
-        inside = r + np.searchsorted(P[r + 1:] + tdp, half)
-        above_bin = np.maximum(np.searchsorted(P[1:], half - tdp), i + 1)
-        m = np.where(below < r, below, np.where(inside <= i, inside, above_bin))
-        # D_bin from the bin's mass, deviations below each label and above the
-        # first, each led by a zero; u counts the bin's labels up to the median
-        mass = np.concatenate(([0.0], dp))
-        dev_lo = np.concatenate(([0.0, 0.0], np.cumsum(dp[:-1] * gap[r:])))
-        dev_hi = np.concatenate(([0.0], np.cumsum(p[r:] * (y[r:] - y[r]))))
-        u = np.minimum(np.maximum(m - (r - 1), 0), ends[1:k - r + 1])
-        ym = y[m]
-        d_bin = (dev_lo[u] + (dev_hi[1:] - dev_hi[u]) + (dp - mass[u]) * (y[r] - ym)
-                 + dp * np.maximum(ym - y[r:], 0.0))
-        yield r, d_all[m] + T * d_bin
+    for r0, pm in _row_blocks(p):
+        vals = _absolute_block(P, y, d_all, T, r0, pm)
+        for s, row in enumerate(vals):
+            yield r0 + s, row[s:]
+
+
+def _absolute_block(P: np.ndarray, y: np.ndarray, d_all: np.ndarray, T: float, r0: int,
+                    pm: np.ndarray) -> np.ndarray:
+    """The bins [r0 + s, r0 + c] of a block, each valued D_all(m) + T*D_bin(m)
+    at its tilted median m (see _medians): the sums of p_j*|y_j - y_m| over
+    all labels and over the bin.  Both are built from deviations about a
+    label, never from sums of p*y, so the tilt scales no cancelling
+    difference.  D_bin comes from the bin's mass and its deviations below
+    each label and above its first, prefix arrays over the block's columns
+    that are zero before each row's start and led by zeros, so one flat
+    gather reads each for every cell; u counts the bin's labels up to the
+    median.
+    """
+    nb, n = pm.shape
+    t = np.arange(nb)[:, None]
+    yr = y[r0:r0 + nb, None]  # each row's first label
+    mass = np.zeros((nb, n + 1))
+    dp = np.cumsum(pm, axis=1, out=mass[:, 1:])  # mass of the bin [r, i]
+    m = _medians(P, dp, T, r0)
+    dev_lo = np.zeros((nb, n + 1))
+    np.cumsum(dp[:, :-1] * np.diff(y[r0:]), axis=1, out=dev_lo[:, 2:])
+    dev_hi = np.zeros((nb, n + 1))
+    np.cumsum(pm * (y[r0:] - yr), axis=1, out=dev_hi[:, 1:])
+    u = np.minimum(np.maximum(m - (r0 - 1), t), np.arange(1, n + 1)) + t * (n + 1)
+    ym = y[m]
+    d_bin = (dev_lo.ravel()[u] + (dev_hi[:, 1:] - dev_hi.ravel()[u])
+             + (dp - mass.ravel()[u]) * (yr - ym) + dp * np.maximum(ym - y[r0:], 0.0))
+    return d_all[m] + T * d_bin
+
+
+def _medians(P: np.ndarray, dp: np.ndarray, T: float, r0: int) -> np.ndarray:
+    """The tilted median of every bin [r0 + s, r0 + c] of a block: the
+    smallest label whose tilted cumulative weight reaches half the total.
+
+    With P the prefix sums of the prior and dp the bin's mass, that weight
+    through label j is P(j) below the bin, H(j) = P(j) + T*dp(j) inside it and
+    P(j) + T*dp(i) above it.  Each cell's case is decided on its own: the
+    median lies below the bin if P(r-1) reaches half, and above it if H(i)
+    does not.  There it is searched in P; inside, in the row's own H, which
+    equals P before the row's start.  Each search compares what a search per
+    bin compares, so no cell depends on the block.
+    """
+    k = len(P) - 1
+    nb, n = dp.shape
+    tdp = T * dp
+    H = P[r0 + 1:] + tdp
+    half = 0.5 * (P[k] + tdp)
+    below = P[r0:r0 + nb, None] >= half
+    above = H < half
+    inside = np.flatnonzero(~(below | above))
+    # above reversed: each row's keys ascend, so each search starts from the last
+    below, above = np.flatnonzero(below), np.flatnonzero(above)[::-1]
+    half, tdp = half.ravel(), tdp.ravel()
+    m = np.empty(nb * n, dtype=np.intp)
+    m[below] = np.searchsorted(P[1:], half[below])
+    m[above] = np.maximum(np.searchsorted(P[1:], half[above] - tdp[above]), above % n + (r0 + 1))
+    cut = np.searchsorted(inside, np.arange(nb + 1) * n)  # each row's share
+    for s in range(nb):
+        cells = inside[cut[s]:cut[s + 1]]
+        m[cells] = r0 + np.searchsorted(H[s], half[cells])
+    return m.reshape(nb, n)
 
 
 def _golden_rows(w: np.ndarray, y: np.ndarray, loss: LossSpec):

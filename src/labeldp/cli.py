@@ -31,6 +31,9 @@ from .mechanisms import Rng
 from .pipeline import MECHANISMS, randomize, randomize_mapped, universe_indices
 
 SEED_ENV = "LABELDP_SEED"
+FLOAT_NOISE = ("laplace, staircase and exponential draw float noise and are not hardened "
+               "against floating-point attacks (Mironov, CCS 2012); rr-on-bins still "
+               "estimates its prior histogram with float Laplace noise")
 
 
 class ParseError(Exception):
@@ -347,12 +350,16 @@ def cmd_verify(args) -> int:
     results = selfcheck.run_suites(
         quick=args.quick, seed=args.seed, dp_check_eps_offset=args.dp_offset
     )
-    failed = 0
-    for name, ok, detail in results:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-        failed += 0 if ok else 1
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 0 if failed == 0 else 1
+    passed = sum(ok for _, ok, _ in results)
+    if args.json:
+        print(json.dumps({"suites": [{"name": name, "ok": ok, "detail": detail}
+                                     for name, ok, detail in results],
+                          "passed": passed, "total": len(results)}))
+    else:
+        for name, ok, detail in results:
+            print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+        print(f"{passed}/{len(results)} checks passed")
+    return 0 if passed == len(results) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True, help="total privacy budget")
     p.add_argument("--eps1", type=float, default=None,
                    help="explicit prior-estimation budget (default sqrt(k/n))")
-    p.add_argument("--mechanism", choices=MECHANISMS, default="rr-on-bins")
+    p.add_argument("--mechanism", choices=MECHANISMS, default="rr-on-bins", help=FLOAT_NOISE)
     p.add_argument("--universe", required=True, help="min:max:step or v1,v2,...")
     p.add_argument("--column", type=int, default=None, help="CSV column index")
     p.add_argument("--clip", action=argparse.BooleanOptionalAction, default=True,
@@ -407,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--universe", required=True)
     p.add_argument("--column", type=int, default=None)
     p.add_argument("--eps-list", default="0.5,1,2,4")
-    p.add_argument("--mechanisms", default=",".join(MECHANISMS))
+    p.add_argument("--mechanisms", default=",".join(MECHANISMS),
+                   help=f"comma-separated, from {', '.join(MECHANISMS)}; {FLOAT_NOISE}")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--clip", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--output", default=None)
@@ -418,6 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quick", action="store_true", help="small instances only (<10s)")
     p.add_argument("--dp-offset", type=float, default=0.0,
                    help="offset added to eps in the DP ratio check (fault injection)")
+    p.add_argument("--json", action="store_true",
+                   help="print one JSON object: each suite's name, ok and detail, "
+                        "and the passed and total counts")
     p.set_defaults(fn=cmd_verify)
     return top
 

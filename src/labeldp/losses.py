@@ -62,10 +62,13 @@ def _absolute(yhat, y):
 
 
 def _poisson(yhat, y):
-    yhat = np.asarray(yhat, dtype=float)
-    y = np.asarray(y, dtype=float)
-    # y * log(yhat) with the 0 * log convention handled by y == 0 masking
-    return yhat - np.where(y == 0, 0.0, y * np.log(yhat))
+    yhat, y = np.broadcast_arrays(np.asarray(yhat, dtype=float), np.asarray(y, dtype=float))
+    # the log is taken only where y != 0, as 0 * log(yhat) counts 0 even at
+    # yhat = 0; there a label above 0 costs log(0) = -inf, so the loss is +inf
+    log_yhat = np.zeros(y.shape)
+    with np.errstate(divide="ignore"):
+        np.log(yhat, out=log_yhat, where=y != 0)
+    return yhat - y * log_yhat
 
 
 SQUARED = LossSpec("squared", _squared, convex_in_first_arg=True)

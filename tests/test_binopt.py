@@ -250,6 +250,35 @@ def test_generic_table_blocks_match_from_scratch(monkeypatch, eps):
             assert lval[r - 1, i - 1] == pytest.approx(v, rel=1e-9, abs=1e-9), (r, i)
 
 
+def tie_prior(rng, k):
+    """k labels on a half-integer grid with integer weights and runs of zero
+    mass, where tilted medians fall on a half-weight tie."""
+    vals = np.sort(rng.choice(np.arange(4 * k) * 0.5, size=k, replace=False))
+    p = rng.integers(0, 4, size=k).astype(float)
+    for _ in range(2):
+        a = int(rng.integers(k))
+        p[a:a + int(rng.integers(1, 6))] = 0.0
+    if p.sum() == 0:
+        p[rng.integers(k)] = 1.0
+    return make_prior(make_label_set(vals), p)
+
+
+@pytest.mark.parametrize("spec", ALL_LOSSES, ids=lambda s: s.kind)
+def test_table_blocks_change_no_cell(monkeypatch, spec):
+    # the default blocks hold every start up to k = 128 and 77 or more at
+    # k = 211; a block of one start must give every cell bit for bit
+    rng = np.random.default_rng(18)
+    priors = [tie_prior(rng, k) for k in (1, 2, 3, 37, 211) for _ in range(2)]
+    tilts = [tilt_factor(eps) for eps in (0.0, 1.0, 8.0, 30.0, 800.0)]
+    blocked = [_build_tables(pr, tilt, spec) for pr in priors for tilt in tilts]
+    assert len(next(binopt._row_blocks(np.ones(211)))[1]) == 77
+    monkeypatch.setattr(binopt, "_TABLE_CELLS", 1)
+    assert all(len(pm) == 1 for _, pm in binopt._row_blocks(np.ones(211)))
+    single = [_build_tables(pr, tilt, spec) for pr in priors for tilt in tilts]
+    for n, (a, b) in enumerate(zip(blocked, single)):
+        assert np.array_equal(a, b), (priors[n // len(tilts)].k, tilts[n % len(tilts)])
+
+
 def exact_cell(pr, r, i, tilt, kind):
     """L[r][i] (1-based) for the squared or absolute loss, in exact rational
     arithmetic on the float weights, labels and tilt."""

@@ -528,6 +528,28 @@ def test_bench_rejects_bad_mechanism(tmp_path):
     assert run(["bench", "--universe", "0:3:1", "--mechanisms", "nope"]) == 3
 
 
+@pytest.mark.parametrize("mechanism", ("rr", "laplace", "discrete-laplace"))
+def test_randomize_poisson_output_zero_warns_nothing(tmp_path, mechanism):
+    # outputs of 0 for labels above 0 cost +inf, and nothing reaches stderr
+    inp = write(tmp_path / "in.txt", "\n".join(str(v % 6) for v in range(300)) + "\n")
+    out = tmp_path / "out.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["randomize", "--input", inp, "--output", out, "--eps", "1", "--loss", "poisson",
+                    "--mechanism", mechanism, "--universe", "0:5:1", "--seed", "3"]) == 0
+    assert (np.loadtxt(out) == 0).any()
+    report = json.loads((tmp_path / "out.txt.report.json").read_text())
+    assert report["mechanism_loss_on_inputs"] == "inf"
+
+
+def test_bench_poisson_output_zero_warns_nothing(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["bench", "--loss", "poisson", "--mechanisms", "rr,laplace", "--universe", "0:5:1",
+                    "--n", "300", "--reps", "1", "--eps-list", "1", "--seed", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["rr,1,0,inf", "laplace,1,0,inf"]
+
+
 def test_bench_no_noise_limit(tmp_path):
     out = tmp_path / "b.csv"
     assert run(["bench", "--synthetic", "uniform", "--n", "500", "--universe", "0:20:1",
@@ -581,3 +603,16 @@ def test_verify_detects_injected_dp_fault(capsys):
     assert run(["verify", "--quick", "--seed", "2", "--dp-offset", "-0.1"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  dp-ratio" in out
+
+
+def test_verify_json_lists_each_suite(capsys):
+    assert run(["verify", "--quick", "--seed", "2", "--json"]) == 0
+    ok = json.loads(capsys.readouterr().out)
+    assert [s["name"] for s in ok["suites"]] == ["oracle-equivalence", "lp-cross-check",
+                                                 "dp-ratio", "sampler-fit"]
+    assert all(s["ok"] is True and s["detail"] for s in ok["suites"])
+    assert (ok["passed"], ok["total"]) == (4, 4)
+    assert run(["verify", "--quick", "--seed", "2", "--json", "--dp-offset", "-0.1"]) == 1
+    bad = json.loads(capsys.readouterr().out)
+    assert [s["name"] for s in bad["suites"] if not s["ok"]] == ["dp-ratio"]
+    assert (bad["passed"], bad["total"]) == (3, 4)

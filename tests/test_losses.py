@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,27 @@ def test_poisson_domain_guard():
         eval_loss(POISSON, -1.0, 1.0)
     # y = 0 is fine: loss reduces to yhat
     assert eval_loss(POISSON, 0.5, 0.0) == 0.5
+
+
+def test_poisson_output_zero_warns_nothing():
+    # an output of 0 costs +inf for a label above 0 and 0 for a label at 0
+    yhat = np.array([0.0, 0.0, 0.0, 0.5, 2.0])
+    y = np.array([0.0, 2.0, 1e-300, 0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = POISSON.eval_fn(yhat, y)
+        assert eval_loss(POISSON, 0.5, 0.0) == 0.5
+    assert list(got) == [0.0, math.inf, math.inf, 0.5, 2.0 - math.log(2.0)]
+
+
+def test_poisson_finite_values_keep_their_bits():
+    # y * log(yhat) at every y != 0, as the formula that logs every cell gives
+    rng = np.random.default_rng(5)
+    yhat = rng.random(2000) * 50 + 1e-12
+    y = np.floor(rng.random(2000) * 8) * rng.choice([1.0, 0.5], 2000)
+    assert np.array_equal(POISSON.eval_fn(yhat, y), yhat - np.where(y == 0, 0.0, y * np.log(yhat)))
+    grid = POISSON.eval_fn(yhat[:40, None], y[None, :30])
+    assert np.array_equal(grid, yhat[:40, None] - np.where(y[:30] == 0, 0.0, y[:30] * np.log(yhat[:40, None])))
 
 
 def test_zero_at_diagonal():
