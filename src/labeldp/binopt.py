@@ -34,6 +34,7 @@ chosen bins are then solved from scratch by the single-interval solvers.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,6 +318,14 @@ def _cell(a: int, b: int) -> int:
     return b * (b + 1) // 2 + a
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory on this machine; inf where the OS does not say."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, OSError, ValueError):
+        return math.inf
+
+
 def _build_tables(prior: Prior, tilt: float, loss: LossSpec) -> np.ndarray:
     """The single-bin table L, packed by bin end: L[r][i] at _cell(r, i).
 
@@ -324,9 +333,14 @@ def _build_tables(prior: Prior, tilt: float, loss: LossSpec) -> np.ndarray:
     of ends of L, and stored as the contiguous columns the segmentation pass
     reads.  The table comes first: a small array allocated before it can split
     the space the last build's table freed, so that the peak grows a table.
+    A table larger than the machine's physical memory is refused unallocated.
     """
     k = prior.k
-    cols = np.empty(k * (k + 1) // 2)
+    cells, memory = k * (k + 1) // 2, _physical_memory()
+    if 8 * cells > memory:
+        raise ValueError(f"the bin table for k={k} labels needs {8 * cells:,} bytes, "
+                         f"more than the {memory:,.0f} bytes of physical memory")
+    cols = np.empty(cells)
     p = np.ascontiguousarray(prior.probs_array()[::-1])
     y = np.ascontiguousarray(prior.labels.as_array()[::-1])
     if loss.kind == "squared":

@@ -34,6 +34,9 @@ SEED_ENV = "LABELDP_SEED"
 FLOAT_NOISE = ("laplace, staircase and exponential draw float noise and are not hardened "
                "against floating-point attacks (Mironov, CCS 2012); rr-on-bins still "
                "estimates its prior histogram with float Laplace noise")
+POISSON_AT_ZERO = ("poisson costs +inf for an output of 0 against a label above 0, so rr and "
+                   "laplace read inf on a universe that holds 0; a run whose outputs can fall "
+                   "below 0 (a universe below 0, or additive noise with --no-clip) is refused")
 
 
 class ParseError(Exception):
@@ -377,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=default_seed,
                        help=f"RNG seed (default from ${SEED_ENV}, else 0)")
-        p.add_argument("--loss", choices=losses.BUILTIN_KINDS, default="squared")
+        p.add_argument("--loss", choices=losses.BUILTIN_KINDS, default="squared",
+                       help=POISSON_AT_ZERO)
 
     p = sub.add_parser("randomize", help="privatize a label file")
     common(p)

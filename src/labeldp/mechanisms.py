@@ -4,7 +4,10 @@ staircase, the exponential mechanism by inverse CDF, plain randomized
 response), plus the clipping post-process.
 
 Every sampler takes an explicit Rng, is deterministic given its seed, and
-draws for a whole array of labels at once.
+draws for a whole array of labels at once.  The staircase, discrete staircase
+and exponential samplers draw into and combine their noise in a few buffers of
+their own, never in the caller's array: one call peaks at under four times
+the label array.
 """
 from __future__ import annotations
 
@@ -152,16 +155,26 @@ def staircase_sample(y, params: NoiseParams, rng: Rng):
     y = np.asarray(y, dtype=float)
     shape = y.shape if y.ndim else (1,)
     g = rng.gen
-    rung = g.geometric(1.0 - math.exp(-eps), size=shape) - 1
+    rung = g.geometric(1.0 - math.exp(-eps), size=shape)
+    rung -= 1
     denom = gamma + math.exp(-eps) * (1.0 - gamma)
     # denom underflows only when gamma ~ e^(-eps/2) ~ 0; the high step (width
     # gamma * delta ~ 0) is then the correct zero-noise limit
     p_high = gamma / denom if denom > 0 else 1.0
-    high = g.random(shape) < p_high
     u = g.random(shape)
-    offset = np.where(high, u * gamma * delta, gamma * delta + u * (1.0 - gamma) * delta)
-    sign = np.where(g.random(shape) < 0.5, -1.0, 1.0)
-    out = y + sign * (rung * delta + offset)
+    high = u < p_high
+    g.random(out=u)
+    offset = np.multiply(u, 1.0 - gamma)  # in the low step; the high step's are copied in
+    offset *= delta
+    offset += gamma * delta
+    u *= gamma
+    u *= delta
+    np.copyto(offset, u, where=high)
+    negative = g.random(out=u) < 0.5
+    out = np.multiply(rung, delta, out=u)
+    out += offset
+    np.negative(out, out=out, where=negative)
+    out += y
     return float(out[0]) if y.ndim == 0 else out
 
 
@@ -183,35 +196,44 @@ def discrete_staircase_sample(y, params: NoiseParams, rng: Rng):
     b = math.exp(-eps)
     a = (1.0 - b) / (2 * r + 2 * b * (delta - r) - (1.0 - b))
     shape = y.shape if y.ndim else (1,)
-    n = int(np.prod(shape)) if shape else 1
     g = rng.gen
 
     # one-sided masses: rung 0 excludes the atom at zero
     m_first = a * (r - 1) + a * b * (delta - r)
     m_rest = a * (r + b * (delta - r)) * b / (1.0 - b)
     side = m_first + m_rest
-    u = g.random(n)
-    noise = np.zeros(n, dtype=np.int64)
+    u = g.random(y.size)
     nonzero = u >= a
     n_nz = int(nonzero.sum())
     if n_nz:
-        first = g.random(n_nz) < m_first / side
-        rung = np.where(first, 0, g.geometric(1.0 - b, size=n_nz))
-        hi_count = np.where(first, r - 1, r)
-        hi_weight = hi_count * 1.0
+        u = u[:n_nz]  # the buffer of every later draw
+        first = g.random(out=u) < m_first / side
+        mag = g.geometric(1.0 - b, size=n_nz)  # the rung, then the magnitude
+        mag[first] = 0
+        # the first rung holds r - 1 high cells past the atom, the others r
         lo_weight = b * (delta - r)
-        p_hi = np.where(
-            hi_weight + lo_weight > 0, hi_weight / (hi_weight + lo_weight), 0.0
-        )
-        take_hi = g.random(n_nz) < p_hi
-        off_hi_start = np.where(first, 1, 0)
-        off_hi = off_hi_start + (g.random(n_nz) * np.maximum(hi_count, 1)).astype(np.int64)
-        off_lo = r + (g.random(n_nz) * (delta - r)).astype(np.int64) if delta > r else np.full(n_nz, r)
-        offset = np.where(take_hi, off_hi, off_lo)
-        mag = rung * delta + offset
-        sign = np.where(g.random(n_nz) < 0.5, -1, 1)
-        noise[nonzero] = sign * mag
-    out = np.asarray(y, dtype=np.int64).reshape(-1) + noise
+        p_first, p_rest = (w / (w + lo_weight) if w + lo_weight > 0 else 0.0
+                           for w in (r - 1.0, float(r)))
+        take_hi = g.random(out=u) < np.where(first, p_first, p_rest)
+        g.random(out=u)
+        u *= np.where(first, float(max(r - 1, 1)), float(r))
+        offset = u.astype(np.int64)
+        offset += first  # the high cells of the first rung start at 1
+        take_lo = ~take_hi
+        if delta > r:
+            g.random(out=u)
+            u *= delta - r
+            np.copyto(offset, u, casting="unsafe", where=take_lo)
+            np.add(offset, r, out=offset, where=take_lo)
+        else:
+            offset[take_lo] = r
+        mag *= delta
+        mag += offset
+        np.negative(mag, out=mag, where=g.random(out=u) < 0.5)
+        del u, offset  # freed before y is copied
+    out = np.array(y, dtype=np.int64, order="C").reshape(-1)  # never the caller's array
+    if n_nz:
+        out[nonzero] += mag
     out = out.reshape(shape)
     return int(out[0]) if y.ndim == 0 else out
 
@@ -240,15 +262,28 @@ def exponential_mechanism_sample(y, lo: float, hi: float, eps: float, rng: Rng) 
         return y.copy()
     if b == math.inf:
         raise ValueError(f"eps {eps} too small for the range [{lo}, {hi}]: the noise scale overflows")
-    below = -np.expm1((lo - y) / b)
-    above = -np.expm1((y - hi) / b)
-    u = rng.gen.random(y.shape) * (below + above)
+    below = np.subtract(lo, y, out=np.empty_like(y))
+    below /= b
+    np.negative(np.expm1(below, out=below), out=below)
+    step = np.subtract(y, hi, out=np.empty_like(y))  # the mass above y, then the step
+    step /= b
+    np.negative(np.expm1(step, out=step), out=step)
+    step += below
+    u = rng.gen.random(y.shape)
+    u *= step
     left = u < below
-    # the log1p argument is formed first, so np.where never evaluates a branch
-    # outside its domain; the clip only absorbs rounding at the ends
-    arg = np.where(left, -u, below - u)
-    step = b * np.log1p(np.maximum(arg, _LOG1P_FLOOR))
-    return np.clip(np.where(left, y + step, y - step), lo, hi)
+    # the log1p argument is formed first, so no branch leaves its domain; the
+    # clip only absorbs rounding at the ends
+    np.subtract(below, u, out=step)
+    np.negative(u, out=step, where=left)
+    del below, u
+    np.maximum(step, _LOG1P_FLOOR, out=step)
+    np.log1p(step, out=step)
+    step *= b
+    # y - (-step) is y + step exactly, so one subtraction serves both sides
+    np.negative(step, out=step, where=left)
+    out = np.clip(np.subtract(y, step, out=step), lo, hi, out=step)
+    return out if out.ndim else out[()]
 
 
 def clip(value, lo: float, hi: float):

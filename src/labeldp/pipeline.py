@@ -176,6 +176,26 @@ MECHANISMS = {
 }
 
 
+# the one-step mechanisms whose outputs leave [y_min, y_max] unless clipped
+_ADDITIVE = ("laplace", "discrete-laplace", "staircase", "discrete-staircase")
+
+
+def _check_loss_domain(mechanism, universe: LabelSet, loss: LossSpec, clip: bool) -> None:
+    """Refuse a run whose outputs can fall below the loss's domain, where the
+    loss would read NaN: an unclipped additive mechanism, or a universe that
+    reaches below domain_min.  rr-on-bins solves its outputs inside the
+    domain, and optimize_bins refuses the labels it cannot."""
+    lo = loss.domain_min
+    if lo is None or mechanism == "rr-on-bins":
+        return
+    if not clip and mechanism in _ADDITIVE:
+        raise ValueError(f"the {loss.kind} loss needs outputs above {lo:g}: "
+                         f"clip the outputs of {mechanism} into the universe range")
+    if universe.y_min < lo:
+        raise ValueError(f"the {loss.kind} loss needs outputs above {lo:g}, "
+                         f"but the universe reaches {universe.y_min:g}")
+
+
 def _labels(labels) -> np.ndarray:
     raw = np.asarray(labels, dtype=float)
     if raw.size == 0:
@@ -210,10 +230,13 @@ def randomize_mapped(mechanism, labels, indices, universe: LabelSet, eps: float,
                      rng: Rng, *, clip: bool = True, eps1: float | None = None):
     """randomize() given indices = universe_indices(labels, universe), or None
     to map them here, so that a caller running many mechanisms on one batch
-    maps it once.  Mechanisms that do not take indices clamp the labels."""
+    maps it once.  Mechanisms that do not take indices clamp the labels.
+    A run whose outputs can fall outside the loss's domain is refused before
+    anything is sampled."""
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}; pick from {', '.join(MECHANISMS)}")
     indexed, sample = MECHANISMS[mechanism]
+    _check_loss_domain(mechanism, universe, loss, clip)
     raw = _labels(labels)
     if indexed:
         x = universe_indices(raw, universe) if indices is None else indices

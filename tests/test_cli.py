@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from labeldp import cli, losses, pipeline
+from labeldp import binopt, cli, losses, pipeline
 from labeldp.cli import (
     ParseError,
     _bulk_labels,
@@ -548,6 +548,54 @@ def test_bench_poisson_output_zero_warns_nothing(capsys):
         assert run(["bench", "--loss", "poisson", "--mechanisms", "rr,laplace", "--universe", "0:5:1",
                     "--n", "300", "--reps", "1", "--eps-list", "1", "--seed", "3"]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == ["rr,1,0,inf", "laplace,1,0,inf"]
+
+
+@pytest.mark.parametrize("mechanism", ("laplace", "staircase", "discrete-laplace", "discrete-staircase"))
+def test_poisson_refuses_unclipped_additive_noise(tmp_path, capsys, mechanism):
+    # unclipped noise can go below 0, where the poisson loss is NaN
+    inp = write(tmp_path / "in.txt", "\n".join(str(v % 6) for v in range(300)) + "\n")
+    out = tmp_path / "out.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["randomize", "--input", inp, "--output", out, "--eps", "1", "--loss", "poisson",
+                    "--mechanism", mechanism, "--no-clip", "--universe", "0:5:1"]) == 3
+        assert run(["bench", "--loss", "poisson", "--mechanisms", mechanism, "--no-clip",
+                    "--universe", "0:5:1", "--n", "300", "--reps", "1", "--eps-list", "1"]) == 3
+    assert capsys.readouterr().err.count(f"clip the outputs of {mechanism}") == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ("randomize", "bench"))
+@pytest.mark.parametrize("mechanism", ("rr", "exponential", "laplace", "discrete-staircase"))
+def test_poisson_refuses_a_universe_below_zero(tmp_path, capsys, command, mechanism):
+    inp = write(tmp_path / "in.txt", "\n".join(str(v % 8 - 2) for v in range(300)) + "\n")
+    out = tmp_path / "out.txt"
+    args = {"randomize": ["--input", inp, "--output", out, "--eps", "1", "--mechanism", mechanism],
+            "bench": ["--mechanisms", mechanism, "--n", "300", "--reps", "1", "--eps-list", "1"]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, *args[command], "--loss", "poisson", "--universe=-2:5:1"]) == 3
+    assert "the universe reaches -2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_poisson_rr_on_bins_keeps_its_refusal(tmp_path, capsys):
+    inp = write(tmp_path / "in.txt", "\n".join(str(v % 8 - 2) for v in range(300)) + "\n")
+    assert run(["randomize", "--input", inp, "--output", tmp_path / "out.txt", "--eps", "1",
+                "--eps1", "0.5", "--loss", "poisson", "--universe=-2:5:1"]) == 3
+    assert "poisson loss requires non-negative labels" in capsys.readouterr().err
+
+
+def test_rr_on_bins_refuses_a_table_past_physical_memory(tmp_path, capsys, monkeypatch):
+    # k = 401 needs 80,601 cells of 8 bytes; the limit is patched, never reached
+    monkeypatch.setattr(binopt, "_physical_memory", lambda: 8 * 80_600)
+    inp = write(tmp_path / "in.txt", "\n".join(str(v % 401) for v in range(2000)) + "\n")
+    assert run(["randomize", "--input", inp, "--output", tmp_path / "out.txt", "--eps", "1",
+                "--eps1", "0.5", "--universe", "0:400:1"]) == 3
+    assert "k=401 labels needs 644,808 bytes" in capsys.readouterr().err
+    monkeypatch.setattr(binopt, "_physical_memory", lambda: 8 * 80_601)
+    assert run(["randomize", "--input", inp, "--output", tmp_path / "out.txt", "--eps", "1",
+                "--eps1", "0.5", "--universe", "0:400:1"]) == 0
 
 
 def test_bench_no_noise_limit(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -367,3 +368,48 @@ def test_determinism_and_spawn():
     e = laplace_sample(np.zeros(100), params, Rng(42).spawn(0))
     assert np.array_equal(c, e)
     assert not np.array_equal(c, d)
+
+
+# the samplers that combine their noise in buffers they own: each with the
+# type it returns for a 0-d input and the dtype of its array output
+IN_PLACE = {
+    "exponential": (lambda y, eps, rng: exponential_mechanism_sample(y, 0.0, 400.0, eps, rng),
+                    np.float64, np.float64),
+    "staircase": (lambda y, eps, rng: staircase_sample(y, NoiseParams(eps, 400.0), rng),
+                  float, np.float64),
+    "discrete-staircase": (lambda y, eps, rng: discrete_staircase_sample(y, NoiseParams(eps, 400.0), rng),
+                           int, np.int64),
+}
+
+
+@pytest.mark.parametrize("name", IN_PLACE)
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_in_place_samplers_keep_their_contract(name, shape, dtype):
+    sample, scalar, out_dtype = IN_PLACE[name]
+    y = (np.arange(math.prod(shape)) * 7 + 3).astype(dtype).reshape(shape)
+    before = y.copy()
+    out = sample(y, 0.5, Rng(5))
+    assert y.dtype == dtype and np.array_equal(y, before)
+    if shape:
+        assert type(out) is np.ndarray and out.shape == shape and out.dtype == out_dtype
+    else:
+        assert type(out) is scalar
+
+
+@pytest.mark.parametrize("name, bound", [("exponential", 3.5), ("staircase", 4.5),
+                                         ("discrete-staircase", 8.0)])
+def test_sampler_peak_memory_in_label_arrays(name, bound):
+    # the traced peak of one call on 2e5 labels, in multiples of the label
+    # array: float labels as the clamping mechanisms pass them, int64 labels
+    # as the discrete ones do
+    labels = np.random.default_rng(6).integers(0, 401, 200_000)
+    y = labels if name.startswith("discrete") else labels.astype(float)
+    sample = IN_PLACE[name][0]
+    tracemalloc.start()
+    try:
+        sample(y, 0.5, Rng(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * y.nbytes
