@@ -14,7 +14,6 @@ environment variable; an explicit --seed wins.  Output is a pure function of
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -43,9 +42,12 @@ class ParseError(Exception):
     """Malformed input file or value (exit code 2)."""
 
 
+FMT_SPEC = ".17g"  # the shortest spec that round-trips every double
+
+
 def fmt(x: float) -> str:
     """Round-trip exact decimal for machine-readable output."""
-    return format(float(x), ".17g")
+    return format(float(x), FMT_SPEC)
 
 
 def read_labels(path: str, column: int | None = None) -> np.ndarray:
@@ -184,14 +186,27 @@ WRITE_CHUNK = 1 << 16  # lines joined per write
 
 
 def _write_lines(path: str, values) -> None:
-    """One fmt(v) line per value.  Each distinct value is formatted once;
-    values are told apart by their bits, so -0.0 and 0.0 keep their signs."""
-    bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
-    texts = np.array(list(map(format, bits.view(float).tolist(), itertools.repeat(".17g"))),
-                     dtype=object)
+    """One fmt(v) line per value, in order.  A value that occurs more than once
+    is formatted once and its text reused; the other values of a chunk go
+    through one printf-style call, whose "%" + FMT_SPEC gives fmt's text.
+    Values are told apart by their bits, so -0.0 and 0.0 keep their signs."""
+    values = np.asarray(values, dtype=float).ravel()
+    bits = values.view(np.int64)
+    ordered = np.sort(bits)
+    fresh = ordered[1:] != ordered[:-1]
+    repeated = ordered[1:][~fresh & np.append(fresh[1:], True)]  # last of each run of 2+
+    texts = np.array([fmt(v) + "\n" for v in repeated.view(float).tolist()]
+                     + ["%" + FMT_SPEC + "\n"], dtype=object)
     with open(path, "w") as fh:
-        for start in range(0, inverse.size, WRITE_CHUNK):
-            fh.write("\n".join(texts[inverse[start:start + WRITE_CHUNK]].tolist()) + "\n")
+        for start in range(0, values.size, WRITE_CHUNK):
+            chunk = bits[start:start + WRITE_CHUNK]
+            at = np.searchsorted(repeated, chunk)
+            hit = at < repeated.size
+            hit[hit] = repeated[at[hit]] == chunk[hit]
+            text = "".join(texts[np.where(hit, at, repeated.size)].tolist())
+            if not hit.all():
+                text %= tuple(values[start:start + WRITE_CHUNK][~hit].tolist())
+            fh.write(text)
 
 
 def _layout_json(layout: BinLayout) -> dict:

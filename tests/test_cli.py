@@ -246,6 +246,16 @@ WRITER_CASES = {
     "signed-zeros": np.array([0.0, -0.0, 0.0, -0.0, 1.0, -0.0]),
     "extremes": np.array([5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300, 1e300]),
     "empty": np.array([]),
+    # laplace's shape: clipping sends many outputs to exactly 0.0 and 400.0
+    "clipped-laplace": np.clip(_rng.integers(0, 401, size=1000) + _rng.laplace(scale=200.0, size=1000),
+                               0.0, 400.0),
+    # runs of one repeated value across a boundary of either chunk size
+    "run-across-chunks": np.where(
+        np.isin(np.arange(cli.WRITE_CHUNK + 8), np.r_[3:13, cli.WRITE_CHUNK - 4:cli.WRITE_CHUNK + 4]),
+        7.25, np.arange(cli.WRITE_CHUNK + 8) / 3),
+    "all-equal": np.full(50, 2 / 3),
+    "nan-and-inf": np.array([math.nan, math.inf, -math.inf, 1.0, -math.nan, math.inf, math.nan]),
+    "single": np.array([0.1]),
 }
 
 
@@ -257,6 +267,37 @@ def test_write_lines_bytes(tmp_path, monkeypatch, case, chunk):
     dest = tmp_path / "out.txt"
     _write_lines(str(dest), values)
     assert dest.read_bytes() == "".join(fmt(v) + "\n" for v in values).encode()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 400.0, math.nan])),
+                       max_size=40),
+       chunk=st.integers(1, 9))
+def test_write_lines_matches_fmt(tmp_path, values, chunk):
+    dest = tmp_path / "out.txt"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "WRITE_CHUNK", chunk)
+        _write_lines(str(dest), values)
+    assert dest.read_bytes() == "".join(fmt(v) + "\n" for v in values).encode()
+
+
+@pytest.mark.parametrize("mech", MECHANISMS)
+def test_randomize_output_is_fmt_of_pipeline_values(tmp_path, monkeypatch, mech):
+    chunk = 5
+    monkeypatch.setattr(cli, "WRITE_CHUNK", chunk)
+    labels = np.random.default_rng(4).integers(0, 11, size=300) + np.r_[0.25, -0.5, np.zeros(298)]
+    src = write(tmp_path / "in.txt", "".join(f"{v}\n" for v in labels))
+    out = tmp_path / "out.txt"
+    assert run(["randomize", "--input", src, "--output", out, "--eps", "1", "--universe",
+                "0:10:1", "--mechanism", mech, "--seed", "11"]) == 0
+    noisy, _ = randomize(mech, read_labels(src), parse_universe("0:10:1"), 1.0,
+                         losses.by_name("squared"), Rng(11))
+    splits = sum(noisy[i] == noisy[i - 1] for i in range(chunk, noisy.size, chunk))
+    # exponential's outputs are continuous, so all distinct; the others repeat
+    # values, and some chunk boundary falls inside a run of one value
+    assert splits == 0 if mech == "exponential" else splits > 0
+    assert out.read_bytes() == "".join(fmt(v) + "\n" for v in noisy).encode()
 
 
 # ---------------------------------------------------------------------------
