@@ -8,8 +8,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 precondition
 or configuration error.  The default seed comes from the LABELDP_SEED
-environment variable; an explicit --seed wins.  Output is a pure function of
-(input bytes, flags, seed).
+environment variable, where a value that is not an integer is a parse error;
+an explicit --seed wins and leaves the variable unread.  Output is a pure
+function of (input bytes, flags, seed).
 """
 from __future__ import annotations
 
@@ -295,15 +296,22 @@ def cmd_optimize_bins(args) -> int:
 # bench
 # ---------------------------------------------------------------------------
 
+def _flag_float(flag: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ParseError(f"{flag}: not a number: {text!r}") from None
+
+
 def _synthetic_prior(spec: str, universe: LabelSet) -> Prior:
     name, _, arg = spec.partition(":")
     k = universe.k
     ranks = np.arange(1, k + 1, dtype=float)
     if name == "zipf":
-        a = float(arg) if arg else 1.5
+        a = _flag_float("--synthetic", arg) if arg else 1.5
         w = ranks ** (-a)
     elif name == "geometric":
-        q = float(arg) if arg else 0.95
+        q = _flag_float("--synthetic", arg) if arg else 0.95
         if not 0 < q < 1:
             raise ValueError(f"geometric ratio must be in (0,1), got {q}")
         w = q ** (ranks - 1)
@@ -317,7 +325,7 @@ def _synthetic_prior(spec: str, universe: LabelSet) -> Prior:
 def cmd_bench(args) -> int:
     universe = parse_universe(args.universe)
     loss = losses.by_name(args.loss)
-    eps_grid = [float(t) for t in args.eps_list.split(",") if t.strip()]
+    eps_grid = [_flag_float("--eps-list", t) for t in args.eps_list.split(",") if t.strip()]
     if not eps_grid or any(e <= 0 for e in eps_grid):
         raise ValueError(f"bad eps list {args.eps_list!r}")
     mechs = [m.strip() for m in args.mechanisms.split(",") if m.strip()]
@@ -384,16 +392,20 @@ def cmd_verify(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _env_seed() -> int:
+    text = os.environ.get(SEED_ENV, "0")
     try:
-        default_seed = int(os.environ.get(SEED_ENV, "0"))
+        return int(text)
     except ValueError:
-        default_seed = 0
+        raise ParseError(f"${SEED_ENV}: not an integer seed: {text!r}") from None
+
+
+def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="labeldp", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=default_seed,
+        p.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (default from ${SEED_ENV}, else 0)")
         p.add_argument("--loss", choices=losses.BUILTIN_KINDS, default="squared",
                        help=POISSON_AT_ZERO)
@@ -455,6 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is None:
+            args.seed = _env_seed()
         return args.fn(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -22,6 +22,7 @@ from labeldp import (
 from labeldp import binopt
 from labeldp.binopt import TILT_CAP, _build_tables, tilt_factor
 from labeldp.verify import (
+    _interval_minimum,
     _layered_select,
     brute_force_optimal_bins,
     layered_tables,
@@ -228,26 +229,111 @@ def test_tables_match_from_scratch_every_cell(spec, fast, tol, trials):
                 assert lval[r - 1, i - 1] == pytest.approx(v, rel=tol, abs=tol), (t, r, i, eps)
 
 
-@pytest.mark.parametrize("eps", (0.0, 1.0, 8.0))
+@pytest.mark.parametrize("eps", (0.0, 1.0, 8.0, 800.0, 1e6))
 def test_generic_table_blocks_match_from_scratch(monkeypatch, eps):
     # a budget of 2^8 weighted labels at k=20 puts each of the first starts,
     # over the budget alone, in a block of its own and the last ones together
-    # in shared blocks, so the table crosses many block seams
+    # in shared blocks, so the table crosses many block seams; every cell is
+    # bit for bit its own from-scratch search
     rng = np.random.default_rng(16)
     k = 20
     pr = make_prior(make_label_set(np.sort(rng.choice(np.arange(60) * 0.5, k, replace=False))),
                     rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.8))
-    golden, blocks = binopt._golden_rows, []
-    monkeypatch.setattr(binopt, "_GOLDEN_CELLS", 1 << 8)
-    monkeypatch.setattr(binopt, "_golden_rows",
-                        lambda w, y, loss: blocks.append(len(w)) or golden(w, y, loss))
-    lval = square_table(_build_tables(pr, tilt_factor(eps), HUBER))
-    monkeypatch.undo()
-    assert blocks[0] == k and 3 <= len(blocks) < k
-    for r in range(1, k + 1):
-        for i in range(r, k + 1):
-            _, v = inner_min_generic(pr, r, i, eps, HUBER)
-            assert lval[r - 1, i - 1] == pytest.approx(v, rel=1e-9, abs=1e-9), (r, i)
+    search = binopt._convex_rows
+    for loss in (HUBER, QUARTIC):
+        blocks = []
+        with monkeypatch.context() as m:
+            m.setattr(binopt, "_GOLDEN_CELLS", 1 << 8)
+            m.setattr(binopt, "_convex_rows",
+                      lambda w, y, loss: blocks.append(len(w)) or search(w, y, loss))
+            lval = square_table(_build_tables(pr, tilt_factor(eps), loss))
+        assert blocks[0] == k and 3 <= len(blocks) < k
+        for r in range(1, k + 1):
+            for i in range(r, k + 1):
+                _, v = inner_min_generic(pr, r, i, eps, loss)
+                assert lval[r - 1, i - 1] == v, (loss, r, i)
+
+
+def as_custom(spec):
+    """A built-in loss behind the custom-loss route, domain and all."""
+    return custom_loss(spec.eval_fn, convex_in_first_arg=True, domain_min=spec.domain_min)
+
+
+def certified_cases(rng):
+    """(prior, r, i, eps): random bins, every third of them a single label,
+    at random and capped tilts, and bins whose minimum sits on an end of the
+    label range (all mass on the first or the last label)."""
+    for t in range(60):
+        pr = random_cell_prior(rng)
+        r = int(rng.integers(1, pr.k + 1))
+        i = r if t % 3 == 0 else int(rng.integers(r, pr.k + 1))
+        yield pr, r, i, float(rng.choice([0.0, 0.5, 1.0, 3.0, 8.0, 1e6]))
+    for end in (0, -1):
+        p = np.zeros(6)
+        p[end] = 1.0
+        pr = make_prior(make_label_set([0.0, 0.5, 2.0, 3.5, 7.0, 9.5]), p)
+        for r, i in ((1, 6), (1, 1), (6, 6), (2, 5)):
+            for eps in (0.0, 2.0, 1e6):
+                yield pr, r, i, eps
+
+
+def test_generic_certified_against_closed_forms():
+    # the value, not the point, is certified: an absolute-loss cell found
+    # only to 1e-10 in yhat misses its closed form by far more than 1e-12
+    rng = np.random.default_rng(31)
+    for pr, r, i, eps in certified_cases(rng):
+        for spec, closed in ((ABSOLUTE, inner_min_absolute), (POISSON, inner_min_poisson)):
+            _, v = closed(pr, r, i, eps)
+            _, vg = inner_min_generic(pr, r, i, eps, as_custom(spec))
+            assert vg == pytest.approx(v, rel=1e-12, abs=1e-15), (spec.kind, r, i, eps)
+
+
+def test_generic_certified_against_golden_oracle():
+    # verify's own scalar golden section, run to 1e-12 in yhat, shares no
+    # code with the table's search
+    rng = np.random.default_rng(32)
+    for pr, r, i, eps in certified_cases(rng):
+        p, y = pr.probs_array(), pr.labels.as_array()
+        w = p.copy()
+        w[r - 1:i] *= tilt_factor(eps)
+        for loss in (HUBER, QUARTIC):
+            _, v = _interval_minimum(p, y, r - 1, i - 1, tilt_factor(eps), loss)
+            # at the capped tilt a bin's one label pins the minimum, which a
+            # search in yhat misses by far more than 1e-12 of the value
+            v = min(v, min(float(np.dot(w, loss.eval_fn(t, y))) for t in y))
+            _, vg = inner_min_generic(pr, r, i, eps, loss)
+            # v bounds the minimum from above; the prior's mass is 1, so
+            # 1e-15 is far below any cell's rounding
+            assert vg <= v + 1e-12 * v + 1e-15, (loss, r, i, eps)
+            assert vg == pytest.approx(v, rel=1e-12, abs=1e-15), (loss, r, i, eps)
+
+
+def test_generic_search_stops_at_float_resolution():
+    # labels near 1e6 are 1.2e-10 apart in floats, more than GOLDEN_TOL, so a
+    # bracket alone never reaches it there
+    sq = as_custom(SQUARED)
+    for vals, p in (([1e6, 1e6 + 3], [1, 1]), ([1e6, 1e6 + 3, 1e6 + 7], [1, 0, 2])):
+        pr = make_prior(make_label_set(vals), p)
+        for r, i in ((1, 1), (1, len(vals))):
+            _, v = inner_min_squared(pr, r, i, 1.0)
+            assert inner_min_generic(pr, r, i, 1.0, sq)[1] == pytest.approx(v, rel=1e-12)
+
+
+@pytest.mark.parametrize("eps", (1.0, 8.0))
+def test_generic_table_loss_evaluations(eps):
+    # the Huber (delta 5) table of a zipf prior over 61 labels: a search that
+    # ran to GOLDEN_TOL in every cell would evaluate 60 rows per cell
+    rows = []
+
+    def huber5(yhat, y):
+        rows.append(np.shape(yhat)[0])
+        r = np.abs(np.asarray(yhat) - np.asarray(y))
+        return np.where(r <= 5.0, 0.5 * r * r, 5.0 * (r - 2.5))
+
+    k = 61
+    pr = make_prior(make_label_set(range(k)), np.arange(1, k + 1) ** -1.2)
+    _build_tables(pr, tilt_factor(eps), custom_loss(huber5, convex_in_first_arg=True))
+    assert sum(rows) <= 14 * k * (k + 1) // 2
 
 
 def tie_prior(rng, k):

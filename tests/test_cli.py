@@ -343,6 +343,34 @@ def test_seed_env_var_default(tmp_path, monkeypatch):
     assert a.read_bytes() != c.read_bytes()
 
 
+def test_seed_env_var_malformed(tmp_path, monkeypatch, capsys):
+    bench = ["bench", "--synthetic", "uniform", "--n", "50", "--universe", "0:3:1",
+             "--eps-list", "1", "--mechanisms", "rr", "--reps", "1"]
+    monkeypatch.setenv("LABELDP_SEED", "abc")
+    assert run(bench) == 2
+    assert "LABELDP_SEED" in capsys.readouterr().err
+    # an explicit flag wins and never reads the variable
+    assert run([*bench, "--seed", "5", "--output", tmp_path / "a.csv"]) == 0
+    monkeypatch.delenv("LABELDP_SEED")
+    assert run([*bench, "--seed", "5", "--output", tmp_path / "b.csv"]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flag, value, entry", [
+    ("--eps-list", "1,x", "'x'"),
+    ("--synthetic", "zipf:abc", "'abc'"),
+    ("--synthetic", "geometric:q", "'q'"),
+])
+def test_bench_malformed_number_is_parse_error(flag, value, entry, capsys):
+    assert run(["bench", "--universe", "0:3:1", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and entry in err
+
+
+def test_bench_nonpositive_eps_is_precondition_error():
+    assert run(["bench", "--universe", "0:3:1", "--eps-list", "1,-2"]) == 3
+
+
 def test_randomize_explicit_split(tmp_path):
     src = write(tmp_path / "in.txt", "0\n1\n2\n0\n1\n2\n")
     out = tmp_path / "out.txt"
