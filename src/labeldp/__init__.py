@@ -27,12 +27,10 @@ from .losses import (
     LossSpec,
     check_assumption,
     custom_loss,
-    eval_loss,
 )
 from .mechanisms import (
     NoiseParams,
     Rng,
-    clip,
     discrete_laplace_sample,
     discrete_staircase_sample,
     exponential_mechanism_sample,
@@ -41,7 +39,7 @@ from .mechanisms import (
     rr_on_bins_randomize,
     staircase_sample,
 )
-from .pipeline import RandomizationReport, label_randomizer, randomize, snap_to_universe
+from .pipeline import RandomizationReport, randomize, snap_to_universe
 from .prior import HistogramEstimate, default_budget_split, laplace_histogram
 
 __version__ = "0.1.0"

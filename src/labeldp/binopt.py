@@ -105,11 +105,6 @@ class BinLayout:
         """Bin index of each label, in label order."""
         return np.repeat(np.arange(self.d), np.diff((0, *self.boundaries)))
 
-    def output_for(self, y: float) -> float:
-        """The bin output this layout maps a member label to."""
-        i = self.labels.index_of(y)
-        return self.outputs[int(self.assignments()[i])]
-
 
 # ---------------------------------------------------------------------------
 # the single-bin table

@@ -47,14 +47,6 @@ class LabelSet:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
 
-    def index_of(self, y: float) -> int:
-        """Index of an exact member value; raises if y is not in the set."""
-        arr = self.as_array()
-        i = int(np.searchsorted(arr, y))
-        if i >= len(arr) or arr[i] != y:
-            raise ValueError(f"value {y!r} is not in the label set")
-        return i
-
 
 def as_indices(indices, k: int) -> np.ndarray:
     """Indices into a k-element sequence as an integer array; raises naming

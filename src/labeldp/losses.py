@@ -13,7 +13,6 @@ expected loss of a mechanism is its MSE.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -86,15 +85,6 @@ def by_name(kind: str) -> LossSpec:
 def custom_loss(eval_fn, convex_in_first_arg: bool, domain_min: float | None = None) -> LossSpec:
     """Wrap an opaque loss function; eval_fn must be array-friendly."""
     return LossSpec("custom", eval_fn, convex_in_first_arg, domain_min)
-
-
-def eval_loss(spec: LossSpec, yhat: float, y: float) -> float:
-    """Evaluate one loss value, rejecting domain violations explicitly."""
-    spec._check_domain(yhat)
-    v = float(spec.eval_fn(yhat, y))
-    if math.isnan(v):
-        raise ValueError(f"{spec.kind} loss returned NaN at ({yhat}, {y})")
-    return v
 
 
 def _is_valley(vals: np.ndarray, tol: float) -> bool:

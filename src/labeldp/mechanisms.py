@@ -284,11 +284,3 @@ def exponential_mechanism_sample(y, lo: float, hi: float, eps: float, rng: Rng) 
     np.negative(step, out=step, where=left)
     out = np.clip(np.subtract(y, step, out=step), lo, hi, out=step)
     return out if out.ndim else out[()]
-
-
-def clip(value, lo: float, hi: float):
-    """Clamp into [lo, hi]; never increases the distance to any in-range point."""
-    if lo > hi:
-        raise ValueError(f"clip bounds out of order: {lo} > {hi}")
-    out = np.clip(np.asarray(value, dtype=float), lo, hi)
-    return float(out) if out.ndim == 0 else out

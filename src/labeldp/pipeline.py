@@ -244,15 +244,3 @@ def randomize_mapped(mechanism, labels, indices, universe: LabelSet, eps: float,
         x = np.clip(raw, universe.y_min, universe.y_max)
     noisy, budget, prior, layout = sample(x, universe, eps, rng, loss, eps1, clip)
     return noisy, _report(raw, noisy, budget, prior, layout, loss, rng)
-
-
-def label_randomizer(labels, universe: LabelSet, eps1: float, eps2: float, loss: LossSpec, rng: Rng):
-    """rr-on-bins with an explicit budget split eps1 + eps2.
-
-    Returns (noisy_labels, report).  Order and length of the input are
-    preserved; snapping to the universe happens before the histogram pass.
-    """
-    raw = _labels(labels)
-    idx = universe_indices(raw, universe)
-    noisy, budget, prior, layout = _two_step(idx, universe, eps1, eps2, loss, rng)
-    return noisy, _report(raw, noisy, budget, prior, layout, loss, rng)

@@ -69,7 +69,10 @@ def check_oracle_equivalence(seed: int, instances: int, k_max: int):
                   f"worst relative gap {worst:.2e}")
 
 
-def check_lp_cross(seed: int, instances: int):
+def check_lp_cross(seed: int, instances: int, k_theorem: int):
+    """The LP against the grid enumeration at k <= 5, then the paper's
+    theorem at k <= k_theorem: over a grid that holds optimize_bins' outputs
+    the LP matches its objective, and over a random grid it stays above."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for t in range(instances):
@@ -90,7 +93,24 @@ def check_lp_cross(seed: int, instances: int):
         worst = max(worst, gap)
         if gap > 1e-6:
             return False, f"instance {t}: LP {sol.objective:.9f} vs grid best {enum:.9f}"
-    return True, f"{instances} instances, worst gap {worst:.2e}"
+    worst_rel = 0.0
+    for t in range(instances):
+        prior = _random_prior(rng, k_theorem, y_lo=0.5, y_hi=10.0)
+        eps = float(rng.choice([0.3, 0.5, 1.0, 2.0]))
+        loss = ALL_LOSSES[t % len(ALL_LOSSES)]
+        best = optimize_bins(prior, eps, loss)
+        extra = rng.uniform(prior.labels.y_min, prior.labels.y_max, size=prior.k)
+        holds = np.union1d(best.outputs, extra[: prior.k - best.d])
+        for grid, exact in ((holds, True), (extra, False)):
+            sol = lp_optimal_mechanism(prior, grid, eps, loss)
+            if sol.status != "optimal":
+                return False, f"theorem instance {t}: LP status {sol.status}"
+            rel = (sol.objective - best.objective) / abs(best.objective)
+            worst_rel = max(worst_rel, abs(rel) if exact else -rel)
+            if rel < -1e-9 or (exact and rel > 1e-6):
+                return False, f"theorem instance {t}: LP {sol.objective:.9f} vs {best.objective:.9f}"
+    return True, (f"{instances} instances, worst gap {worst:.2e}; theorem at k <= {k_theorem}, "
+                  f"worst relative gap {worst_rel:.2e}")
 
 
 def check_dp_ratio(seed: int, instances: int, eps_offset: float = 0.0):
@@ -144,13 +164,13 @@ def check_samplers(seed: int, trials: int):
 def run_suites(quick: bool = False, seed: int = 0, dp_check_eps_offset: float = 0.0):
     """Run all suites; returns a list of (name, passed, detail)."""
     if quick:
-        sizes = dict(oracle=(40, 5), lp=10, dp=10, trials=10**4)
+        sizes = dict(oracle=(40, 5), lp=(10, 6), dp=10, trials=10**4)
     else:
-        sizes = dict(oracle=(150, 8), lp=30, dp=30, trials=10**5)
+        sizes = dict(oracle=(150, 8), lp=(30, 12), dp=30, trials=10**5)
     results = []
     n_inst, k_max = sizes["oracle"]
     results.append(("oracle-equivalence",) + check_oracle_equivalence(seed, n_inst, k_max))
-    results.append(("lp-cross-check",) + check_lp_cross(seed + 1, sizes["lp"]))
+    results.append(("lp-cross-check",) + check_lp_cross(seed + 1, *sizes["lp"]))
     results.append(
         ("dp-ratio",) + check_dp_ratio(seed + 2, sizes["dp"], dp_check_eps_offset)
     )

@@ -1,11 +1,8 @@
 """Independent oracles for the optimality claims: exhaustive partition search,
-the layered fill of the full partition table, a small dense simplex solver
-for the mechanism-design linear program, the privacy ratio check on explicit
-matrices, and a chi-square harness for validating samplers against their
-analytic distributions.
-
-The brute-force search and the LP solver deliberately share no code with the
-dynamic-programming optimizer they are used to check.
+the layered fill of the full partition table, the mechanism-design linear
+program solved by scipy's HiGHS, the privacy ratio check on explicit
+matrices, and a chi-square harness for samplers against their analytic
+distributions.  None of them shares code with the optimizer it checks.
 """
 from __future__ import annotations
 
@@ -22,7 +19,10 @@ from .mechanisms import Rng
 
 DP_RATIO_SLACK = 1e-9
 LP_FEAS_TOL = 1e-7
-_PIVOT_TOL = 1e-9
+# the LP's time and memory follow its m*k*(k-1) ratio rows: at k = m = 30
+# (26,100 rows) HiGHS took 1.6 s with a 6 MB traced peak on a 2-core host,
+# and k = 900, m = 1 (808,200 rows) took 24 s and 195 MB
+LP_MAX_ROWS = 26_100
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +34,9 @@ def _golden(fn, lo, hi, tol=1e-12):
     a, b = lo, hi
     c, d = b - phi * (b - a), a + phi * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol:
+    # from 8192 on one ulp is wider than tol, so stop at 4 ulps of the ends
+    # too, where the bracket can no longer shrink
+    while b - a > max(tol, 4.0 * math.ulp(max(abs(a), abs(b)))):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
@@ -71,9 +73,14 @@ def _interval_minimum(p, y, lo, hi, tilt, loss: LossSpec):
     if loss.domain_min is not None:
         a = max(a, loss.domain_min + POISSON_YHAT_FLOOR)
         b = max(b, a)
-    if a == b:
-        return a, float(np.dot(w, loss.eval_fn(a, y)))
-    return _golden(lambda v: float(np.dot(w, loss.eval_fn(v, y))), a, b)
+
+    def cost(v):
+        return float(np.dot(w, loss.eval_fn(v, y)))
+
+    # at the capped tilt the label that carries the mass pins the minimum, and
+    # the tilt multiplies any distance from it, so each label in range competes
+    at_labels = [(float(t), cost(t)) for t in y[(a <= y) & (y <= b)]]
+    return min([_golden(cost, a, b)] + at_labels, key=lambda pair: pair[1])
 
 
 def brute_force_optimal_bins(prior: Prior, eps: float, loss: LossSpec) -> BinLayout:
@@ -222,147 +229,31 @@ def best_rr_on_bins_over_grid(prior: Prior, grid, eps: float, loss: LossSpec) ->
 
 
 # ---------------------------------------------------------------------------
-# dense two-phase simplex for the mechanism LP
+# the mechanism LP
 # ---------------------------------------------------------------------------
 
 @dataclass
 class LpSolution:
     matrix: MechanismMatrix | None
     objective: float | None
-    status: str  # optimal | infeasible | iteration_limit
+    status: str  # optimal | infeasible | unbounded | iteration_limit | numerical
 
 
-class _Tableau:
-    """Dense simplex pivoting with Bland's anti-cycling rule."""
+def simplex_solve(c, a_ub, b_ub, a_eq, b_eq):
+    """Minimize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0, with
+    the HiGHS dual simplex.  Either block may be empty; a_ub and a_eq may be
+    scipy.sparse matrices.  Returns (x, objective, status); x and objective
+    are None unless status is optimal."""
+    # scipy.optimize takes most of a second to import; only the LP needs it
+    from scipy.optimize import linprog
 
-    def __init__(self, basis):
-        self.basis = basis
-
-    def pivot(self, tab, r, c):
-        tab[r] = tab[r] / tab[r, c]
-        for i in range(tab.shape[0]):
-            if i != r and tab[i, c] != 0.0:
-                tab[i] = tab[i] - tab[i, c] * tab[r]
-        self.basis[r] = c
-
-    def run(self, tab, allowed, max_iter):
-        """Pivot to optimality; returns 'optimal' or 'iteration_limit'."""
-        m = tab.shape[0] - 1
-        for _ in range(max_iter):
-            obj = tab[m]
-            enter = -1
-            for j in allowed:
-                if obj[j] < -_PIVOT_TOL:
-                    enter = j
-                    break
-            if enter < 0:
-                return "optimal"
-            leave, best_ratio, best_var = -1, math.inf, None
-            for i in range(m):
-                a = tab[i, enter]
-                if a > _PIVOT_TOL:
-                    ratio = tab[i, -1] / a
-                    if ratio < best_ratio - 1e-12 or (
-                        abs(ratio - best_ratio) <= 1e-12
-                        and (best_var is None or self.basis[i] < best_var)
-                    ):
-                        leave, best_ratio, best_var = i, ratio, self.basis[i]
-            if leave < 0:
-                return "unbounded"
-            self.pivot(tab, leave, enter)
-        return "iteration_limit"
-
-
-def simplex_solve(c, a_ub, b_ub, a_eq, b_eq, max_iter=20000):
-    """Minimize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
-
-    Dense two-phase simplex with Bland's rule (entering: lowest eligible
-    index; leaving: lowest basic variable among ratio ties).  Returns
-    (x, objective, status).
-    """
-    c = np.asarray(c, dtype=float)
-    n = c.size
-    a_ub = np.asarray(a_ub, dtype=float).reshape(-1, n) if len(a_ub) else np.empty((0, n))
-    a_eq = np.asarray(a_eq, dtype=float).reshape(-1, n) if len(a_eq) else np.empty((0, n))
-    b_ub = np.asarray(b_ub, dtype=float)
-    b_eq = np.asarray(b_eq, dtype=float)
-    n_ub, n_eq = a_ub.shape[0], a_eq.shape[0]
-    m = n_ub + n_eq
-
-    # columns: x | slacks | artificials; rows normalized to b >= 0
-    rows = np.zeros((m, n + n_ub))
-    rhs = np.zeros(m)
-    need_art = []
-    for i in range(n_ub):
-        sign = 1.0 if b_ub[i] >= 0 else -1.0
-        rows[i, :n] = sign * a_ub[i]
-        rows[i, n + i] = sign
-        rhs[i] = sign * b_ub[i]
-        if sign < 0:
-            need_art.append(i)
-    for j in range(n_eq):
-        i = n_ub + j
-        sign = 1.0 if b_eq[j] >= 0 else -1.0
-        rows[i, :n] = sign * a_eq[j]
-        rhs[i] = sign * b_eq[j]
-        need_art.append(i)
-
-    n_art = len(need_art)
-    ncols = n + n_ub + n_art
-    tab = np.zeros((m + 1, ncols + 1))
-    tab[:m, : n + n_ub] = rows
-    tab[:m, -1] = rhs
-    basis = [0] * m
-    for i in range(n_ub):
-        basis[i] = n + i
-    for t, i in enumerate(need_art):
-        tab[i, n + n_ub + t] = 1.0
-        basis[i] = n + n_ub + t
-
-    solver = _Tableau(basis)
-
-    if n_art:
-        # phase 1: minimize the artificial sum, priced out for the start basis
-        for i in need_art:
-            tab[m] -= tab[i]
-        tab[m, n + n_ub:-1] = 0.0
-        status = solver.run(tab, range(n + n_ub), max_iter)
-        if status == "iteration_limit":
-            return None, None, status
-        if -tab[m, -1] > 1e-7:
-            return None, None, "infeasible"
-        # drive remaining artificials out of the basis
-        drop_rows = []
-        for i in range(m):
-            if solver.basis[i] >= n + n_ub:
-                piv = next(
-                    (j for j in range(n + n_ub) if abs(tab[i, j]) > _PIVOT_TOL), None
-                )
-                if piv is None:
-                    drop_rows.append(i)
-                else:
-                    solver.pivot(tab, i, piv)
-        if drop_rows:
-            keep = [i for i in range(m) if i not in drop_rows]
-            tab = np.vstack([tab[keep], tab[m:]])
-            solver.basis = [solver.basis[i] for i in keep]
-            m = len(keep)
-
-    # phase 2 objective row, priced out for the current basis
-    tab[m, :] = 0.0
-    tab[m, :n] = c
-    for i in range(m):
-        bj = solver.basis[i]
-        if bj < n and tab[m, bj] != 0.0:
-            tab[m] -= tab[m, bj] * tab[i]
-    status = solver.run(tab, range(n + n_ub), max_iter)
+    res = linprog(c, A_ub=a_ub if len(b_ub) else None, b_ub=b_ub if len(b_ub) else None,
+                  A_eq=a_eq if len(b_eq) else None, b_eq=b_eq if len(b_eq) else None,
+                  method="highs-ds")
+    status = ("optimal", "iteration_limit", "infeasible", "unbounded", "numerical")[res.status]
     if status != "optimal":
-        return None, None, "iteration_limit" if status == "iteration_limit" else status
-    x = np.zeros(n)
-    for i in range(m):
-        if solver.basis[i] < n:
-            x[solver.basis[i]] = tab[i, -1]
-    return x, float(np.dot(c, x)), "optimal"
+        return None, None, status
+    return res.x, float(res.fun), status
 
 
 def lp_optimal_mechanism(prior: Prior, outputs, eps: float, loss: LossSpec) -> LpSolution:
@@ -374,48 +265,38 @@ def lp_optimal_mechanism(prior: Prior, outputs, eps: float, loss: LossSpec) -> L
         raise ValueError(f"eps must be non-negative, got {eps}")
     outs = sorted(float(o) for o in outputs)
     k, m = prior.k, len(outs)
-    if k * m > 400:
-        raise ValueError(f"LP size {k}x{m} exceeds the dense solver scale (<= 400 vars)")
+    if m * k * (k - 1) > LP_MAX_ROWS:
+        raise ValueError(f"LP size {k}x{m} needs {m * k * (k - 1)} ratio rows, "
+                         f"more than {LP_MAX_ROWS}")
+    from scipy import sparse
+
     inv_tilt = math.exp(-eps)
     y = prior.labels.as_array()
     p = prior.probs_array()
     lmat = loss.eval_grid(np.asarray(outs), y)
     c = (p[:, None] * lmat).reshape(k * m)
-
-    a_eq = np.zeros((k, k * m))
-    for i in range(k):
-        a_eq[i, i * m: (i + 1) * m] = 1.0
+    # variable i*m + o is M[y_i -> o]; row i sums to 1
+    a_eq = sparse.csr_array((np.ones(k * m), (np.repeat(np.arange(k), m), np.arange(k * m))))
     b_eq = np.ones(k)
 
-    # ratio constraints scaled by e^-eps for conditioning:
-    # e^-eps * M[y'->o] - M[y->o] <= 0
-    n_pairs = k * (k - 1)
-    a_ub = np.zeros((m * n_pairs, k * m))
-    row = 0
-    for o in range(m):
-        for i in range(k):
-            for i2 in range(k):
-                if i2 == i:
-                    continue
-                a_ub[row, i2 * m + o] = inv_tilt
-                a_ub[row, i * m + o] = -1.0
-                row += 1
-    b_ub = np.zeros(m * n_pairs)
+    # ratio constraints scaled by e^-eps for conditioning, one row for each
+    # output o and ordered pair i != i2: e^-eps * M[y_i2 -> o] - M[y_i -> o] <= 0
+    i, i2 = np.nonzero(~np.eye(k, dtype=bool))
+    o = np.arange(m)[:, None]
+    cols = np.concatenate([(i2 * m + o).ravel(), (i * m + o).ravel()])
+    n_rows = cols.size // 2
+    vals = np.repeat([inv_tilt, -1.0], n_rows)
+    a_ub = sparse.csr_array((vals, (np.tile(np.arange(n_rows), 2), cols)), shape=(n_rows, k * m))
+    b_ub = np.zeros(n_rows)
 
     x, obj, status = simplex_solve(c, a_ub, b_ub, a_eq, b_eq)
-    if status == "unbounded":
-        # row-stochastic rows bound every variable; this cannot happen
-        raise RuntimeError("mechanism LP reported unbounded")
     if status != "optimal":
         return LpSolution(matrix=None, objective=None, status=status)
     mat = np.maximum(x.reshape(k, m), 0.0)
     # feasibility audit before declaring optimality
-    if np.max(np.abs(mat.sum(axis=1) - 1.0)) > LP_FEAS_TOL:
+    if (np.max(np.abs(mat.sum(axis=1) - 1.0)) > LP_FEAS_TOL
+            or np.any(inv_tilt * mat.max(axis=0) > mat.min(axis=0) + LP_FEAS_TOL)):
         return LpSolution(matrix=None, objective=None, status="iteration_limit")
-    for o in range(m):
-        col = mat[:, o]
-        if inv_tilt * np.max(col) > np.min(col) + LP_FEAS_TOL:
-            return LpSolution(matrix=None, objective=None, status="iteration_limit")
     matrix = MechanismMatrix(prior.labels, tuple(outs), mat)
     return LpSolution(matrix=matrix, objective=float(obj), status="optimal")
 

@@ -21,17 +21,16 @@ from labeldp import (
     Rng,
     brute_force_optimal_bins,
     check_eps_dp,
-    clip,
     discrete_laplace_sample,
     discrete_staircase_sample,
     expected_loss,
     exponential_mechanism_sample,
-    label_randomizer,
     laplace_histogram,
     laplace_sample,
     make_label_set,
     make_prior,
     optimize_bins,
+    randomize,
     rr_on_bins_matrix,
     rr_on_bins_randomize,
     staircase_sample,
@@ -262,7 +261,7 @@ def test_criterion_7_sampler_fidelity():
     layout = optimize_bins(prior, 1.5, SQUARED)
     matrix = rr_on_bins_matrix(layout, 1.5)
     row = matrix.rows[1]
-    own = layout.assignments()[layout.labels.index_of(1.0)]
+    own = layout.assignments()[1]
     ok = empirical_sampler_check(
         lambda m, r: rr_on_bins_randomize(np.full(m, own), layout.outputs, 1.5, r),
         matrix.outputs, row, n, root.spawn(0), SIGNIFICANCE,
@@ -426,15 +425,15 @@ def test_criterion_10_baseline_dominance():
             root = Rng(110 + seed)
             ys = root.gen.choice(grid, size=n, p=probs)
 
-            budget = default_budget_split(eps, universe.k, n)
-            noisy, rep = label_randomizer(ys, universe, budget.eps1, budget.eps2, SQUARED, root.spawn(0))
+            # rr-on-bins splits eps by default_budget_split
+            _, rep = randomize("rr-on-bins", ys, universe, eps, SQUARED, root.spawn(0))
             table["rr-on-bins"].append(rep.mechanism_loss_on_inputs)
 
-            params = NoiseParams(eps=eps, sensitivity=hi - lo)
-            lap = clip(laplace_sample(ys.astype(float), params, root.spawn(1)), lo, hi)
+            # sensitivity hi - lo, outputs clipped into [lo, hi]
+            lap, _ = randomize("laplace", ys, universe, eps, SQUARED, root.spawn(1))
             table["laplace+clip"].append(float(np.mean((lap - ys) ** 2)))
 
-            stair = clip(staircase_sample(ys.astype(float), params, root.spawn(2)), lo, hi)
+            stair, _ = randomize("staircase", ys, universe, eps, SQUARED, root.spawn(2))
             table["staircase+clip"].append(float(np.mean((stair - ys) ** 2)))
 
             expd = exponential_mechanism_sample(ys.astype(float), lo, hi, eps, root.spawn(3))
@@ -460,8 +459,7 @@ def test_criterion_11_conversion_extract():
         raw = [float(line) for line in fh.read().split()]
     universe = make_label_set(range(401))
     ys = np.clip(np.floor(raw), 0, 400)
-    budget = default_budget_split(0.5, universe.k, len(ys))
-    _, rep = label_randomizer(ys, universe, budget.eps1, budget.eps2, SQUARED, Rng(111))
+    _, rep = randomize("rr-on-bins", ys, universe, 0.5, SQUARED, Rng(111))
     mse = rep.mechanism_loss_on_inputs
     lo, hi = 10977.09 - 3 * 885, 10977.09 + 3 * 885
     report(11, lo <= mse <= hi, f"mechanism MSE {mse:.2f} within [{lo:.0f}, {hi:.0f}]")

@@ -601,4 +601,4 @@ def test_layout_validation():
         BinLayout(ls, (3,), (9.0,), 1.0, 0.1)
     lay = BinLayout(ls, (1, 3), (0.0, 1.5), 1.0, 0.1)
     assert lay.assignments().tolist() == [0, 1, 1]
-    assert lay.output_for(2.0) == 1.5
+    assert lay.outputs[lay.assignments()[2]] == 1.5

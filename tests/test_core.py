@@ -31,13 +31,6 @@ def test_make_label_set_rejects_bad_input():
         make_label_set([1.0, float("inf")])
 
 
-def test_label_set_lookup():
-    ls = make_label_set([0.0, 1.5, 2.0])
-    assert ls.index_of(1.5) == 1
-    with pytest.raises(ValueError):
-        ls.index_of(1.0)
-
-
 def test_make_prior_examples():
     ls = make_label_set([0, 1])
     assert make_prior(ls, [1, 1]).probs == (0.5, 0.5)

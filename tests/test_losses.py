@@ -4,24 +4,26 @@ import warnings
 import numpy as np
 import pytest
 
-from labeldp import ABSOLUTE, POISSON, SQUARED, check_assumption, custom_loss, eval_loss
+from labeldp import ABSOLUTE, POISSON, SQUARED, check_assumption, custom_loss
 from labeldp.losses import by_name, BUILTIN_KINDS
 from labeldp import make_label_set
 
 
 def test_eval_spot_values():
-    assert eval_loss(SQUARED, 3, 1) == 4.0
-    assert eval_loss(ABSOLUTE, 1.5, 4) == 2.5
-    assert eval_loss(POISSON, 2, 2) == pytest.approx(2 - 2 * math.log(2), abs=1e-15)
+    assert SQUARED.eval_fn(3, 1) == 4.0
+    assert ABSOLUTE.eval_fn(1.5, 4) == 2.5
+    assert POISSON.eval_fn(2, 2) == pytest.approx(2 - 2 * math.log(2), abs=1e-15)
+    grid = SQUARED.eval_grid(np.array([3.0, 1.5]), np.array([1.0, 4.0]))
+    assert grid.tolist() == [[4.0, 0.25], [1.0, 6.25]]
 
 
 def test_poisson_domain_guard():
     with pytest.raises(ValueError, match="yhat > 0"):
-        eval_loss(POISSON, 0.0, 1.0)
+        POISSON.eval_grid(np.array([0.0, 1.0]), np.array([1.0]))
     with pytest.raises(ValueError, match="yhat > 0"):
-        eval_loss(POISSON, -1.0, 1.0)
+        POISSON.eval_grid(np.array([-1.0]), np.array([1.0]))
     # y = 0 is fine: loss reduces to yhat
-    assert eval_loss(POISSON, 0.5, 0.0) == 0.5
+    assert POISSON.eval_grid(np.array([0.5]), np.array([0.0])).tolist() == [[0.5]]
 
 
 def test_poisson_output_zero_warns_nothing():
@@ -31,7 +33,7 @@ def test_poisson_output_zero_warns_nothing():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = POISSON.eval_fn(yhat, y)
-        assert eval_loss(POISSON, 0.5, 0.0) == 0.5
+        assert POISSON.eval_grid(np.array([0.5]), np.array([0.0])).tolist() == [[0.5]]
     assert list(got) == [0.0, math.inf, math.inf, 0.5, 2.0 - math.log(2.0)]
 
 
@@ -48,7 +50,7 @@ def test_poisson_finite_values_keep_their_bits():
 def test_zero_at_diagonal():
     for spec in (SQUARED, ABSOLUTE):
         for y in (-2.0, 0.0, 3.5):
-            assert eval_loss(spec, y, y) == 0.0
+            assert spec.eval_fn(y, y) == 0.0
 
 
 def test_poisson_minimized_at_y():

@@ -8,7 +8,6 @@ from labeldp import (
     SQUARED,
     NoiseParams,
     Rng,
-    clip,
     discrete_laplace_sample,
     discrete_staircase_sample,
     exponential_mechanism_sample,
@@ -16,6 +15,7 @@ from labeldp import (
     make_label_set,
     make_prior,
     optimize_bins,
+    randomize,
     rr_on_bins_matrix,
     rr_on_bins_randomize,
     staircase_sample,
@@ -29,7 +29,7 @@ from labeldp.verify import (
 
 def own_bins(lay, y, n):
     """n copies of member label y's bin index in the layout."""
-    return np.full(n, lay.assignments()[lay.labels.index_of(y)])
+    return np.full(n, lay.assignments()[np.searchsorted(lay.labels.as_array(), y)])
 
 
 def three_bin_layout():
@@ -79,7 +79,7 @@ def test_rr_matrix_column_ratio_is_e_eps():
 def test_rr_sample_high_eps_sticks():
     lay = three_bin_layout()
     rng = Rng(1)
-    phi = lay.output_for(2.0)
+    phi = lay.outputs[own_bins(lay, 2.0, 1)[0]]
     draws = rr_on_bins_randomize(own_bins(lay, 2.0, 10**4), lay.outputs, 50.0, rng)
     assert np.mean(draws == phi) >= 0.999
 
@@ -341,21 +341,28 @@ def test_randomized_response_examples():
         rr(0, 4, 1.0, 1, rng)
 
 
+ADDITIVE = ("laplace", "staircase", "discrete-laplace", "discrete-staircase")
+
+
 def test_clip():
-    assert clip(500.0, 0.0, 400.0) == 400.0
-    assert clip(-3.0, 0.0, 400.0) == 0.0
-    assert clip(200.0, 0.0, 400.0) == 200.0
-    with pytest.raises(ValueError):
-        clip(1.0, 2.0, 1.0)
+    # clip=True clamps the very draws that clip=False returns into the range
+    universe = make_label_set(range(401))
+    y = np.array([0.0, 200.0, 400.0] * 100)
+    for mechanism in ADDITIVE:
+        raw, _ = randomize(mechanism, y, universe, 0.5, SQUARED, Rng(3), clip=False)
+        clipped, _ = randomize(mechanism, y, universe, 0.5, SQUARED, Rng(3))
+        assert raw.min() < 0.0 and raw.max() > 400.0, mechanism
+        assert np.array_equal(clipped, np.clip(raw, 0.0, 400.0)), mechanism
 
 
 def test_clip_never_hurts():
     rng = np.random.default_rng(18)
-    lo, hi = 0.0, 10.0
-    y = rng.uniform(lo, hi, 1000)
-    noisy = y + rng.laplace(0, 5, 1000)
-    clipped = clip(noisy, lo, hi)
-    assert np.all(np.abs(clipped - y) <= np.abs(noisy - y) + 1e-12)
+    universe = make_label_set(range(11))
+    y = rng.uniform(0.0, 10.0, 1000)
+    for mechanism in ADDITIVE:
+        noisy, _ = randomize(mechanism, y, universe, 0.2, SQUARED, Rng(18), clip=False)
+        clipped, _ = randomize(mechanism, y, universe, 0.2, SQUARED, Rng(18))
+        assert np.all(np.abs(clipped - y) <= np.abs(noisy - y) + 1e-12), mechanism
 
 
 def test_determinism_and_spawn():

@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from labeldp import SQUARED, Rng, label_randomizer, make_label_set, snap_to_universe
+from labeldp import SQUARED, Rng, make_label_set, randomize, snap_to_universe
 from labeldp.cli import parse_universe
 from labeldp.pipeline import universe_indices
 
 
 def test_no_privacy_limit_is_identity():
     ls = make_label_set([0, 1])
-    noisy, report = label_randomizer([0, 0, 1, 1], ls, 1e6, 1e6, SQUARED, Rng(5))
+    noisy, report = randomize("rr-on-bins", [0, 0, 1, 1], ls, 2e6, SQUARED, Rng(5), eps1=1e6)
     assert noisy.tolist() == [0.0, 0.0, 1.0, 1.0]
     assert report.mechanism_loss_on_inputs == pytest.approx(0.0, abs=1e-20)
     assert report.layout.d == 2
@@ -20,7 +20,7 @@ def test_no_privacy_limit_is_identity():
 def test_eps2_zero_collapses_to_one_bin():
     ls = make_label_set([0, 1])
     labels = [0, 0, 1, 1]
-    noisy, report = label_randomizer(labels, ls, 1e6, 0.0, SQUARED, Rng(7))
+    noisy, report = randomize("rr-on-bins", labels, ls, 1e6, SQUARED, Rng(7), eps1=1e6)
     assert report.layout.d == 1
     assert len(set(noisy.tolist())) == 1
     # constant output at the estimated mean; loss ~ prior variance
@@ -31,18 +31,18 @@ def test_eps2_zero_collapses_to_one_bin():
 def test_reproducibility():
     ls = make_label_set(range(10))
     labels = list(range(10)) * 30
-    a, ra = label_randomizer(labels, ls, 0.5, 0.5, SQUARED, Rng(9))
-    b, rb = label_randomizer(labels, ls, 0.5, 0.5, SQUARED, Rng(9))
+    a, ra = randomize("rr-on-bins", labels, ls, 1.0, SQUARED, Rng(9), eps1=0.5)
+    b, rb = randomize("rr-on-bins", labels, ls, 1.0, SQUARED, Rng(9), eps1=0.5)
     assert np.array_equal(a, b)
     assert ra == rb
-    c, _ = label_randomizer(labels, ls, 0.5, 0.5, SQUARED, Rng(10))
+    c, _ = randomize("rr-on-bins", labels, ls, 1.0, SQUARED, Rng(10), eps1=0.5)
     assert not np.array_equal(a, c)
 
 
 def test_output_length_and_order_preserved():
     ls = make_label_set(range(5))
     labels = [4, 0, 2, 2, 1, 3, 0]
-    noisy, report = label_randomizer(labels, ls, 1e6, 1e6, SQUARED, Rng(1))
+    noisy, report = randomize("rr-on-bins", labels, ls, 2e6, SQUARED, Rng(1), eps1=1e6)
     assert len(noisy) == len(labels)
     assert noisy.tolist() == [float(v) for v in labels]
     assert report.n == len(labels)
@@ -94,13 +94,13 @@ def test_universe_indices_match_searchsorted(universe):
 
 def test_randomizer_snaps_before_estimating():
     uni = make_label_set([0, 1])
-    noisy, _ = label_randomizer([0.4, 0.9, 1.0, 1.7], uni, 1e6, 1e6, SQUARED, Rng(2))
+    noisy, _ = randomize("rr-on-bins", [0.4, 0.9, 1.0, 1.7], uni, 2e6, SQUARED, Rng(2), eps1=1e6)
     assert noisy.tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 def test_report_carries_no_raw_data():
     ls = make_label_set([0, 1, 2])
-    _, report = label_randomizer([0, 1, 2, 2], ls, 1.0, 1.0, SQUARED, Rng(3))
+    _, report = randomize("rr-on-bins", [0, 1, 2, 2], ls, 2.0, SQUARED, Rng(3), eps1=1.0)
     fields = {f.name for f in dataclasses.fields(report)}
     assert fields == {
         "budget",
@@ -119,8 +119,8 @@ def test_report_carries_no_raw_data():
 def test_preconditions():
     ls = make_label_set([0, 1])
     with pytest.raises(ValueError):
-        label_randomizer([0, 1], ls, 0.0, 1.0, SQUARED, Rng(0))
+        randomize("rr-on-bins", [0, 1], ls, 1.0, SQUARED, Rng(0), eps1=0.0)
     with pytest.raises(ValueError):
-        label_randomizer([0, 1], ls, 1.0, -0.5, SQUARED, Rng(0))
+        randomize("rr-on-bins", [0, 1], ls, 0.5, SQUARED, Rng(0), eps1=1.0)
     with pytest.raises(ValueError):
-        label_randomizer([], ls, 1.0, 1.0, SQUARED, Rng(0))
+        randomize("rr-on-bins", [], ls, 2.0, SQUARED, Rng(0), eps1=1.0)

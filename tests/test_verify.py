@@ -11,6 +11,7 @@ from labeldp import (
     Rng,
     brute_force_optimal_bins,
     check_eps_dp,
+    custom_loss,
     empirical_sampler_check,
     expected_loss,
     lp_optimal_mechanism,
@@ -19,17 +20,27 @@ from labeldp import (
     optimize_bins,
     rr_on_bins_matrix,
 )
-from labeldp.verify import best_rr_on_bins_over_grid, simplex_solve
+from labeldp.binopt import tilt_factor
+from labeldp.verify import (
+    LP_MAX_ROWS,
+    _golden,
+    _interval_minimum,
+    best_rr_on_bins_over_grid,
+    simplex_solve,
+)
 
 ALL_LOSSES = (SQUARED, ABSOLUTE, POISSON)
 
 
-def random_prior(rng, k_max=8, y_lo=0.5, y_hi=20.0):
-    k = int(rng.integers(2, k_max + 1))
+def prior_of_size(rng, k, y_lo=0.5, y_hi=20.0):
     vals = np.sort(rng.uniform(y_lo, y_hi, k))
     while len(np.unique(vals)) < k:
         vals = np.sort(rng.uniform(y_lo, y_hi, k))
     return make_prior(make_label_set(vals), rng.dirichlet(np.ones(k)))
+
+
+def random_prior(rng, k_max=8, y_lo=0.5, y_hi=20.0):
+    return prior_of_size(rng, int(rng.integers(2, k_max + 1)), y_lo, y_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +79,37 @@ def test_brute_force_matches_optimizer():
         fast = optimize_bins(pr, eps, loss)
         slow = brute_force_optimal_bins(pr, eps, loss)
         assert fast.objective == pytest.approx(slow.objective, rel=1e-9, abs=0), (t, eps, loss.kind)
+
+
+def test_golden_stops_at_float_resolution():
+    # one ulp near 1e4 is 1.8e-12, wider than the 1e-12 tolerance
+    x, v = _golden(lambda v: (v - 1e4 - 0.3) ** 2, 1e4, 1e4 + 3)
+    assert x == pytest.approx(1e4 + 0.3, rel=1e-9)
+    assert v <= (1e-9 * (1e4 + 0.3)) ** 2
+
+
+@pytest.mark.parametrize("base", (1e4, 1e6))
+def test_brute_force_custom_loss_on_large_labels(base):
+    # the custom squared loss goes through the golden search, SQUARED through
+    # the closed form
+    custom_sq = custom_loss(lambda yhat, y: (np.asarray(yhat) - np.asarray(y)) ** 2, True)
+    pr = make_prior(make_label_set(base + np.array([0.0, 0.5, 1.7, 3.0])), [1, 2, 3, 1])
+    for eps in (0.0, 0.5, 2.0, 8.0):
+        want = brute_force_optimal_bins(pr, eps, SQUARED).objective
+        got = brute_force_optimal_bins(pr, eps, custom_sq).objective
+        assert got == pytest.approx(want, rel=1e-9), eps
+
+
+def test_interval_minimum_at_the_capped_tilt():
+    # a one-label bin at eps 1e6: the tilt of 1e300 pins the minimum to the
+    # label, which a golden search in yhat misses by about 1e-12
+    quartic = custom_loss(lambda yhat, y: (np.asarray(yhat) - np.asarray(y)) ** 4, True)
+    y = np.array([0.0, 0.5, 2.0, 3.5, 7.0, 9.5])
+    p = np.array([0.1, 0.3, 0.05, 0.25, 0.2, 0.1])
+    for r in range(len(y)):
+        yhat, v = _interval_minimum(p, y, r, r, tilt_factor(1e6), quartic)
+        assert yhat == y[r]
+        assert v == pytest.approx(float(np.dot(p, (y[r] - y) ** 4)), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +223,32 @@ def test_lp_deterministic_objective():
 
 
 def test_lp_size_guard():
-    pr = make_prior(make_label_set(range(30)), np.ones(30))
-    with pytest.raises(ValueError, match="400"):
-        lp_optimal_mechanism(pr, range(30), 1.0, SQUARED)
+    # k = m = 30 is the largest square LP under the cap, and it solves
+    assert 30 * 30 * 29 == LP_MAX_ROWS
+    pr = make_prior(make_label_set(range(30)), np.arange(1, 31))
+    assert lp_optimal_mechanism(pr, np.arange(30) + 0.5, 1.0, SQUARED).status == "optimal"
+    with pytest.raises(ValueError, match="26970 ratio rows, more than 26100"):
+        lp_optimal_mechanism(pr, range(31), 1.0, SQUARED)
+    wide = make_prior(make_label_set(range(31)), np.ones(31))
+    with pytest.raises(ValueError, match="more than 26100"):
+        lp_optimal_mechanism(wide, range(29), 1.0, SQUARED)
+
+
+@pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda loss: loss.kind)
+def test_lp_confirms_rr_on_bins_at_real_size(loss):
+    # the paper's theorem against every eps-DP mechanism on a finite grid: a
+    # grid that holds optimize_bins' outputs reaches its objective, and no
+    # grid beats it; k = m = 20 also has HiGHS solve and pass the audit there
+    rng = np.random.default_rng(25)
+    for k, eps in ((4, 0.3), (9, 1.0), (14, 4.0), (20, 1.5)):
+        pr = prior_of_size(rng, k)
+        best = optimize_bins(pr, eps, loss)
+        extra = rng.uniform(pr.labels.y_min, pr.labels.y_max, k)
+        holds = lp_optimal_mechanism(pr, np.union1d(best.outputs, extra[: k - best.d]), eps, loss)
+        free = lp_optimal_mechanism(pr, extra, eps, loss)
+        assert holds.status == free.status == "optimal", (k, eps)
+        assert holds.objective == pytest.approx(best.objective, rel=1e-6), (k, eps)
+        assert free.objective >= best.objective - 1e-9 * abs(best.objective), (k, eps)
 
 
 # ---------------------------------------------------------------------------
