@@ -40,7 +40,7 @@ from .mechanisms import (
     staircase_sample,
 )
 from .pipeline import RandomizationReport, randomize, snap_to_universe
-from .prior import HistogramEstimate, default_budget_split, laplace_histogram
+from .prior import HistogramEstimate, default_budget_split, laplace_histogram, split_budget
 
 __version__ = "0.1.0"
 

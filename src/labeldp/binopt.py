@@ -269,8 +269,8 @@ def _convex_rows(w: np.ndarray, y: np.ndarray, loss: LossSpec):
     f2 - (x2 - x1) * min(s12 - s01, s23) in chord slopes; likewise on
     [x2, x3].  A row stops once both gaps are within _CERT_RTOL of f2, or once
     [x1, x3] is GOLDEN_TOL wide (16 ulps of the range's ends where that is
-    wider), and after at most the steps golden section takes to shrink the
-    range to GOLDEN_TOL.  Until then each step goes to
+    wider).  For as many rounds as golden section takes to shrink the range
+    to GOLDEN_TOL, each step goes to
     - the vertex of a parabola through three neighbouring points, the
       closest three whose vertex lies inside (x1, x3), moved out to the
       distance that would certify a parabola of that curvature where it is
@@ -279,8 +279,9 @@ def _convex_rows(w: np.ndarray, y: np.ndarray, loss: LossSpec):
     - else the lowest point of the bound on the side with the larger gap,
       which is the kink where two straight pieces meet;
     - else a golden step into the larger of [x1, x2] and [x2, x3].
-    Stopped rows leave the batch.  Every step and sum runs along its own row,
-    so no row's result depends on the rows beside it.
+    Past those rounds a row takes golden steps only, which shrink [x1, x3]
+    until it stops.  Stopped rows leave the batch.  Every step and sum runs
+    along its own row, so no row's result depends on the rows beside it.
     """
     if not loss.convex_in_first_arg:
         raise ValueError("generic inner solver requires a convex loss")
@@ -309,7 +310,8 @@ def _convex_rows(w: np.ndarray, y: np.ndarray, loss: LossSpec):
     # above 16 ulps of the range's ends no step rounds onto a point
     floor = max(GOLDEN_TOL, 16 * math.ulp(max(abs(lo), abs(hi))))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(steps):
+        while True:
+            steps -= 1
             dx, df = np.diff(win, axis=1)
             s = df / dx  # s01, s12, s23, s34
             ds = np.diff(s, axis=0)  # s12 - s01, s23 - s12, s34 - s23, none negative
@@ -339,12 +341,13 @@ def _convex_rows(w: np.ndarray, y: np.ndarray, loss: LossSpec):
             right = gap[1] > gap[0]
             reach = 0.5 * np.sqrt(_CERT_RTOL * np.abs(f2) * (width[0] + width[1]) / ds[1])
             u = np.where(np.abs(u - x2) < reach, x2 + np.where(right, reach, -reach), u)
-            para = (u > x[1]) & (u < x[3]) & (u != x2) & (np.abs(u - x2) < 0.5 * np.abs(before))
+            para = ((u > x[1]) & (u < x[3]) & (u != x2) & (np.abs(u - x2) < 0.5 * np.abs(before))
+                    & (steps >= 0))
             frac = np.where(right, ds[2] / (ds[1] + ds[2]), ds[0] / (ds[0] + ds[1]))
             cross = x2 + np.where(right, width[1], -width[0]) * frac
             half = np.where(width[1] >= width[0], width[1], -width[0])
-            u = np.where(para, u, np.where((cross > x[1]) & (cross < x[3]) & (cross != x2),
-                                           cross, x2 + _CGOLD * half))
+            kink = (cross > x[1]) & (cross < x[3]) & (cross != x2) & (steps >= 0)
+            u = np.where(para, u, np.where(kink, cross, x2 + _CGOLD * half))
             before, last = np.where(para, last, half), u - x2
             # insert (u, g(u)) beside x2 and keep the five points about the better
             new = np.stack([u, g(w, u)])
@@ -354,8 +357,6 @@ def _convex_rows(w: np.ndarray, y: np.ndarray, loss: LossSpec):
             six[:, 2] = np.where(left, new, win[:, 2])
             six[:, 3] = np.where(left, win[:, 2], new)
             win = np.where(left != (new[1] < f2), six[:, 1:], six[:, :-1])
-    x_best[rows], f_best[rows] = win[:, 2]
-    return x_best, f_best
 
 
 def _tilted_rows(p: np.ndarray, spans, tilt: float) -> np.ndarray:

@@ -183,31 +183,119 @@ def parse_universe(spec: str) -> LabelSet:
     return make_label_set(vals)
 
 
-WRITE_CHUNK = 1 << 16  # lines joined per write
+WRITE_CHUNK = 1 << 16  # lines per write
+PRINTF = "%" + FMT_SPEC + "\n"  # printf-style, fmt's text and a newline
+
+# A chunk that holds a fresh value with 1 <= |v| < 1e16 is built as rows of
+# _ROW bytes: a sign slot, then a line of at most 24 characters and its
+# newline.  A row's keep code is its line's length, plus _ROW + 1 where the
+# sign slot is kept; _KEEP[code] marks the bytes written.
+_ROW = 26
+_SPAN = np.arange(_ROW) <= np.arange(_ROW + 1)[:, None]
+_KEEP = np.concatenate([_SPAN & (np.arange(_ROW) > 0), _SPAN])
+_POW10 = np.array([float(10 ** x) for x in range(17)])  # exact doubles
+_X_OF_EXP = np.searchsorted(_POW10, 2.0 ** np.arange(54), "right") - 1  # 10^x <= 2^e < 10^(x+1)
+_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
+
+
+def _halves(x: np.ndarray):
+    """Veltkamp's split of each double into two halves of at most 26 bits."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _text_rows(texts: list[str]):
+    """Rows and keep codes of lines given as text."""
+    blob = "".join(("\0" + t).ljust(_ROW, "\0") for t in texts).encode()
+    return np.frombuffer(blob, np.uint8).reshape(-1, _ROW), np.array([len(t) for t in texts])
+
+
+def _digit_rows(v: np.ndarray):
+    """Rows and keep codes of fmt(v) + newline for doubles with 1 <= |v| < 1e16,
+    in the returned order of v.  With 10^x <= |v| < 10^(x+1), found by exact
+    comparisons with powers of ten, the 17 significant digits are
+    n = |v| * 10^(16 - x) rounded half-even.  Dekker's product gives it
+    exactly as hi + lo, where hi >= 1e16 > 2^53 is an even integer, so
+    n = hi + rint(lo).  |v| lies at least 10^(x+1) / 2^53 below 10^(x+1), so
+    n < 10^17 - 11: rounding never carries to an 18th digit.  The digits are
+    written in pairs, then the fraction digits move one byte right to make
+    room for the point, in groups of rows of one x."""
+    a = np.abs(v)
+    x = _X_OF_EXP[(a.view(np.int64) >> 52) - 1023]
+    x += a >= _POW10[x + 1]
+    order = np.argsort(x.astype(np.uint8), kind="stable")
+    v, a, x = v[order], a[order], x[order]
+    s = _POW10[16 - x]
+    hi = a * s
+    (ah, al), (sh, sl) = _halves(a), _halves(s)
+    n = hi.astype(np.int64) + np.rint((ah * sh - hi) + ah * sl + al * sh + al * sl).astype(np.int64)
+    zeros = np.zeros(n.size, np.intp)  # trailing zeros of n
+    at, rest = np.arange(n.size), n
+    while at.size:
+        q = rest // 10
+        z = rest == 10 * q
+        at, rest = at[z], q[z]
+        zeros[at] += 1
+    rows = np.empty((n.size, _ROW), np.uint8)
+    pairs = rows.view(np.uint16)  # digit k of n goes to byte k + 1
+    top = (n // 10**8).astype(np.int32)
+    low = (n - top * np.int64(10**8)).astype(np.int32)
+    for j in range(4, 0, -1):
+        q = top // 100
+        pairs[:, j] = _PAIRS.take(top - 100 * q)
+        top = q
+        q = low // 100
+        pairs[:, 4 + j] = _PAIRS.take(low - 100 * q)
+        low = q
+    rows[:, 0], rows[:, 1] = ord("-"), top + ord("0")
+    cuts = np.searchsorted(x, np.arange(17))
+    for k in range(x[0], x[-1] + 1):
+        group = rows[cuts[k]:cuts[k + 1]]
+        group[:, k + 3:19] = group[:, k + 2:18]
+        group[:, k + 2] = ord(".")
+    frac = 16 - x - zeros  # fraction digits kept
+    size = np.where(frac > 0, x + 3 + frac, x + 2)
+    rows.reshape(-1)[np.arange(n.size) * _ROW + size] = ord("\n")
+    return order, rows, size + (_ROW + 1) * (v < 0)
 
 
 def _write_lines(path: str, values) -> None:
     """One fmt(v) line per value, in order.  A value that occurs more than once
-    is formatted once and its text reused; the other values of a chunk go
-    through one printf-style call, whose "%" + FMT_SPEC gives fmt's text.
-    Values are told apart by their bits, so -0.0 and 0.0 keep their signs."""
+    is formatted once and its text reused.  The other values of a chunk are
+    formatted in numpy where 1 <= |v| < 1e16 (_digit_rows), and otherwise
+    by one printf-style call, whose PRINTF gives fmt's text; a chunk with no
+    value in that range is joined as text.  Values are told apart by their
+    bits, so -0.0 and 0.0 keep their signs."""
     values = np.asarray(values, dtype=float).ravel()
     bits = values.view(np.int64)
     ordered = np.sort(bits)
     fresh = ordered[1:] != ordered[:-1]
     repeated = ordered[1:][~fresh & np.append(fresh[1:], True)]  # last of each run of 2+
-    texts = np.array([fmt(v) + "\n" for v in repeated.view(float).tolist()]
-                     + ["%" + FMT_SPEC + "\n"], dtype=object)
-    with open(path, "w") as fh:
+    texts = np.array([fmt(v) + "\n" for v in repeated.view(float).tolist()] + [PRINTF],
+                     dtype=object)
+    known = None  # the rows of texts, built for the first chunk that needs them
+    with open(path, "wb") as fh:
         for start in range(0, values.size, WRITE_CHUNK):
             chunk = bits[start:start + WRITE_CHUNK]
             at = np.searchsorted(repeated, chunk)
             hit = at < repeated.size
             hit[hit] = repeated[at[hit]] == chunk[hit]
-            text = "".join(texts[np.where(hit, at, repeated.size)].tolist())
-            if not hit.all():
-                text %= tuple(values[start:start + WRITE_CHUNK][~hit].tolist())
-            fh.write(text)
+            at[~hit] = repeated.size
+            pos = np.flatnonzero(~hit)
+            v = values[start:start + WRITE_CHUNK][pos]
+            fast = (np.abs(v) >= 1) & (np.abs(v) < 1e16)
+            if not fast.any():
+                text = "".join(texts[at].tolist())
+                fh.write((text % tuple(v.tolist()) if v.size else text).encode())
+                continue
+            known = known or _text_rows(texts.tolist())
+            rows, codes = known[0].take(at, axis=0), known[1].take(at)
+            order, fast_rows, fast_codes = _digit_rows(v[fast])
+            rows[pos[fast][order]], codes[pos[fast][order]] = fast_rows, fast_codes
+            slow = PRINTF * (v.size - int(np.count_nonzero(fast))) % tuple(v[~fast].tolist())
+            rows[pos[~fast]], codes[pos[~fast]] = _text_rows(slow.splitlines(True))
+            fh.write(rows[_KEEP.take(codes, axis=0)])
 
 
 def _layout_json(layout: BinLayout) -> dict:

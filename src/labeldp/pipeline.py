@@ -27,7 +27,7 @@ from .mechanisms import (
     rr_on_bins_randomize,
     staircase_sample,
 )
-from .prior import default_budget_split, laplace_histogram
+from .prior import default_budget_split, laplace_histogram, split_budget
 
 
 @dataclass(frozen=True)
@@ -86,23 +86,14 @@ def snap_to_universe(values, universe: LabelSet) -> np.ndarray:
     return universe.as_array()[universe_indices(values, universe)]
 
 
-def _two_step(idx, universe, eps1, eps2, loss, rng):
-    if not eps1 > 0:
-        raise ValueError(f"eps1 must be positive, got {eps1}")
-    if eps2 < 0:
-        raise ValueError(f"eps2 must be non-negative, got {eps2}")
-    estimate = laplace_histogram(idx, universe, eps1, rng)
-    layout = optimize_bins(estimate.prior, eps2, loss)
-    noisy = rr_on_bins_randomize(layout.assignments()[idx], layout.outputs, eps2, rng)
-    return noisy, EpsilonBudget(eps1=eps1, eps2=eps2), estimate.prior, layout
-
-
 def _rr_on_bins(idx, universe, eps, rng, loss, eps1, clip):
     """Two-step rr-on-bins; eps1 defaults to sqrt(k/n) of the total eps."""
-    if eps1 is None:
-        split = default_budget_split(eps, universe.k, idx.size)
-        return _two_step(idx, universe, split.eps1, split.eps2, loss, rng)
-    return _two_step(idx, universe, eps1, eps - eps1, loss, rng)
+    budget = (default_budget_split(eps, universe.k, idx.size) if eps1 is None
+              else split_budget(eps, eps1))
+    estimate = laplace_histogram(idx, universe, budget.eps1, rng)
+    layout = optimize_bins(estimate.prior, budget.eps2, loss)
+    noisy = rr_on_bins_randomize(layout.assignments()[idx], layout.outputs, budget.eps2, rng)
+    return noisy, budget, estimate.prior, layout
 
 
 def _one_step(draw):

@@ -1,5 +1,5 @@
-"""Private prior estimation over a public label universe, and the default
-privacy budget split between estimation and randomization.
+"""Private prior estimation over a public label universe, and the privacy
+budget split between estimation and randomization.
 
 The histogram mechanism counts labels over the caller-supplied universe, adds
 Laplace(2/eps) noise per cell (a histogram has sensitivity 2 under a one-label
@@ -59,7 +59,7 @@ def laplace_histogram(indices, universe: LabelSet, eps1: float, rng: Rng) -> His
 
 def default_budget_split(eps: float, k: int, n: int) -> EpsilonBudget:
     """Split a total budget as eps1 = sqrt(k/n) for prior estimation and the
-    remainder for randomization; the components sum to eps exactly."""
+    remainder for randomization, as split_budget does."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if k < 1 or n < 1:
@@ -70,12 +70,23 @@ def default_budget_split(eps: float, k: int, n: int) -> EpsilonBudget:
             f"default split needs sqrt(k/n) = {eps1:.6g} < eps = {eps:.6g}; "
             "supply an explicit split or more data"
         )
+    return split_budget(eps, eps1)
+
+
+def split_budget(eps: float, eps1: float) -> EpsilonBudget:
+    """eps1 for prior estimation and eps2 = eps - eps1 for randomization.
+    eps2 is corrected so that the float sum eps1 + eps2 is eps or, where no
+    eps2 gives that sum (eps odd in its last bit, eps1 half an ulp of eps off
+    its grid), falls just below it: the total never reads above eps."""
+    if not eps1 > 0:
+        raise ValueError(f"eps1 must be positive, got {eps1}")
     eps2 = eps - eps1
-    # make the float sum exact (a couple of one-ulp corrections at most)
-    for _ in range(4):
+    for _ in range(4):  # a couple of one-ulp corrections at most
         if eps1 + eps2 == eps:
             break
         eps2 += eps - (eps1 + eps2)
-    if eps1 + eps2 != eps or eps2 <= 0:
-        raise ValueError(f"cannot split eps = {eps!r} exactly with eps1 = {eps1!r}")
+    while eps1 + eps2 > eps:
+        eps2 = math.nextafter(eps2, -math.inf)
+    if not eps2 >= 0:
+        raise ValueError(f"eps2 must be non-negative, got {eps2}")
     return EpsilonBudget(eps1=eps1, eps2=eps2)

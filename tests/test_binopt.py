@@ -559,17 +559,31 @@ def test_ties_resolve_toward_fewer_bins(vals, p, d):
         assert cost / (d - 1 + tilt) == pytest.approx(lay.objective, rel=1e-12)
 
 
-@pytest.mark.parametrize("loss", (HUBER, QUARTIC), ids=("huber", "quartic"))
-def test_brute_force_matches_custom_losses(loss):
+def _brute_force_agrees(loss, eps_grid, seed):
     # the brute force solves every bin with its own scalar golden section,
     # so it shares no code with the lockstep table search
-    rng = np.random.default_rng(22)
-    for eps in (0.0, 0.5, 1.0, 2.0, 5.0, 8.0):
+    rng = np.random.default_rng(seed)
+    for eps in eps_grid:
         for _ in range(3):
             pr = random_prior(rng, k_max=7)
             fast = optimize_bins(pr, eps, loss)
             slow = brute_force_optimal_bins(pr, eps, loss)
             assert fast.objective == pytest.approx(slow.objective, rel=1e-9, abs=0), (eps, pr.k)
+
+
+@pytest.mark.parametrize("loss", (HUBER, QUARTIC), ids=("huber", "quartic"))
+def test_brute_force_matches_custom_losses(loss):
+    # at eps 30 some quartic rows need golden steps past the parabolic rounds
+    eps_grid = (0.0, 0.5, 1.0, 2.0, 5.0, 8.0, 12.0, 30.0)
+    _brute_force_agrees(loss, eps_grid + ((100.0, 800.0) if loss is HUBER else ()), 22)
+
+
+@pytest.mark.xfail(strict=True, reason="a search stops once its bracket is GOLDEN_TOL wide; on "
+                   "quartic's flat minimum a tilt of e^100 turns that width into cells 1e-6 "
+                   "relative too high, and the capped tilt of eps 800 does so for 16 ulps")
+@pytest.mark.parametrize("eps", (100.0, 800.0))
+def test_brute_force_quartic_at_large_eps(eps):
+    _brute_force_agrees(QUARTIC, (eps,) * 4, 22)
 
 
 def test_custom_convex_loss_route():

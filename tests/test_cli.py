@@ -8,6 +8,7 @@ import sys
 import threading
 import urllib.request
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +281,46 @@ def test_write_lines_matches_fmt(tmp_path, values, chunk):
         mp.setattr(cli, "WRITE_CHUNK", chunk)
         _write_lines(str(dest), values)
     assert dest.read_bytes() == "".join(fmt(v) + "\n" for v in values).encode()
+
+
+def _writes_fmt(tmp_path, values):
+    dest = tmp_path / "out.txt"
+    _write_lines(str(dest), values)
+    return dest.read_bytes() == "".join(fmt(v) + "\n" for v in values.tolist()).encode()
+
+
+def test_write_lines_near_powers_of_ten(tmp_path):
+    # every double within 64 ulps of 10^0 .. 10^16, of both signs: where the
+    # digit count and the point move, and where rounding could carry
+    steps = np.arange(-64, 65)
+    powers = np.array([float(10 ** x) for x in range(17)])
+    near = (powers.view(np.int64)[:, None] + steps).view(float).ravel()
+    assert _writes_fmt(tmp_path, np.concatenate([near, -near]))
+
+
+def test_write_lines_half_way_cases(tmp_path):
+    # |v| * 10^(16 - x) ends in exactly .5, so the last digit rounds half to even
+    values = np.array([1234567890123456.25, 1234567890123456.75, 2251799813685247.75,
+                       123456789012345.125, 123456789012345.375, 123456789012345.625,
+                       562949953421311.875])
+    for v in values.tolist():
+        assert (Fraction(v) * 10 ** (16 - len(str(int(v))) + 1)).denominator == 2
+    assert _writes_fmt(tmp_path, np.concatenate([values, -values]))
+
+
+def test_write_lines_random_doubles_in_range(tmp_path):
+    rng = np.random.default_rng(15)
+    spread = 10.0 ** rng.uniform(0.0, 16.0, 500_000)
+    values = np.concatenate([rng.uniform(1.0, 1e16, 500_000), spread[spread < 1e16]])
+    assert _writes_fmt(tmp_path, values * rng.choice([-1.0, 1.0], values.size))
+
+
+def test_write_lines_random_bit_patterns(tmp_path):
+    bits = np.random.default_rng(16).integers(-2 ** 63, 2 ** 63, 300_000, dtype=np.int64)
+    values = bits.view(float)
+    assert _writes_fmt(tmp_path, values)
+    # most random bit patterns lie outside [1, 1e16); these all lie inside
+    assert _writes_fmt(tmp_path, values[(np.abs(values) >= 1) & (np.abs(values) < 1e16)])
 
 
 @pytest.mark.parametrize("mech", MECHANISMS)

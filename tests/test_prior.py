@@ -8,8 +8,11 @@ from labeldp import (
     Rng,
     default_budget_split,
     laplace_histogram,
+    losses,
     make_label_set,
     make_prior,
+    randomize,
+    split_budget,
 )
 
 
@@ -115,3 +118,54 @@ def test_budget_split_sum_exact_random():
         b = default_budget_split(eps, k, n)
         assert b.eps1 + b.eps2 == eps
         assert b.total == eps
+
+
+def _sums_to(eps, eps1):
+    """Whether some eps2 within 4 ulps of eps - eps1 gives eps1 + eps2 == eps."""
+    below = above = eps - eps1
+    for _ in range(5):
+        if eps1 + below == eps or eps1 + above == eps:
+            return True
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+    return False
+
+
+def test_explicit_split_never_reads_above_eps():
+    # eps - eps1 overshoots by one ulp, and no eps2 sums to eps exactly: eps
+    # is odd in its last bit and eps1 sits half an ulp of eps off eps's grid
+    eps, eps1 = 0.3549130432119025, 0.08615158271934684
+    assert eps1 + (eps - eps1) > eps and not _sums_to(eps, eps1)
+    b = split_budget(eps, eps1)
+    assert b.eps1 == eps1
+    assert b.total == math.nextafter(eps, 0.0)
+    assert eps1 + math.nextafter(b.eps2, math.inf) > eps
+    rng = np.random.default_rng(7)
+    for eps, share in rng.uniform(0.01, 8.0, (2000, 2)):
+        eps, eps1 = float(eps), float(eps * share / 8.0)
+        b = split_budget(eps, eps1)
+        assert b.total == eps if _sums_to(eps, eps1) else b.total < eps
+        assert eps1 + math.nextafter(b.eps2, math.inf) > eps or b.total == eps
+    assert split_budget(1.0, 1.0).eps2 == 0.0
+    for eps1, match in ((0.0, "eps1 must be positive"), (math.nan, "eps1 must be positive"),
+                        (1.5, "eps2 must be non-negative")):
+        with pytest.raises(ValueError, match=match):
+            split_budget(1.0, eps1)
+    with pytest.raises(ValueError, match="eps2 must be non-negative, got nan"):
+        split_budget(math.nan, 0.5)
+
+
+def test_default_split_where_no_exact_sum_exists():
+    # sqrt(1/20) sits half an ulp of eps off eps's grid, and eps is odd in
+    # its last bit; this split used to be refused
+    eps = math.nextafter(0.5, 0.0)
+    assert not _sums_to(eps, math.sqrt(1 / 20))
+    b = default_budget_split(eps, 1, 20)
+    assert b.eps1 == math.sqrt(1 / 20) and b.total == math.nextafter(eps, 0.0)
+
+
+def test_explicit_split_reaches_the_report():
+    eps, eps1 = 0.3549130432119025, 0.08615158271934684
+    _, report = randomize("rr-on-bins", [0, 1, 1, 2], make_label_set([0, 1, 2]), eps,
+                          losses.by_name("squared"), Rng(1), eps1=eps1)
+    assert report.budget.eps1 == eps1
+    assert report.budget.total == math.nextafter(eps, 0.0)
