@@ -18,14 +18,12 @@ from .core import (
     expected_loss,
     make_label_set,
     make_prior,
-    prior_from_labels,
 )
 from .losses import (
     ABSOLUTE,
     POISSON,
     SQUARED,
     LossSpec,
-    check_assumption,
     custom_loss,
 )
 from .mechanisms import (
@@ -39,7 +37,7 @@ from .mechanisms import (
     rr_on_bins_randomize,
     staircase_sample,
 )
-from .pipeline import RandomizationReport, randomize, snap_to_universe
+from .pipeline import RandomizationReport, randomize
 from .prior import HistogramEstimate, default_budget_split, laplace_histogram, split_budget
 
 __version__ = "0.1.0"

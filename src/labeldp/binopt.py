@@ -59,7 +59,7 @@ _CGOLD = 1.0 - _INV_PHI  # a golden step's share of the larger side
 
 def tilt_factor(eps: float) -> float:
     """e^eps, capped at 1e300 for overflow safety."""
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError(f"eps must be non-negative, got {eps}")
     return TILT_CAP if eps >= 690.0 else min(math.exp(eps), TILT_CAP)
 
@@ -584,8 +584,6 @@ def optimize_bins(prior: Prior, eps: float, loss: LossSpec) -> BinLayout:
     ties resolve toward fewer bins, then smaller start indices; layouts that
     tie only in real arithmetic may resolve either way.
     """
-    if eps < 0:
-        raise ValueError(f"eps must be non-negative, got {eps}")
     tilt = tilt_factor(eps)
     lval = _build_tables(prior, tilt, loss)
     objective, spans = _parametric_search(lval, prior.k, tilt)

@@ -414,7 +414,7 @@ def cmd_bench(args) -> int:
     universe = parse_universe(args.universe)
     loss = losses.by_name(args.loss)
     eps_grid = [_flag_float("--eps-list", t) for t in args.eps_list.split(",") if t.strip()]
-    if not eps_grid or any(e <= 0 for e in eps_grid):
+    if not eps_grid or not all(e > 0 for e in eps_grid):
         raise ValueError(f"bad eps list {args.eps_list!r}")
     mechs = [m.strip() for m in args.mechanisms.split(",") if m.strip()]
     for m in mechs:

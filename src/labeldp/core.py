@@ -102,9 +102,6 @@ class Prior:
     def probs_array(self) -> np.ndarray:
         return np.asarray(self.probs, dtype=float)
 
-    def mean(self) -> float:
-        return float(np.dot(self.probs_array(), self.labels.as_array()))
-
 
 def make_prior(labels: LabelSet, weights) -> Prior:
     """Normalize non-negative weights (one per label) into a Prior."""
@@ -121,22 +118,6 @@ def make_prior(labels: LabelSet, weights) -> Prior:
     # renormalize exactly so the fsum invariant holds after rounding
     p = p / math.fsum(p.tolist())
     return Prior(labels, tuple(float(x) for x in p))
-
-
-def prior_from_labels(raw_labels, universe: LabelSet | None = None) -> Prior:
-    """Empirical prior from any iterable of raw labels; duplicate labels
-    merge their mass.  Every label must be a member of the universe; the
-    error names the first input index that is not."""
-    raw = np.fromiter(raw_labels, dtype=float)
-    if universe is None:
-        universe = make_label_set(raw)
-    arr = universe.as_array()
-    idx = np.searchsorted(arr, raw)
-    member = arr[np.minimum(idx, universe.k - 1)] == raw
-    if not member.all():
-        bad = int(np.argmin(member))
-        raise ValueError(f"label at index {bad} not in the universe: {float(raw[bad])!r}")
-    return make_prior(universe, np.bincount(idx, minlength=universe.k))
 
 
 @dataclass(frozen=True)
@@ -176,8 +157,9 @@ class EpsilonBudget:
     eps2: float
 
     def __post_init__(self):
-        if self.eps1 < 0 or self.eps2 < 0:
-            raise ValueError("budget components must be non-negative")
+        if not (self.eps1 >= 0 and self.eps2 >= 0):
+            raise ValueError(
+                f"budget components must be non-negative, got {self.eps1}, {self.eps2}")
 
     @property
     def total(self) -> float:

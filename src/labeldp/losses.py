@@ -1,6 +1,6 @@
-"""Regression loss functions with the monotone-valley structure the bin
-optimizer relies on: for fixed y, l(yhat, y) decreases up to the minimum and
-increases after it.
+"""Regression loss functions for the bin optimizer, which relies on each loss
+being convex in yhat for fixed y.  The built-ins are convex; a custom loss
+only declares it (convex_in_first_arg), and nothing checks the declaration.
 
 Built-ins:
   squared   (yhat - y)^2
@@ -12,13 +12,10 @@ expected loss of a mechanism is its MSE.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 POISSON_YHAT_FLOOR = 1e-12  # smallest output the inner solvers may propose
 
@@ -85,64 +82,3 @@ def by_name(kind: str) -> LossSpec:
 def custom_loss(eval_fn, convex_in_first_arg: bool, domain_min: float | None = None) -> LossSpec:
     """Wrap an opaque loss function; eval_fn must be array-friendly."""
     return LossSpec("custom", eval_fn, convex_in_first_arg, domain_min)
-
-
-def _is_valley(vals: np.ndarray, tol: float) -> bool:
-    """True iff vals is non-increasing then non-decreasing (within tol)."""
-    d = np.diff(vals)
-    rising = False
-    for step in d:
-        if step > tol:
-            rising = True
-        elif step < -tol and rising:
-            return False
-    return True
-
-
-def check_assumption(spec: LossSpec, labels, grid_size: int = 50) -> bool:
-    """Sample a grid over [y_min, y_max]^2 and test the monotone-valley shape.
-
-    Checks, per grid line: (a) bounded local variation as a continuity proxy,
-    (b) along yhat for fixed y the loss falls then rises with its minimum at
-    the grid point nearest y, (c) along y for fixed yhat the loss is a valley
-    (single dip, located anywhere -- the poisson loss turns at yhat-dependent
-    positions rather than on the diagonal). Returns True iff no sampled line
-    violates the shape; the first violation is logged.
-    """
-    if grid_size < 3:
-        raise ValueError("grid_size must be at least 3")
-    lo, hi = labels.y_min, labels.y_max
-    if spec.domain_min is not None:
-        lo = max(lo, spec.domain_min + 1e-9)
-    grid = np.linspace(lo, hi, grid_size)
-    vals = spec.eval_grid(grid, grid)  # vals[i, j] = l(grid[j], grid[i])
-    if not np.all(np.isfinite(vals)):
-        log.info("assumption check failed: non-finite loss values on the grid")
-        return False
-    scale = max(float(np.max(np.abs(vals))), 1.0)
-    tol = 1e-9 * scale
-    # continuity proxy: no step between neighbours exceeding the global range
-    max_step = max(
-        float(np.max(np.abs(np.diff(vals, axis=0)))),
-        float(np.max(np.abs(np.diff(vals, axis=1)))),
-    )
-    span = float(np.max(vals) - np.min(vals))
-    if span > 0 and max_step > 0.75 * span + tol:
-        log.info("assumption check failed: local variation too large (jump?)")
-        return False
-    for i in range(grid_size):
-        row = vals[i, :]  # l(yhat, y=grid[i]) along yhat
-        if not _is_valley(row, tol):
-            log.info("assumption check failed along yhat at y=%s", grid[i])
-            return False
-        if abs(int(np.argmin(row)) - i) > 1:
-            log.info(
-                "assumption check failed: minimum over yhat at y=%s sits at %s",
-                grid[i], grid[int(np.argmin(row))],
-            )
-            return False
-        col = vals[:, i]  # l(yhat=grid[i], y) along y
-        if not _is_valley(col, tol):
-            log.info("assumption check failed along y at yhat=%s", grid[i])
-            return False
-    return True

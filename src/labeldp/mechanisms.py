@@ -1,7 +1,7 @@
 """Label randomization mechanisms: randomized response over bin outputs and
 the additive-noise baselines (continuous/discrete Laplace, continuous/discrete
 staircase, the exponential mechanism by inverse CDF, plain randomized
-response), plus the clipping post-process.
+response).  Clipping the outputs into the label range is the pipeline's.
 
 Every sampler takes an explicit Rng, is deterministic given its seed, and
 draws for a whole array of labels at once.  The staircase, discrete staircase
@@ -46,22 +46,17 @@ class Rng:
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Additive-noise parameters: privacy eps, sensitivity (label units; the
-    label range for a single bounded label), and the optional staircase shape
-    parameters (continuous gamma in (0,1), discrete step width r in [1, Delta])."""
+    """Additive-noise parameters: privacy eps and sensitivity (label units; the
+    label range for a single bounded label)."""
 
     eps: float
     sensitivity: float
-    staircase_gamma: float | None = None
-    staircase_r: int | None = None
 
     def __post_init__(self):
         if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if not self.sensitivity > 0:
             raise ValueError(f"sensitivity must be positive, got {self.sensitivity}")
-        if self.staircase_gamma is not None and not (0 < self.staircase_gamma < 1):
-            raise ValueError(f"staircase gamma must be in (0,1), got {self.staircase_gamma}")
 
     @property
     def scale(self) -> float:
@@ -69,23 +64,14 @@ class NoiseParams:
         return self.sensitivity / self.eps
 
     def gamma(self) -> float:
-        """Staircase step split; defaults to the variance-optimal 1/(1+e^(eps/2)),
-        computed via e^(-eps/2) so it never overflows."""
-        if self.staircase_gamma is not None:
-            return self.staircase_gamma
+        """Staircase step split, the variance-optimal 1/(1+e^(eps/2)), computed
+        via e^(-eps/2) so it never overflows."""
         t = math.exp(-self.eps / 2.0)
         return t / (1.0 + t)
 
     def discrete_r(self, delta: int) -> int:
-        if self.staircase_r is not None:
-            r = int(self.staircase_r)
-        else:
-            r = int(round(self.gamma() * delta))
-        if not 1 <= r <= delta:
-            if self.staircase_r is not None:
-                raise ValueError(f"staircase r must be in [1, {delta}], got {r}")
-            r = min(max(r, 1), delta)
-        return r
+        """Discrete staircase step width: gamma * delta rounded into [1, delta]."""
+        return min(max(round(self.gamma() * delta), 1), delta)
 
 
 def _stay_prob(eps: float, m: int) -> float:
@@ -96,7 +82,7 @@ def _stay_prob(eps: float, m: int) -> float:
 def rr_on_bins_matrix(layout: BinLayout, eps: float) -> MechanismMatrix:
     """Row-stochastic matrix of randomized response over the layout's outputs:
     stay probability e^eps/(e^eps + d - 1) at the own bin, uniform elsewhere."""
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError(f"eps must be non-negative, got {eps}")
     d = layout.d
     stay = _stay_prob(eps, d)
@@ -112,7 +98,7 @@ def rr_on_bins_randomize(own_bins, outputs, eps: float, rng: Rng) -> np.ndarray:
     e^eps/(e^eps + d - 1) and otherwise moves to one of the other d - 1
     outputs uniformly.  Plain randomized response is the case of one label
     per bin (the universe indices with the universe as outputs)."""
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError(f"eps must be non-negative, got {eps}")
     outs = np.asarray(outputs, dtype=float)
     d = outs.size
@@ -139,7 +125,7 @@ def discrete_laplace_sample(y, params: NoiseParams, rng: Rng):
     if not np.all(np.equal(np.mod(y, 1), 0)):
         raise ValueError("discrete laplace requires integer-valued input")
     b = params.scale
-    p = 1.0 - math.exp(-1.0 / b)
+    p = 1.0 - math.exp(-1.0 / b) if b > 0 else 1.0  # eps = inf leaves no noise
     shape = y.shape if y.ndim else (1,)
     noise = rng.gen.geometric(p, size=shape) - rng.gen.geometric(p, size=shape)
     out = y.astype(np.int64) + noise

@@ -80,12 +80,6 @@ def universe_indices(labels, universe: LabelSet) -> np.ndarray:
     return idx.reshape(x.shape)
 
 
-def snap_to_universe(values, universe: LabelSet) -> np.ndarray:
-    """Map arbitrary reals onto the universe by rounding down to the nearest
-    universe element (values below the minimum clamp up to it)."""
-    return universe.as_array()[universe_indices(values, universe)]
-
-
 def _rr_on_bins(idx, universe, eps, rng, loss, eps1, clip):
     """Two-step rr-on-bins; eps1 defaults to sqrt(k/n) of the total eps."""
     budget = (default_budget_split(eps, universe.k, idx.size) if eps1 is None

@@ -26,7 +26,6 @@ class HistogramEstimate:
 
     prior: Prior
     noised_counts: tuple[float, ...]
-    eps_used: float
 
 
 def laplace_histogram(indices, universe: LabelSet, eps1: float, rng: Rng) -> HistogramEstimate:
@@ -50,11 +49,7 @@ def laplace_histogram(indices, universe: LabelSet, eps1: float, rng: Rng) -> His
         prior = make_prior(universe, np.ones(universe.k))
     else:
         prior = make_prior(universe, noised)
-    return HistogramEstimate(
-        prior=prior,
-        noised_counts=tuple(float(c) for c in noised),
-        eps_used=float(eps1),
-    )
+    return HistogramEstimate(prior=prior, noised_counts=tuple(float(c) for c in noised))
 
 
 def default_budget_split(eps: float, k: int, n: int) -> EpsilonBudget:

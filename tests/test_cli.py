@@ -30,7 +30,7 @@ from labeldp.cli import (
 )
 from labeldp.core import make_label_set, make_prior
 from labeldp.mechanisms import Rng
-from labeldp.pipeline import MECHANISMS, randomize, snap_to_universe, universe_indices
+from labeldp.pipeline import MECHANISMS, randomize, universe_indices
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -229,7 +229,7 @@ def test_parse_universe():
     tenths = parse_universe("0:1:0.1")
     assert tenths.values == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
     assert universe_indices([0.3, 0.6, 0.7], tenths).tolist() == [3, 6, 7]
-    assert snap_to_universe([0.3, 0.6, 0.7], tenths).tolist() == [0.3, 0.6, 0.7]
+    assert tenths.as_array()[universe_indices([0.3, 0.6, 0.7], tenths)].tolist() == [0.3, 0.6, 0.7]
     with pytest.raises(ParseError):
         parse_universe("0:3:0")
     with pytest.raises(ParseError):
@@ -410,6 +410,39 @@ def test_bench_malformed_number_is_parse_error(flag, value, entry, capsys):
 
 def test_bench_nonpositive_eps_is_precondition_error():
     assert run(["bench", "--universe", "0:3:1", "--eps-list", "1,-2"]) == 3
+
+
+@pytest.mark.parametrize("command, mechanism", [
+    *(("randomize", m) for m in MECHANISMS), ("optimize-bins", None), ("bench", None)])
+def test_nan_eps_is_precondition_error(tmp_path, capsys, command, mechanism):
+    src = write(tmp_path / "in.txt", "1\n2\n3\n")
+    out = tmp_path / "out.txt"
+    args = {"randomize": ["--input", src, "--output", out, "--universe", "0:4:1",
+                          "--mechanism", mechanism, "--eps", "nan"],
+            "optimize-bins": ["--input", src, "--public-prior", "--eps", "nan"],
+            "bench": ["--universe", "0:4:1", "--mechanisms", "rr", "--eps-list", "nan"]}
+    assert run([command, *args[command]]) == 3
+    assert "eps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mech", [m for m in MECHANISMS if m != "rr-on-bins"])
+def test_randomize_eps_inf_publishes_the_mapped_labels(tmp_path, mech):
+    src = write(tmp_path / "in.txt", "1\n2\n3\n-1\n9\n")
+    out = tmp_path / "out.txt"
+    assert run(["randomize", "--input", src, "--output", out, "--eps", "inf",
+                "--mechanism", mech, "--universe", "0:4:1"]) == 0
+    assert out.read_text() == "1\n2\n3\n0\n4\n"
+
+
+def test_rr_on_bins_eps_inf_publishes_each_labels_bin_output(tmp_path):
+    src = write(tmp_path / "in.txt", "\n".join(str(v % 5) for v in range(40)) + "\n")
+    out = tmp_path / "out.txt"
+    assert run(["randomize", "--input", src, "--output", out, "--eps", "inf", "--eps1", "1",
+                "--universe", "0:4:1", "--seed", "3"]) == 0
+    layout = json.loads((tmp_path / "out.txt.report.json").read_text())["layout"]
+    own_bin = np.searchsorted(layout["boundaries"], np.arange(40) % 5, side="right")
+    assert out.read_text().split() == [layout["outputs"][b] for b in own_bin]
 
 
 def test_randomize_explicit_split(tmp_path):
@@ -595,7 +628,8 @@ def test_bench_from_file_matches_randomize_per_cell(tmp_path, universe):
     assert run(["bench", "--input", src, f"--universe={universe}", "--eps-list", "0.5,1,4",
                 "--mechanisms", ",".join(mechs), "--reps", "2", "--seed", "9",
                 "--output", out]) == 0
-    snapped = snap_to_universe(read_labels(src), parse_universe(universe))
+    uni = parse_universe(universe)
+    snapped = uni.as_array()[universe_indices(read_labels(src), uni)]
     expected = _bench_per_cell(lambda rng, uni: snapped, universe, mechs, [0.5, 1.0, 4.0], 2, 9)
     assert out.read_text() == expected
 

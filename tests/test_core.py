@@ -5,12 +5,12 @@ import pytest
 
 from labeldp import (
     SQUARED,
+    EpsilonBudget,
     LabelSet,
     MechanismMatrix,
     expected_loss,
     make_label_set,
     make_prior,
-    prior_from_labels,
 )
 
 
@@ -49,33 +49,11 @@ def test_make_prior_rejects_bad_weights():
         make_prior(ls, [1, -1])
 
 
-def test_prior_from_labels_merges_duplicates():
-    pr = prior_from_labels([1, 1, 2, 3, 3, 3])
-    assert pr.labels.values == (1.0, 2.0, 3.0)
-    assert pr.probs == (pytest.approx(1 / 3), pytest.approx(1 / 6), pytest.approx(0.5))
-
-
-def test_prior_from_labels_rejects_off_universe_label():
-    ls = make_label_set([0, 1, 2])
-    assert prior_from_labels(np.array([2.0, 0.0, 2.0]), ls).probs == (
-        pytest.approx(1 / 3), 0.0, pytest.approx(2 / 3))
-    with pytest.raises(ValueError, match=r"label at index 2 not in the universe: 1\.5"):
-        prior_from_labels([0, 1, 1.5, 7], ls)
-    with pytest.raises(ValueError, match="label at index 1 not in the universe: 3.0"):
-        prior_from_labels([2, 3], ls)
-    with pytest.raises(ValueError, match="label at index 0 not in the universe: nan"):
-        prior_from_labels([np.nan], ls)
-
-
-def test_prior_from_labels_takes_any_iterable_of_scalars():
-    ls = make_label_set([0, 1, 2])
-    assert prior_from_labels((v for v in [2, 0, 2]), ls).probs == (
-        pytest.approx(1 / 3), 0.0, pytest.approx(2 / 3))
-    assert prior_from_labels(iter([1.0, 1.0])).probs == (1.0,)
-    with pytest.raises(ValueError):
-        prior_from_labels(np.array([[0.0, 1.0], [2.0, 2.0]]), ls)
-    with pytest.raises(TypeError):
-        prior_from_labels(1.0, ls)
+@pytest.mark.parametrize("eps1, eps2", [(math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0)])
+def test_budget_rejects_nan_and_negative_components(eps1, eps2):
+    with pytest.raises(ValueError, match="non-negative"):
+        EpsilonBudget(eps1, eps2)
+    assert EpsilonBudget(0.0, math.inf).total == math.inf
 
 
 def test_matrix_validation():

@@ -4,9 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from labeldp import ABSOLUTE, POISSON, SQUARED, check_assumption, custom_loss
+from labeldp import ABSOLUTE, POISSON, SQUARED, custom_loss
 from labeldp.losses import by_name, BUILTIN_KINDS
-from labeldp import make_label_set
 
 
 def test_eval_spot_values():
@@ -70,23 +69,6 @@ def test_valley_shape_on_grid(kind):
         m = int(np.argmin(vals))
         assert np.all(np.diff(vals[: m + 1]) <= 1e-12)
         assert np.all(np.diff(vals[m:]) >= -1e-12)
-
-
-def test_check_assumption_builtins():
-    assert check_assumption(SQUARED, make_label_set(range(6)), 50)
-    assert check_assumption(POISSON, make_label_set(range(1, 11)), 50)
-    assert check_assumption(ABSOLUTE, make_label_set(range(6)), 50)
-
-
-def test_check_assumption_rejects_oscillation():
-    wavy = custom_loss(lambda yhat, y: np.sin(np.asarray(yhat) - np.asarray(y)) ** 2,
-                       convex_in_first_arg=False)
-    assert not check_assumption(wavy, make_label_set(range(7)), 50)
-
-
-def test_check_assumption_grid_guard():
-    with pytest.raises(ValueError):
-        check_assumption(SQUARED, make_label_set([0, 1]), 2)
 
 
 def test_by_name_rejects_unknown():

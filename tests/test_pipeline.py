@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from labeldp import SQUARED, Rng, make_label_set, randomize, snap_to_universe
+from labeldp import SQUARED, Rng, make_label_set, randomize
 from labeldp.cli import parse_universe
 from labeldp.pipeline import universe_indices
 
@@ -50,7 +50,7 @@ def test_output_length_and_order_preserved():
 
 def test_snap_to_universe_rounds_down():
     uni = make_label_set([0, 1, 2, 3, 4, 5])
-    snapped = snap_to_universe([2.7, -1.0, 5.5, 3.0, 0.2], uni)
+    snapped = uni.as_array()[universe_indices([2.7, -1.0, 5.5, 3.0, 0.2], uni)]
     assert snapped.tolist() == [2.0, 0.0, 5.0, 3.0, 0.0]
 
 

@@ -22,7 +22,6 @@ def test_histogram_noiseless_limit():
     est = laplace_histogram(indices, ls, 1e6, Rng(0))
     assert est.prior.probs[0] == pytest.approx(0.5, abs=0.01)
     assert est.prior.probs[1] == pytest.approx(0.5, abs=0.01)
-    assert est.eps_used == 1e6
     # Laplace(2e-6) noise leaves each noised count within 1e-3 of the true one
     assert est.noised_counts == pytest.approx(np.bincount(indices), abs=1e-3)
 
