@@ -28,7 +28,7 @@ from . import losses
 from .binopt import BinLayout, optimize_bins
 from .core import LabelSet, Prior, make_label_set, make_prior
 from .mechanisms import Rng
-from .pipeline import MECHANISMS, randomize, randomize_mapped, universe_indices
+from .pipeline import MECHANISMS, randomize, universe_indices
 
 SEED_ENV = "LABELDP_SEED"
 FLOAT_NOISE = ("laplace, staircase and exponential draw float noise and are not hardened "
@@ -55,6 +55,8 @@ def read_labels(path: str, column: int | None = None) -> np.ndarray:
     """One numeric label per row, as a float array; a single non-numeric
     header line is allowed.  With column=N, rows are comma-split and field N
     (0-based) is used."""
+    if column is not None and column < 0:
+        raise ParseError(f"--column must be a non-negative index, got {column}")
     labels = _bulk_labels(path) if column is None else None
     if labels is None:
         try:
@@ -144,6 +146,8 @@ def read_prior_file(path: str) -> Prior:
             if lineno == 1 and not labels:
                 continue  # header
             raise ParseError(f"{path}:{lineno}: not numeric: {text!r}")
+        if not (math.isfinite(y) and math.isfinite(w)):
+            raise ParseError(f"{path}:{lineno}: non-finite value in {text!r}")
         labels.append(y)
         weights.append(w)
     if not labels:
@@ -416,6 +420,9 @@ def cmd_bench(args) -> int:
     eps_grid = [_flag_float("--eps-list", t) for t in args.eps_list.split(",") if t.strip()]
     if not eps_grid or not all(e > 0 for e in eps_grid):
         raise ValueError(f"bad eps list {args.eps_list!r}")
+    for flag, count in (("--n", args.n), ("--reps", args.reps)):
+        if count < 1:
+            raise ValueError(f"{flag} must be at least 1, got {count}")
     mechs = [m.strip() for m in args.mechanisms.split(",") if m.strip()]
     for m in mechs:
         if m not in MECHANISMS:
@@ -443,7 +450,7 @@ def cmd_bench(args) -> int:
                 rng = root.spawn(cell)
                 cell += 1
                 idx, ys = draw(rng)
-                _, run = randomize_mapped(mech, ys, idx, universe, eps, loss, rng, clip=args.clip)
+                _, run = randomize(mech, ys, universe, eps, loss, rng, clip=args.clip, indices=idx)
                 rows.append(f"{mech},{fmt(eps)},{rep},{fmt(run.mechanism_loss_on_inputs)}")
     text = "\n".join(rows) + "\n"
     if args.output:
@@ -492,11 +499,12 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="labeldp", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, loss=True):
         p.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (default from ${SEED_ENV}, else 0)")
-        p.add_argument("--loss", choices=losses.BUILTIN_KINDS, default="squared",
-                       help=POISSON_AT_ZERO)
+        if loss:
+            p.add_argument("--loss", choices=losses.BUILTIN_KINDS, default="squared",
+                           help=POISSON_AT_ZERO)
 
     p = sub.add_parser("randomize", help="privatize a label file")
     common(p)
@@ -541,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("verify", help="run the self-check suites")
-    common(p)
+    common(p, loss=False)
     p.add_argument("--quick", action="store_true", help="small instances only (<10s)")
     p.add_argument("--dp-offset", type=float, default=0.0,
                    help="offset added to eps in the DP ratio check (fault injection)")

@@ -4,10 +4,10 @@ staircase, the exponential mechanism by inverse CDF, plain randomized
 response).  Clipping the outputs into the label range is the pipeline's.
 
 Every sampler takes an explicit Rng, is deterministic given its seed, and
-draws for a whole array of labels at once.  The staircase, discrete staircase
-and exponential samplers draw into and combine their noise in a few buffers of
-their own, never in the caller's array: one call peaks at under four times
-the label array.
+takes and returns arrays, drawing for a whole batch of labels at once.  The
+staircase, discrete staircase and exponential samplers draw into and combine
+their noise in a few buffers of their own, never in the caller's array: one
+call peaks at under four times the label array.
 """
 from __future__ import annotations
 
@@ -70,8 +70,9 @@ class NoiseParams:
         return t / (1.0 + t)
 
     def discrete_r(self, delta: int) -> int:
-        """Discrete staircase step width: gamma * delta rounded into [1, delta]."""
-        return min(max(round(self.gamma() * delta), 1), delta)
+        """Discrete staircase step width: gamma * delta rounded, at least 1.
+        gamma <= 1/2 keeps it below delta for every delta >= 2."""
+        return max(round(self.gamma() * delta), 1)
 
 
 def _stay_prob(eps: float, m: int) -> float:
@@ -113,9 +114,7 @@ def rr_on_bins_randomize(own_bins, outputs, eps: float, rng: Rng) -> np.ndarray:
 def laplace_sample(y, params: NoiseParams, rng: Rng):
     """y plus continuous Laplace noise with scale sensitivity/eps."""
     y = np.asarray(y, dtype=float)
-    noise = rng.gen.laplace(0.0, params.scale, size=y.shape)
-    out = y + noise
-    return float(out) if out.ndim == 0 else out
+    return y + rng.gen.laplace(0.0, params.scale, size=y.shape)
 
 
 def discrete_laplace_sample(y, params: NoiseParams, rng: Rng):
@@ -126,10 +125,8 @@ def discrete_laplace_sample(y, params: NoiseParams, rng: Rng):
         raise ValueError("discrete laplace requires integer-valued input")
     b = params.scale
     p = 1.0 - math.exp(-1.0 / b) if b > 0 else 1.0  # eps = inf leaves no noise
-    shape = y.shape if y.ndim else (1,)
-    noise = rng.gen.geometric(p, size=shape) - rng.gen.geometric(p, size=shape)
-    out = y.astype(np.int64) + noise
-    return int(out[0]) if y.ndim == 0 else out
+    noise = rng.gen.geometric(p, size=y.shape) - rng.gen.geometric(p, size=y.shape)
+    return y.astype(np.int64) + noise
 
 
 def staircase_sample(y, params: NoiseParams, rng: Rng):
@@ -139,18 +136,18 @@ def staircase_sample(y, params: NoiseParams, rng: Rng):
     eps, delta = params.eps, params.sensitivity
     gamma = params.gamma()
     y = np.asarray(y, dtype=float)
-    shape = y.shape if y.ndim else (1,)
     g = rng.gen
-    rung = g.geometric(1.0 - math.exp(-eps), size=shape)
+    rung = g.geometric(1.0 - math.exp(-eps), size=y.shape)
     rung -= 1
     denom = gamma + math.exp(-eps) * (1.0 - gamma)
     # denom underflows only when gamma ~ e^(-eps/2) ~ 0; the high step (width
     # gamma * delta ~ 0) is then the correct zero-noise limit
     p_high = gamma / denom if denom > 0 else 1.0
-    u = g.random(shape)
+    u = g.random(y.shape)
     high = u < p_high
     g.random(out=u)
-    offset = np.multiply(u, 1.0 - gamma)  # in the low step; the high step's are copied in
+    # the low step's offsets, the high step's copied in; out= keeps a 0-d batch an array
+    offset = np.multiply(u, 1.0 - gamma, out=np.empty_like(u))
     offset *= delta
     offset += gamma * delta
     u *= gamma
@@ -161,7 +158,7 @@ def staircase_sample(y, params: NoiseParams, rng: Rng):
     out += offset
     np.negative(out, out=out, where=negative)
     out += y
-    return float(out[0]) if y.ndim == 0 else out
+    return out
 
 
 def discrete_staircase_sample(y, params: NoiseParams, rng: Rng):
@@ -181,7 +178,6 @@ def discrete_staircase_sample(y, params: NoiseParams, rng: Rng):
         raise ValueError("discrete staircase requires integer-valued input")
     b = math.exp(-eps)
     a = (1.0 - b) / (2 * r + 2 * b * (delta - r) - (1.0 - b))
-    shape = y.shape if y.ndim else (1,)
     g = rng.gen
 
     # one-sided masses: rung 0 excludes the atom at zero
@@ -206,13 +202,10 @@ def discrete_staircase_sample(y, params: NoiseParams, rng: Rng):
         offset = u.astype(np.int64)
         offset += first  # the high cells of the first rung start at 1
         take_lo = ~take_hi
-        if delta > r:
-            g.random(out=u)
-            u *= delta - r
-            np.copyto(offset, u, casting="unsafe", where=take_lo)
-            np.add(offset, r, out=offset, where=take_lo)
-        else:
-            offset[take_lo] = r
+        g.random(out=u)
+        u *= delta - r
+        np.copyto(offset, u, casting="unsafe", where=take_lo)
+        np.add(offset, r, out=offset, where=take_lo)
         mag *= delta
         mag += offset
         np.negative(mag, out=mag, where=g.random(out=u) < 0.5)
@@ -220,8 +213,7 @@ def discrete_staircase_sample(y, params: NoiseParams, rng: Rng):
     out = np.array(y, dtype=np.int64, order="C").reshape(-1)  # never the caller's array
     if n_nz:
         out[nonzero] += mag
-    out = out.reshape(shape)
-    return int(out[0]) if y.ndim == 0 else out
+    return out.reshape(y.shape)
 
 
 def exponential_mechanism_sample(y, lo: float, hi: float, eps: float, rng: Rng) -> np.ndarray:
@@ -268,5 +260,4 @@ def exponential_mechanism_sample(y, lo: float, hi: float, eps: float, rng: Rng) 
     step *= b
     # y - (-step) is y + step exactly, so one subtraction serves both sides
     np.negative(step, out=step, where=left)
-    out = np.clip(np.subtract(y, step, out=step), lo, hi, out=step)
-    return out if out.ndim else out[()]
+    return np.clip(np.subtract(y, step, out=step), lo, hi, out=step)

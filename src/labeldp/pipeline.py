@@ -201,23 +201,16 @@ def _report(raw, noisy, budget, prior, layout, loss, rng) -> RandomizationReport
 
 
 def randomize(mechanism, labels, universe: LabelSet, eps: float, loss: LossSpec, rng: Rng,
-              *, clip: bool = True, eps1: float | None = None):
+              *, clip: bool = True, eps1: float | None = None, indices=None):
     """Randomize a batch of labels with one mechanism at total budget eps.
 
     eps1 is rr-on-bins' prior-estimation share (default sqrt(k/n)); clip
-    clamps the one-step mechanisms' outputs into the universe range.  Returns
-    (noisy_labels, report); order and length of the input are preserved.
+    clamps the one-step mechanisms' outputs into the universe range.  A
+    caller running many mechanisms on one batch passes indices =
+    universe_indices(labels, universe) to map it once.  A run whose outputs
+    can fall outside the loss's domain is refused before anything is
+    sampled.  Returns (noisy_labels, report) in the order of the input.
     """
-    return randomize_mapped(mechanism, labels, None, universe, eps, loss, rng, clip=clip, eps1=eps1)
-
-
-def randomize_mapped(mechanism, labels, indices, universe: LabelSet, eps: float, loss: LossSpec,
-                     rng: Rng, *, clip: bool = True, eps1: float | None = None):
-    """randomize() given indices = universe_indices(labels, universe), or None
-    to map them here, so that a caller running many mechanisms on one batch
-    maps it once.  Mechanisms that do not take indices clamp the labels.
-    A run whose outputs can fall outside the loss's domain is refused before
-    anything is sampled."""
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}; pick from {', '.join(MECHANISMS)}")
     indexed, sample = MECHANISMS[mechanism]

@@ -220,6 +220,32 @@ def test_read_prior_file_merges_duplicates_in_file_order(tmp_path):
     assert read_prior_file(p) == expected
 
 
+@pytest.mark.parametrize("text, match", [
+    ("0,0.5\n1,nan\n", ":2: non-finite"),
+    ("0,inf\n1,0.5\n", ":1: non-finite"),
+    ("label,p\n0,0.5\n-inf,0.5\n", ":3: non-finite"),
+    ("nan,0.5\n1,0.5\n", ":1: non-finite"),
+])
+def test_read_prior_file_refuses_non_finite_values(tmp_path, capsys, text, match):
+    p = write(tmp_path / "prior.csv", text)
+    with pytest.raises(ParseError, match=match):
+        read_prior_file(p)
+    assert run(["optimize-bins", "--prior-file", p, "--eps", "1"]) == 2
+    assert match in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["randomize", "optimize-bins", "bench"])
+def test_negative_column_is_parse_error(tmp_path, capsys, command):
+    src = write(tmp_path / "in.csv", "0,1\n1,2\n2,3\n")
+    out = tmp_path / "out.txt"
+    args = {"randomize": ["--output", out, "--universe", "0:4:1", "--eps", "1"],
+            "optimize-bins": ["--public-prior", "--eps", "1"],
+            "bench": ["--universe", "0:4:1", "--mechanisms", "rr", "--output", out]}
+    assert run([command, "--input", src, "--column", "-1", *args[command]]) == 2
+    assert "--column" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_universe():
     assert parse_universe("0:3:1").values == (0.0, 1.0, 2.0, 3.0)
     assert parse_universe("0,5,2").values == (0.0, 2.0, 5.0)
@@ -668,6 +694,15 @@ def test_bench_maps_input_to_universe_once(tmp_path, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("flag", ["--n", "--reps"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_bench_counts_below_one_are_precondition_errors(tmp_path, capsys, flag, value):
+    out = tmp_path / "b.csv"
+    assert run(["bench", "--universe", "0:3:1", flag, value, "--output", out]) == 3
+    assert f"{flag} must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_rejects_bad_mechanism(tmp_path):
     assert run(["bench", "--universe", "0:3:1", "--mechanisms", "nope"]) == 3
 
@@ -795,6 +830,13 @@ def test_verify_detects_injected_dp_fault(capsys):
     assert run(["verify", "--quick", "--seed", "2", "--dp-offset", "-0.1"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  dp-ratio" in out
+
+
+def test_verify_takes_no_loss(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(["verify", "--loss", "squared"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --loss" in capsys.readouterr().err
 
 
 def test_verify_json_lists_each_suite(capsys):

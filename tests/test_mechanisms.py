@@ -235,6 +235,16 @@ def test_discrete_staircase_guards():
         discrete_staircase_sample(0, NoiseParams(eps=1.0, sensitivity=1.0), Rng(0))
 
 
+@pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0,
+                                 100.0, 1e4, math.inf])
+def test_discrete_staircase_step_stays_below_sensitivity(eps):
+    # discrete_staircase_sample draws the low cells from [r, delta), so it
+    # needs r < delta for every delta it accepts
+    params = NoiseParams(eps=eps, sensitivity=1.0)
+    for delta in range(2, 2001):
+        assert 1 <= params.discrete_r(delta) < delta
+
+
 def test_exponential_mechanism_stays_in_range():
     draws = exponential_mechanism_sample(np.full(3000, 3.0), 0.0, 10.0, 2.0, Rng(12))
     assert np.all((draws >= 0.0) & (draws <= 10.0))
@@ -371,15 +381,15 @@ def test_determinism_and_spawn():
     assert not np.array_equal(c, d)
 
 
-# the samplers that combine their noise in buffers they own: each with the
-# type it returns for a 0-d input and the dtype of its array output
+# the samplers that combine their noise in buffers they own, each with the
+# dtype of its output
 IN_PLACE = {
     "exponential": (lambda y, eps, rng: exponential_mechanism_sample(y, 0.0, 400.0, eps, rng),
-                    np.float64, np.float64),
+                    np.float64),
     "staircase": (lambda y, eps, rng: staircase_sample(y, NoiseParams(eps, 400.0), rng),
-                  float, np.float64),
+                  np.float64),
     "discrete-staircase": (lambda y, eps, rng: discrete_staircase_sample(y, NoiseParams(eps, 400.0), rng),
-                           int, np.int64),
+                           np.int64),
 }
 
 
@@ -387,15 +397,13 @@ IN_PLACE = {
 @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
 @pytest.mark.parametrize("dtype", [np.int64, np.float64])
 def test_in_place_samplers_keep_their_contract(name, shape, dtype):
-    sample, scalar, out_dtype = IN_PLACE[name]
+    # a 0-d input takes the array path too and gives a 0-d array of its dtype
+    sample, out_dtype = IN_PLACE[name]
     y = (np.arange(math.prod(shape)) * 7 + 3).astype(dtype).reshape(shape)
     before = y.copy()
     out = sample(y, 0.5, Rng(5))
     assert y.dtype == dtype and np.array_equal(y, before)
-    if shape:
-        assert type(out) is np.ndarray and out.shape == shape and out.dtype == out_dtype
-    else:
-        assert type(out) is scalar
+    assert type(out) is np.ndarray and out.shape == shape and out.dtype == out_dtype
 
 
 @pytest.mark.parametrize("name, bound", [("exponential", 3.5), ("staircase", 4.5),
