@@ -148,6 +148,8 @@ def read_prior_file(path: str) -> Prior:
             raise ParseError(f"{path}:{lineno}: not numeric: {text!r}")
         if not (math.isfinite(y) and math.isfinite(w)):
             raise ParseError(f"{path}:{lineno}: non-finite value in {text!r}")
+        if w < 0:
+            raise ParseError(f"{path}:{lineno}: negative probability in {text!r}")
         labels.append(y)
         weights.append(w)
     if not labels:
@@ -264,13 +266,21 @@ def _digit_rows(v: np.ndarray):
     return order, rows, size + (_ROW + 1) * (v < 0)
 
 
-def _write_lines(path: str, values) -> None:
-    """One fmt(v) line per value, in order.  A value that occurs more than once
-    is formatted once and its text reused.  The other values of a chunk are
-    formatted in numpy where 1 <= |v| < 1e16 (_digit_rows), and otherwise
-    by one printf-style call, whose PRINTF gives fmt's text; a chunk with no
-    value in that range is joined as text.  Values are told apart by their
-    bits, so -0.0 and 0.0 keep their signs."""
+def _write_lines(path: str, values=None, table=None, index=None) -> None:
+    """One fmt(v) line per value, in order, or where index is given, one line
+    per index i, table[i], with each table entry formatted once.  Of values,
+    one that occurs more than once is formatted once and its text reused.
+    The other values of a chunk are formatted in numpy where 1 <= |v| < 1e16
+    (_digit_rows), and otherwise by one printf-style call, whose PRINTF gives
+    fmt's text; a chunk with no value in that range is joined as text.
+    Values are told apart by their bits, so -0.0 and 0.0 keep their signs."""
+    if index is not None:
+        texts = np.array([fmt(v) + "\n" for v in np.asarray(table, dtype=float).tolist()],
+                         dtype=object)
+        with open(path, "wb") as fh:
+            for start in range(0, index.size, WRITE_CHUNK):
+                fh.write("".join(texts[index[start:start + WRITE_CHUNK]].tolist()).encode())
+        return
     values = np.asarray(values, dtype=float).ravel()
     bits = values.view(np.int64)
     ordered = np.sort(bits)
@@ -319,8 +329,8 @@ def _layout_json(layout: BinLayout) -> dict:
 def cmd_randomize(args) -> int:
     raw = read_labels(args.input, args.column)
     universe = parse_universe(args.universe)
-    noisy, run = randomize(args.mechanism, raw, universe, args.eps, losses.by_name(args.loss),
-                           Rng(args.seed), clip=args.clip, eps1=args.eps1)
+    out, run = randomize(args.mechanism, raw, universe, args.eps, losses.by_name(args.loss),
+                         Rng(args.seed), clip=args.clip, eps1=args.eps1)
     report: dict = {"mechanism": args.mechanism, "seed": args.seed, "n": len(raw),
                     "mechanism_loss_on_inputs": fmt(run.mechanism_loss_on_inputs)}
     if run.layout is None:
@@ -337,7 +347,10 @@ def cmd_randomize(args) -> int:
             loss_kind=run.loss_kind,
         )
 
-    _write_lines(args.output, noisy)
+    if out.index is None:
+        _write_lines(args.output, out.values)
+    else:
+        _write_lines(args.output, table=out.table, index=out.index)
     with open(args.output + ".report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -424,6 +437,8 @@ def cmd_bench(args) -> int:
         if count < 1:
             raise ValueError(f"{flag} must be at least 1, got {count}")
     mechs = [m.strip() for m in args.mechanisms.split(",") if m.strip()]
+    if not mechs:
+        raise ValueError(f"--mechanisms names no mechanism: {args.mechanisms!r}")
     for m in mechs:
         if m not in MECHANISMS:
             raise ValueError(f"unknown mechanism {m!r}; pick from {', '.join(MECHANISMS)}")

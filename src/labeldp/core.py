@@ -110,7 +110,7 @@ def make_prior(labels: LabelSet, weights) -> Prior:
         raise ValueError(f"got {len(w)} weights for {labels.k} labels")
     if np.any(w < 0):
         idx = int(np.argmin(w))
-        raise ValueError(f"weight at index {idx} is negative: {w[idx]!r}")
+        raise ValueError(f"weight at index {idx} is negative: {float(w[idx])!r}")
     total = math.fsum(w.tolist())
     if total <= 0:
         raise ValueError("weights sum to zero; cannot normalize")

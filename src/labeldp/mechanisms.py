@@ -93,22 +93,22 @@ def rr_on_bins_matrix(layout: BinLayout, eps: float) -> MechanismMatrix:
     return MechanismMatrix(layout.labels, layout.outputs, rows)
 
 
-def rr_on_bins_randomize(own_bins, outputs, eps: float, rng: Rng) -> np.ndarray:
-    """Randomized response over bin outputs for an array of labels given by
-    their own bin indices: each keeps its bin's output with probability
-    e^eps/(e^eps + d - 1) and otherwise moves to one of the other d - 1
-    outputs uniformly.  Plain randomized response is the case of one label
-    per bin (the universe indices with the universe as outputs)."""
+def rr_on_bins_randomize(own_bins, d: int, eps: float, rng: Rng) -> np.ndarray:
+    """Randomized response over d bin outputs for an array of labels given by
+    their own bin indices, returning each label's output index: each keeps
+    its own bin with probability e^eps/(e^eps + d - 1) and otherwise moves to
+    one of the other d - 1 bins uniformly.  Plain randomized response is the
+    case of one label per bin (the universe indices, with d = k)."""
     if not eps >= 0:
         raise ValueError(f"eps must be non-negative, got {eps}")
-    outs = np.asarray(outputs, dtype=float)
-    d = outs.size
     own = as_indices(own_bins, d)
     if d == 1:
-        return np.full(own.shape, outs[0])
-    keep = rng.gen.random(own.shape) < _stay_prob(eps, d)
-    hop = rng.gen.integers(1, d, size=own.shape)
-    return outs[np.where(keep, own, (own + hop) % d)]
+        return np.zeros(own.shape, dtype=np.intp)
+    moves = rng.gen.random(own.shape) >= _stay_prob(eps, d)
+    out = rng.gen.integers(1, d, size=own.shape)  # the hop, then the output
+    out *= moves
+    out += own
+    return np.subtract(out, d, out=out, where=out >= d)
 
 
 def laplace_sample(y, params: NoiseParams, rng: Rng):
@@ -121,7 +121,7 @@ def discrete_laplace_sample(y, params: NoiseParams, rng: Rng):
     """y plus discrete Laplace noise (pmf proportional to e^(-|j|/b), b =
     sensitivity/eps), sampled exactly as a difference of two geometrics."""
     y = np.asarray(y)
-    if not np.all(np.equal(np.mod(y, 1), 0)):
+    if y.dtype.kind not in "iu" and not np.all(np.equal(np.mod(y, 1), 0)):
         raise ValueError("discrete laplace requires integer-valued input")
     b = params.scale
     p = 1.0 - math.exp(-1.0 / b) if b > 0 else 1.0  # eps = inf leaves no noise
@@ -174,7 +174,7 @@ def discrete_staircase_sample(y, params: NoiseParams, rng: Rng):
         raise ValueError("discrete staircase requires integer sensitivity >= 2")
     r = params.discrete_r(delta)
     y = np.asarray(y)
-    if not np.all(np.equal(np.mod(y, 1), 0)):
+    if y.dtype.kind not in "iu" and not np.all(np.equal(np.mod(y, 1), 0)):
         raise ValueError("discrete staircase requires integer-valued input")
     b = math.exp(-eps)
     a = (1.0 - b) / (2 * r + 2 * b * (delta - r) - (1.0 - b))

@@ -50,15 +50,33 @@ class RandomizationReport:
     seed: int
 
 
+@dataclass(frozen=True)
+class Outputs:
+    """A batch of noisy labels in input order, as floats in values.
+
+    rr and rr-on-bins publish one of a few known outputs per label: they also
+    give each label's index into table, with values = table[index], so the
+    writer formats each output once.  The other mechanisms give values alone.
+    """
+
+    table: np.ndarray | None
+    index: np.ndarray | None
+    values: np.ndarray
+
+
+def _indexed(table, index) -> Outputs:
+    table = np.asarray(table, dtype=float)
+    return Outputs(table, index, table[index])
+
+
 def universe_indices(labels, universe: LabelSet) -> np.ndarray:
     """Index of the universe element each label rounds down to; labels below
     the minimum map to the first element, labels above the maximum (and NaN)
     to the last.
 
     Each index is guessed from the label's offset as if the grid were evenly
-    spaced, moved down or up one step where the grid disagrees, and checked;
-    only the labels that fail the check are binary-searched, so the result is
-    exact on any grid."""
+    spaced and checked; only the labels that fail the check are
+    binary-searched, so the result is exact on any grid."""
     grid = universe.as_array()
     x = np.asarray(labels, dtype=float)
     # clamp into the range, NaN to the top as searchsorted sorts it
@@ -73,9 +91,7 @@ def universe_indices(labels, universe: LabelSet) -> np.ndarray:
         # guess is the first index and the check below does the work
         idx = np.zeros(flat.size, dtype=np.intp)
     padded = np.append(grid, np.inf)
-    idx -= padded[idx] > flat
-    idx += padded[idx + 1] <= flat
-    bad = np.flatnonzero((padded[idx] > flat) | (padded[idx + 1] <= flat))
+    bad = np.flatnonzero((padded.take(idx) > flat) | (padded[1:].take(idx) <= flat))
     idx[bad] = np.searchsorted(grid, flat[bad], side="right") - 1
     return idx.reshape(x.shape)
 
@@ -86,8 +102,8 @@ def _rr_on_bins(idx, universe, eps, rng, loss, eps1, clip):
               else split_budget(eps, eps1))
     estimate = laplace_histogram(idx, universe, budget.eps1, rng)
     layout = optimize_bins(estimate.prior, budget.eps2, loss)
-    noisy = rr_on_bins_randomize(layout.assignments()[idx], layout.outputs, budget.eps2, rng)
-    return noisy, budget, estimate.prior, layout
+    out = rr_on_bins_randomize(layout.assignments()[idx], layout.d, budget.eps2, rng)
+    return _indexed(layout.outputs, out), budget, estimate.prior, layout
 
 
 def _one_step(draw):
@@ -98,7 +114,7 @@ def _one_step(draw):
         noisy = draw(x, universe, eps, rng)
         if clip:
             np.clip(noisy, universe.y_min, universe.y_max, out=noisy)
-        return noisy, EpsilonBudget(eps1=0.0, eps2=eps), None, None
+        return Outputs(None, None, noisy), EpsilonBudget(eps1=0.0, eps2=eps), None, None
 
     return sample
 
@@ -143,13 +159,16 @@ def _exponential(y, universe, eps, rng):
     return exponential_mechanism_sample(y, universe.y_min, universe.y_max, eps, rng)
 
 
-@_one_step
-def _rr(idx, universe, eps, rng):
-    return rr_on_bins_randomize(idx, universe.as_array(), eps, rng)
+def _rr(idx, universe, eps, rng, loss, eps1, clip):
+    """Plain randomized response: rr-on-bins' last step with one bin per
+    universe element and all of eps; its outputs need no clip."""
+    out = rr_on_bins_randomize(idx, universe.k, eps, rng)
+    return _indexed(universe.as_array(), out), EpsilonBudget(eps1=0.0, eps2=eps), None, None
 
 
 # name -> (takes universe indices, sampler).  A sampler without indices gets
-# the labels clamped into [y_min, y_max].
+# the labels clamped into [y_min, y_max]; each returns (Outputs, budget,
+# estimated prior, layout).
 MECHANISMS = {
     "rr-on-bins": (True, _rr_on_bins),
     "laplace": (False, _laplace),
@@ -209,7 +228,8 @@ def randomize(mechanism, labels, universe: LabelSet, eps: float, loss: LossSpec,
     caller running many mechanisms on one batch passes indices =
     universe_indices(labels, universe) to map it once.  A run whose outputs
     can fall outside the loss's domain is refused before anything is
-    sampled.  Returns (noisy_labels, report) in the order of the input.
+    sampled.  Returns (Outputs, report), the noisy labels in the order of
+    the input.
     """
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}; pick from {', '.join(MECHANISMS)}")
@@ -220,5 +240,5 @@ def randomize(mechanism, labels, universe: LabelSet, eps: float, loss: LossSpec,
         x = universe_indices(raw, universe) if indices is None else indices
     else:
         x = np.clip(raw, universe.y_min, universe.y_max)
-    noisy, budget, prior, layout = sample(x, universe, eps, rng, loss, eps1, clip)
-    return noisy, _report(raw, noisy, budget, prior, layout, loss, rng)
+    out, budget, prior, layout = sample(x, universe, eps, rng, loss, eps1, clip)
+    return out, _report(raw, out.values, budget, prior, layout, loss, rng)

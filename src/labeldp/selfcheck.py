@@ -139,7 +139,7 @@ def check_samplers(seed: int, trials: int):
     row = matrix.rows[1]
 
     def sample_rr(n, rng):
-        return rr_on_bins_randomize(np.full(n, own), layout.outputs, 1.5, rng)
+        return np.asarray(layout.outputs)[rr_on_bins_randomize(np.full(n, own), layout.d, 1.5, rng)]
 
     if not empirical_sampler_check(
         sample_rr, matrix.outputs, row, max(trials // 10, 10**4), root.spawn(0)

@@ -263,7 +263,7 @@ def test_criterion_7_sampler_fidelity():
     row = matrix.rows[1]
     own = layout.assignments()[1]
     ok = empirical_sampler_check(
-        lambda m, r: rr_on_bins_randomize(np.full(m, own), layout.outputs, 1.5, r),
+        lambda m, r: np.asarray(layout.outputs)[rr_on_bins_randomize(np.full(m, own), layout.d, 1.5, r)],
         matrix.outputs, row, n, root.spawn(0), SIGNIFICANCE,
     )
     details.append(("rr-on-bins", ok))
@@ -274,7 +274,7 @@ def test_criterion_7_sampler_fidelity():
     probs = np.full(q, (1 - stay) / (q - 1))
     probs[2] = stay
     ok = empirical_sampler_check(
-        lambda m, r: rr_on_bins_randomize(np.full(m, 2), np.arange(1, q + 1), eps, r),
+        lambda m, r: np.arange(1, q + 1)[rr_on_bins_randomize(np.full(m, 2), q, eps, r)],
         np.arange(1, q + 1), probs, n, root.spawn(1), SIGNIFICANCE,
     )
     details.append(("rr", ok))
@@ -430,10 +430,10 @@ def test_criterion_10_baseline_dominance():
             table["rr-on-bins"].append(rep.mechanism_loss_on_inputs)
 
             # sensitivity hi - lo, outputs clipped into [lo, hi]
-            lap, _ = randomize("laplace", ys, universe, eps, SQUARED, root.spawn(1))
+            lap = randomize("laplace", ys, universe, eps, SQUARED, root.spawn(1))[0].values
             table["laplace+clip"].append(float(np.mean((lap - ys) ** 2)))
 
-            stair, _ = randomize("staircase", ys, universe, eps, SQUARED, root.spawn(2))
+            stair = randomize("staircase", ys, universe, eps, SQUARED, root.spawn(2))[0].values
             table["staircase+clip"].append(float(np.mean((stair - ys) ** 2)))
 
             expd = exponential_mechanism_sample(ys.astype(float), lo, hi, eps, root.spawn(3))

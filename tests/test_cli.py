@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from labeldp import binopt, cli, losses, pipeline
@@ -234,6 +234,15 @@ def test_read_prior_file_refuses_non_finite_values(tmp_path, capsys, text, match
     assert match in capsys.readouterr().err
 
 
+def test_read_prior_file_refuses_a_negative_weight_on_its_line(tmp_path, capsys):
+    p = write(tmp_path / "prior.csv", "label,p\n0,0.5\n1,-0.1\n2,0.6\n")
+    with pytest.raises(ParseError, match=r":3: negative probability in '1,-0.1'"):
+        read_prior_file(p)
+    assert run(["optimize-bins", "--prior-file", p, "--eps", "1"]) == 2
+    err = capsys.readouterr().err
+    assert ":3: negative" in err and "np.float64" not in err
+
+
 @pytest.mark.parametrize("command", ["randomize", "optimize-bins", "bench"])
 def test_negative_column_is_parse_error(tmp_path, capsys, command):
     src = write(tmp_path / "in.csv", "0,1\n1,2\n2,3\n")
@@ -341,6 +350,34 @@ def test_write_lines_random_doubles_in_range(tmp_path):
     assert _writes_fmt(tmp_path, values * rng.choice([-1.0, 1.0], values.size))
 
 
+@example(table=[0.0, -0.0], picks=[0, 1, 1, 0, 1], chunk=2)
+@example(table=[2 / 3, 400.0, 2 / 3], picks=[2, 0, 1, 2, 0, 1], chunk=4)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 400.0, math.nan])),
+                      min_size=1, max_size=6),
+       picks=st.lists(st.integers(0, 7), max_size=40), chunk=st.integers(1, 9))
+def test_write_lines_from_a_table_matches_fmt(tmp_path, table, picks, chunk):
+    # -0.0 and 0.0 are separate entries, and an entry may repeat another's value
+    index = np.array(picks, dtype=np.intp) % len(table)
+    dest = tmp_path / "out.txt"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "WRITE_CHUNK", chunk)
+        _write_lines(str(dest), table=table, index=index)
+    assert dest.read_bytes() == "".join(fmt(table[i]) + "\n" for i in index.tolist()).encode()
+
+
+@pytest.mark.parametrize("chunk", [cli.WRITE_CHUNK, 7])
+def test_write_lines_from_a_table_bytes(tmp_path, monkeypatch, chunk):
+    # rr's shape, a universe as the table, plus entries in and out of [1, 1e16)
+    monkeypatch.setattr(cli, "WRITE_CHUNK", chunk)
+    table = np.r_[np.arange(401.0), -0.0, 0.1, 1e300]
+    index = np.random.default_rng(17).integers(0, table.size, cli.WRITE_CHUNK + 100)
+    dest = tmp_path / "out.txt"
+    _write_lines(str(dest), table=table, index=index)
+    assert dest.read_bytes() == "".join(fmt(v) + "\n" for v in table[index].tolist()).encode()
+
+
 def test_write_lines_random_bit_patterns(tmp_path):
     bits = np.random.default_rng(16).integers(-2 ** 63, 2 ** 63, 300_000, dtype=np.int64)
     values = bits.view(float)
@@ -358,8 +395,8 @@ def test_randomize_output_is_fmt_of_pipeline_values(tmp_path, monkeypatch, mech)
     out = tmp_path / "out.txt"
     assert run(["randomize", "--input", src, "--output", out, "--eps", "1", "--universe",
                 "0:10:1", "--mechanism", mech, "--seed", "11"]) == 0
-    noisy, _ = randomize(mech, read_labels(src), parse_universe("0:10:1"), 1.0,
-                         losses.by_name("squared"), Rng(11))
+    noisy = randomize(mech, read_labels(src), parse_universe("0:10:1"), 1.0,
+                      losses.by_name("squared"), Rng(11))[0].values
     splits = sum(noisy[i] == noisy[i - 1] for i in range(chunk, noisy.size, chunk))
     # exponential's outputs are continuous, so all distinct; the others repeat
     # values, and some chunk boundary falls inside a run of one value
@@ -705,6 +742,14 @@ def test_bench_counts_below_one_are_precondition_errors(tmp_path, capsys, flag, 
 
 def test_bench_rejects_bad_mechanism(tmp_path):
     assert run(["bench", "--universe", "0:3:1", "--mechanisms", "nope"]) == 3
+
+
+@pytest.mark.parametrize("mechanisms", [",", "", " , "])
+def test_bench_refuses_an_empty_mechanism_list(tmp_path, capsys, mechanisms):
+    out = tmp_path / "b.csv"
+    assert run(["bench", "--universe", "0:3:1", "--mechanisms", mechanisms, "--output", out]) == 3
+    assert "--mechanisms" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mechanism", ("rr", "laplace", "discrete-laplace"))

@@ -49,6 +49,12 @@ def test_make_prior_rejects_bad_weights():
         make_prior(ls, [1, -1])
 
 
+def test_make_prior_names_a_negative_weight_as_a_plain_float():
+    with pytest.raises(ValueError) as err:
+        make_prior(make_label_set([0, 1, 2]), np.array([0.5, -0.1, 0.6]))
+    assert str(err.value) == "weight at index 1 is negative: -0.1"
+
+
 @pytest.mark.parametrize("eps1, eps2", [(math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0)])
 def test_budget_rejects_nan_and_negative_components(eps1, eps2):
     with pytest.raises(ValueError, match="non-negative"):

@@ -32,6 +32,12 @@ def own_bins(lay, y, n):
     return np.full(n, lay.assignments()[np.searchsorted(lay.labels.as_array(), y)])
 
 
+def rr_draws(own, outputs, eps, rng):
+    """rr_on_bins_randomize's draws as the outputs they index."""
+    outs = np.asarray(outputs, dtype=float)
+    return outs[rr_on_bins_randomize(own, outs.size, eps, rng)]
+
+
 def three_bin_layout():
     pr = make_prior(make_label_set([0, 1, 2, 3, 4, 5]), [3, 3, 2, 2, 1, 1])
     lay = optimize_bins(pr, 2.0, SQUARED)
@@ -80,7 +86,7 @@ def test_rr_sample_high_eps_sticks():
     lay = three_bin_layout()
     rng = Rng(1)
     phi = lay.outputs[own_bins(lay, 2.0, 1)[0]]
-    draws = rr_on_bins_randomize(own_bins(lay, 2.0, 10**4), lay.outputs, 50.0, rng)
+    draws = rr_draws(own_bins(lay, 2.0, 10**4), lay.outputs, 50.0, rng)
     assert np.mean(draws == phi) >= 0.999
 
 
@@ -89,7 +95,7 @@ def test_rr_sample_eps0_uniform_two_bins():
     lay = optimize_bins(pr, 5.0, SQUARED)
     assert lay.d == 2
     rng = Rng(2)
-    draws = rr_on_bins_randomize(own_bins(lay, 0.0, 10**4), lay.outputs, 0.0, rng)
+    draws = rr_draws(own_bins(lay, 0.0, 10**4), lay.outputs, 0.0, rng)
     freq = np.mean(draws == lay.outputs[0])
     assert freq == pytest.approx(0.5, abs=0.02)
 
@@ -101,7 +107,7 @@ def test_rr_sample_matches_matrix_row():
     y = lay.labels.values[0]
     row = m.rows[0]
     rng = Rng(3)
-    draws = rr_on_bins_randomize(own_bins(lay, y, 10**4), lay.outputs, eps, rng)
+    draws = rr_draws(own_bins(lay, y, 10**4), lay.outputs, eps, rng)
     for out, p in zip(m.outputs, row):
         assert np.mean(draws == out) == pytest.approx(p, abs=0.02)
 
@@ -110,9 +116,9 @@ def test_rr_sample_rejects_foreign_label():
     lay = three_bin_layout()
     for own in ([lay.d], [-1], [0.5]):
         with pytest.raises(ValueError, match="index 0"):
-            rr_on_bins_randomize(np.array(own), lay.outputs, 1.0, Rng(0))
+            rr_on_bins_randomize(np.array(own), lay.d, 1.0, Rng(0))
     with pytest.raises(ValueError, match="non-negative"):
-        rr_on_bins_randomize(np.array([0]), lay.outputs, -1.0, Rng(0))
+        rr_on_bins_randomize(np.array([0]), lay.d, -1.0, Rng(0))
 
 
 def test_rr_randomize_batch_matches_scalar_distribution():
@@ -120,9 +126,28 @@ def test_rr_randomize_batch_matches_scalar_distribution():
     eps = 1.0
     ys = np.array([0.0, 1.0, 5.0] * 2000)
     own = lay.assignments()[np.searchsorted(lay.labels.as_array(), ys)]
-    out = rr_on_bins_randomize(own, lay.outputs, eps, Rng(4))
+    out = rr_on_bins_randomize(own, lay.d, eps, Rng(4))
     assert out.shape == ys.shape
-    assert set(np.unique(out)) <= set(lay.outputs)
+    assert set(np.unique(out)) <= set(range(lay.d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 401])
+@pytest.mark.parametrize("eps", [0.0, 0.3, 1.0, 8.0])
+def test_rr_index_is_the_where_and_mod_of_its_draws(d, eps):
+    # the index is own, or own + hop wrapped into [0, d), from the same two
+    # draws in the same order; one output draws nothing
+    own = np.random.default_rng(d).integers(0, d, 5000)
+    rng = Rng(19)
+    out = rr_on_bins_randomize(own, d, eps, rng)
+    ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(19)))
+    if d > 1:
+        keep = ref.random(own.shape) < 1 / (1 + (d - 1) * math.exp(-eps))
+        hop = ref.integers(1, d, size=own.shape)
+        assert np.array_equal(out, np.where(keep, own, (own + hop) % d))
+    else:
+        assert np.array_equal(out, own)
+    assert out.dtype.kind == "i"
+    assert rng.gen.random() == ref.random()
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +193,18 @@ def test_discrete_laplace_degenerate_scale():
 def test_discrete_laplace_requires_integers():
     with pytest.raises(ValueError, match="integer"):
         discrete_laplace_sample(1.5, NoiseParams(eps=1.0, sensitivity=1.0), Rng(0))
+
+
+@pytest.mark.parametrize("sample", [discrete_laplace_sample, discrete_staircase_sample])
+def test_discrete_samplers_take_integers_of_any_dtype(sample):
+    # integer arrays skip the whole-number scan; whole floats pass it and draw
+    # the same, and a fraction anywhere in a float array is refused
+    params = NoiseParams(eps=1.0, sensitivity=400.0)
+    ys = np.arange(0, 400, 7)
+    draws = [sample(ys.astype(dtype), params, Rng(21)) for dtype in (np.int64, np.int32, np.uint16, float)]
+    assert all(np.array_equal(d, draws[0]) and d.dtype == np.int64 for d in draws)
+    with pytest.raises(ValueError, match="integer-valued"):
+        sample(np.r_[ys, 0.5], params, Rng(21))
 
 
 def test_staircase_normalization_identity():
@@ -331,7 +368,7 @@ def test_exponential_mechanism_rejects_overflowing_scale(lo, hi, eps):
 def test_randomized_response_examples():
     # plain randomized response on {1..q}: one label per bin, index y - 1
     def rr(y, q, eps, n, rng):
-        return rr_on_bins_randomize(np.full(n, y - 1), np.arange(1, q + 1), eps, rng)
+        return rr_draws(np.full(n, y - 1), np.arange(1, q + 1), eps, rng)
 
     draws = rr(1, 2, 0.0, 10**4, Rng(15))
     assert np.mean(draws == 1) == pytest.approx(0.5, abs=0.02)
@@ -353,8 +390,8 @@ def test_clip():
     universe = make_label_set(range(401))
     y = np.array([0.0, 200.0, 400.0] * 100)
     for mechanism in ADDITIVE:
-        raw, _ = randomize(mechanism, y, universe, 0.5, SQUARED, Rng(3), clip=False)
-        clipped, _ = randomize(mechanism, y, universe, 0.5, SQUARED, Rng(3))
+        raw = randomize(mechanism, y, universe, 0.5, SQUARED, Rng(3), clip=False)[0].values
+        clipped = randomize(mechanism, y, universe, 0.5, SQUARED, Rng(3))[0].values
         assert raw.min() < 0.0 and raw.max() > 400.0, mechanism
         assert np.array_equal(clipped, np.clip(raw, 0.0, 400.0)), mechanism
 
@@ -364,8 +401,8 @@ def test_clip_never_hurts():
     universe = make_label_set(range(11))
     y = rng.uniform(0.0, 10.0, 1000)
     for mechanism in ADDITIVE:
-        noisy, _ = randomize(mechanism, y, universe, 0.2, SQUARED, Rng(18), clip=False)
-        clipped, _ = randomize(mechanism, y, universe, 0.2, SQUARED, Rng(18))
+        noisy = randomize(mechanism, y, universe, 0.2, SQUARED, Rng(18), clip=False)[0].values
+        clipped = randomize(mechanism, y, universe, 0.2, SQUARED, Rng(18))[0].values
         assert np.all(np.abs(clipped - y) <= np.abs(noisy - y) + 1e-12), mechanism
 
 

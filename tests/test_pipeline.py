@@ -6,13 +6,13 @@ import pytest
 
 from labeldp import SQUARED, Rng, make_label_set, randomize
 from labeldp.cli import parse_universe
-from labeldp.pipeline import universe_indices
+from labeldp.pipeline import MECHANISMS, universe_indices
 
 
 def test_no_privacy_limit_is_identity():
     ls = make_label_set([0, 1])
-    noisy, report = randomize("rr-on-bins", [0, 0, 1, 1], ls, 2e6, SQUARED, Rng(5), eps1=1e6)
-    assert noisy.tolist() == [0.0, 0.0, 1.0, 1.0]
+    out, report = randomize("rr-on-bins", [0, 0, 1, 1], ls, 2e6, SQUARED, Rng(5), eps1=1e6)
+    assert out.values.tolist() == [0.0, 0.0, 1.0, 1.0]
     assert report.mechanism_loss_on_inputs == pytest.approx(0.0, abs=1e-20)
     assert report.layout.d == 2
 
@@ -20,7 +20,8 @@ def test_no_privacy_limit_is_identity():
 def test_eps2_zero_collapses_to_one_bin():
     ls = make_label_set([0, 1])
     labels = [0, 0, 1, 1]
-    noisy, report = randomize("rr-on-bins", labels, ls, 1e6, SQUARED, Rng(7), eps1=1e6)
+    out, report = randomize("rr-on-bins", labels, ls, 1e6, SQUARED, Rng(7), eps1=1e6)
+    noisy = out.values
     assert report.layout.d == 1
     assert len(set(noisy.tolist())) == 1
     # constant output at the estimated mean; loss ~ prior variance
@@ -33,16 +34,17 @@ def test_reproducibility():
     labels = list(range(10)) * 30
     a, ra = randomize("rr-on-bins", labels, ls, 1.0, SQUARED, Rng(9), eps1=0.5)
     b, rb = randomize("rr-on-bins", labels, ls, 1.0, SQUARED, Rng(9), eps1=0.5)
-    assert np.array_equal(a, b)
+    assert np.array_equal(a.values, b.values)
     assert ra == rb
     c, _ = randomize("rr-on-bins", labels, ls, 1.0, SQUARED, Rng(10), eps1=0.5)
-    assert not np.array_equal(a, c)
+    assert not np.array_equal(a.values, c.values)
 
 
 def test_output_length_and_order_preserved():
     ls = make_label_set(range(5))
     labels = [4, 0, 2, 2, 1, 3, 0]
-    noisy, report = randomize("rr-on-bins", labels, ls, 2e6, SQUARED, Rng(1), eps1=1e6)
+    out, report = randomize("rr-on-bins", labels, ls, 2e6, SQUARED, Rng(1), eps1=1e6)
+    noisy = out.values
     assert len(noisy) == len(labels)
     assert noisy.tolist() == [float(v) for v in labels]
     assert report.n == len(labels)
@@ -54,7 +56,8 @@ def test_snap_to_universe_rounds_down():
     assert snapped.tolist() == [2.0, 0.0, 5.0, 3.0, 0.0]
 
 
-EVEN_UNIVERSES = ("0:400:1", "0:1:0.1", "0:1:0.01", "-200:200:0.5")
+EVEN_UNIVERSES = ("0:400:1", "0:1:0.1", "0:1:0.01", "-200:200:0.5", "0:420:0.01", "0:1000:0.5",
+                  "-3:7:0.1")
 
 
 def index_cases():
@@ -63,6 +66,7 @@ def index_cases():
         yield pytest.param(parse_universe(spec), id=spec)
     yield pytest.param(make_label_set([2.5]), id="single-point")
     yield pytest.param(make_label_set([1, 2, 5, 10, 100, 1000]), id="uneven")
+    yield pytest.param(make_label_set(np.geomspace(1, 1000, 401)), id="geometric-401")
     # labels in [2, 2.1) are guessed two steps high and need the binary search
     yield pytest.param(make_label_set([0, 2.1, 2.5, 3, 4]), id="skewed")
     # spans whose offsets or scale leave the float range guess index 0
@@ -94,8 +98,8 @@ def test_universe_indices_match_searchsorted(universe):
 
 def test_randomizer_snaps_before_estimating():
     uni = make_label_set([0, 1])
-    noisy, _ = randomize("rr-on-bins", [0.4, 0.9, 1.0, 1.7], uni, 2e6, SQUARED, Rng(2), eps1=1e6)
-    assert noisy.tolist() == [0.0, 0.0, 1.0, 1.0]
+    out, _ = randomize("rr-on-bins", [0.4, 0.9, 1.0, 1.7], uni, 2e6, SQUARED, Rng(2), eps1=1e6)
+    assert out.values.tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 def test_report_carries_no_raw_data():
@@ -124,3 +128,21 @@ def test_preconditions():
         randomize("rr-on-bins", [0, 1], ls, 0.5, SQUARED, Rng(0), eps1=1.0)
     with pytest.raises(ValueError):
         randomize("rr-on-bins", [], ls, 2.0, SQUARED, Rng(0), eps1=1.0)
+
+
+@pytest.mark.parametrize("mech", MECHANISMS)
+def test_outputs_index_their_table_or_carry_values_alone(mech):
+    # rr and rr-on-bins give each label's index into their outputs, the
+    # others their float values only; values is always the published labels
+    uni = make_label_set(range(21))
+    labels = np.r_[np.arange(21.0), 3.5, -2.0, 30.0] * np.ones((20, 1))
+    out, report = randomize(mech, labels.ravel(), uni, 1.0, SQUARED, Rng(12))
+    assert out.values.dtype == float and out.values.shape == (labels.size,)
+    if mech in ("rr", "rr-on-bins"):
+        assert out.index.dtype.kind == "i" and out.index.shape == out.values.shape
+        assert out.table.dtype == float
+        assert np.array_equal(out.values, out.table[out.index])
+        outputs = uni.values if mech == "rr" else report.layout.outputs
+        assert out.table.tolist() == list(outputs)
+    else:
+        assert out.table is None and out.index is None
