@@ -28,7 +28,6 @@ from .losses import (
 )
 from .mechanisms import (
     NoiseParams,
-    Rng,
     discrete_laplace_sample,
     discrete_staircase_sample,
     exponential_mechanism_sample,

@@ -412,8 +412,8 @@ def _build_tables(prior: Prior, tilt: float, loss: LossSpec) -> np.ndarray:
         raise ValueError(f"the bin table for k={k} labels needs {8 * cells:,} bytes, "
                          f"more than the {memory:,.0f} bytes of physical memory")
     cols = np.empty(cells)
-    p = np.ascontiguousarray(prior.probs_array()[::-1])
-    y = np.ascontiguousarray(prior.labels.as_array()[::-1])
+    p = np.ascontiguousarray(prior.probs[::-1])
+    y = np.ascontiguousarray(prior.labels.values[::-1])
     if loss.kind == "squared":
         rows = _rows_squared(p, y, tilt)
     elif loss.kind == "poisson":
@@ -436,7 +436,7 @@ def _interval_weights(prior: Prior, r: int, i: int, eps: float) -> np.ndarray:
     k = prior.k
     if not (1 <= r <= i <= k):
         raise ValueError(f"need 1 <= r <= i <= k={k}, got r={r}, i={i}")
-    return _tilted_rows(prior.probs_array(), [(r - 1, i - 1)], tilt_factor(eps))[0]
+    return _tilted_rows(prior.probs, [(r - 1, i - 1)], tilt_factor(eps))[0]
 
 
 def inner_min_squared(prior: Prior, r: int, i: int, eps: float):
@@ -450,8 +450,8 @@ def inner_min_squared(prior: Prior, r: int, i: int, eps: float):
     heaviest label, whose weight multiplies any ulp of error.
     """
     w = _interval_weights(prior, r, i, eps)
-    y = prior.labels.as_array()
-    p = prior.probs_array()
+    y = prior.labels.values
+    p = prior.probs
     u = p * math.exp(-eps)
     u[r - 1: i] = p[r - 1: i]
     if not u.any():  # no mass inside the interval and none left outside
@@ -466,7 +466,7 @@ def inner_min_poisson(prior: Prior, r: int, i: int, eps: float):
     """Tilted poisson-loss minimizer over one interval; same weighted mean as
     the squared case, with the output floored at a tiny positive value when
     all weighted label mass sits at zero."""
-    y = prior.labels.as_array()
+    y = prior.labels.values
     if y[0] < 0:
         raise ValueError("poisson loss requires non-negative labels")
     w = _interval_weights(prior, r, i, eps)
@@ -481,7 +481,7 @@ def inner_min_absolute(prior: Prior, r: int, i: int, eps: float):
     """Tilted absolute-loss minimizer: the weighted median, i.e. the smallest
     label whose cumulative weight reaches half the total."""
     w = _interval_weights(prior, r, i, eps)
-    y = prior.labels.as_array()
+    y = prior.labels.values
     cum = np.cumsum(w)
     m = int(np.searchsorted(cum, 0.5 * cum[-1]))
     yhat = float(y[m])
@@ -496,7 +496,7 @@ def inner_min_generic(prior: Prior, r: int, i: int, eps: float, loss: LossSpec):
     whose value convexity certifies to 1e-13 of the minimum unless the
     bracket reached GOLDEN_TOL first."""
     w = _interval_weights(prior, r, i, eps)
-    x, v = _convex_rows(w[None, :], prior.labels.as_array(), loss)
+    x, v = _convex_rows(w[None, :], prior.labels.values, loss)
     return float(x[0]), float(v[0])
 
 
@@ -572,8 +572,8 @@ def _bin_outputs(prior: Prior, spans, eps: float, loss: LossSpec) -> list[float]
               "absolute": inner_min_absolute}.get(loss.kind)
     if closed is not None:
         return [closed(prior, a + 1, b + 1, eps)[0] for a, b in spans]
-    w = _tilted_rows(prior.probs_array(), spans, tilt_factor(eps))
-    return [float(x) for x in _convex_rows(w, prior.labels.as_array(), loss)[0]]
+    w = _tilted_rows(prior.probs, spans, tilt_factor(eps))
+    return [float(x) for x in _convex_rows(w, prior.labels.values, loss)[0]]
 
 
 def optimize_bins(prior: Prior, eps: float, loss: LossSpec) -> BinLayout:

@@ -27,7 +27,6 @@ import numpy as np
 from . import losses
 from .binopt import BinLayout, optimize_bins
 from .core import LabelSet, Prior, make_label_set, make_prior
-from .mechanisms import Rng
 from .pipeline import MECHANISMS, randomize, universe_indices
 
 SEED_ENV = "LABELDP_SEED"
@@ -330,7 +329,7 @@ def cmd_randomize(args) -> int:
     raw = read_labels(args.input, args.column)
     universe = parse_universe(args.universe)
     out, run = randomize(args.mechanism, raw, universe, args.eps, losses.by_name(args.loss),
-                         Rng(args.seed), clip=args.clip, eps1=args.eps1)
+                         np.random.default_rng(args.seed), clip=args.clip, eps1=args.eps1)
     report: dict = {"mechanism": args.mechanism, "seed": args.seed, "n": len(raw),
                     "mechanism_loss_on_inputs": fmt(run.mechanism_loss_on_inputs)}
     if run.layout is None:
@@ -443,27 +442,25 @@ def cmd_bench(args) -> int:
         if m not in MECHANISMS:
             raise ValueError(f"unknown mechanism {m!r}; pick from {', '.join(MECHANISMS)}")
 
-    root = Rng(args.seed)
-    grid = universe.as_array()
+    root = np.random.SeedSequence(args.seed)  # each cell draws from the next child
+    grid = universe.values
     if args.input:
         # every cell runs on these labels, so they are mapped only once
         idx = universe_indices(read_labels(args.input, args.column), universe)
         fixed = idx, grid[idx]
         draw = lambda rng: fixed
     else:
-        probs = _synthetic_prior(args.synthetic, universe).probs_array()
+        probs = _synthetic_prior(args.synthetic, universe).probs
 
         def draw(rng):
-            idx = rng.gen.choice(universe.k, size=args.n, p=probs)
+            idx = rng.choice(universe.k, size=args.n, p=probs)
             return idx, grid[idx]
 
     rows = ["mechanism,eps,rep,loss"]
-    cell = 0
     for mech in mechs:
         for eps in eps_grid:
             for rep in range(args.reps):
-                rng = root.spawn(cell)
-                cell += 1
+                rng = np.random.default_rng(root.spawn(1)[0])
                 idx, ys = draw(rng)
                 _, run = randomize(mech, ys, universe, eps, loss, rng, clip=args.clip, indices=idx)
                 rows.append(f"{mech},{fmt(eps)},{rep},{fmt(run.mechanism_loss_on_inputs)}")
@@ -483,9 +480,7 @@ def cmd_bench(args) -> int:
 def cmd_verify(args) -> int:
     from . import selfcheck
 
-    results = selfcheck.run_suites(
-        quick=args.quick, seed=args.seed, dp_check_eps_offset=args.dp_offset
-    )
+    results = selfcheck.run_suites(quick=args.quick, seed=args.seed)
     passed = sum(ok for _, ok, _ in results)
     if args.json:
         print(json.dumps({"suites": [{"name": name, "ok": ok, "detail": detail}
@@ -566,8 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the self-check suites")
     common(p, loss=False)
     p.add_argument("--quick", action="store_true", help="small instances only (<10s)")
-    p.add_argument("--dp-offset", type=float, default=0.0,
-                   help="offset added to eps in the DP ratio check (fault injection)")
     p.add_argument("--json", action="store_true",
                    help="print one JSON object: each suite's name, ok and detail, "
                         "and the passed and total counts")

@@ -14,38 +14,46 @@ PROB_SUM_TOL = 1e-12     # normalization tolerance at construction
 ROW_SUM_TOL = 1e-9       # tolerance when validating externally supplied matrices
 
 
-@dataclass(frozen=True)
-class LabelSet:
-    """The finite set of distinct label values, sorted increasingly."""
+def _frozen(values) -> np.ndarray:
+    """A read-only float64 copy of values."""
+    a = np.array(values, dtype=float)
+    a.flags.writeable = False
+    return a
 
-    values: tuple[float, ...]
+
+@dataclass(frozen=True, eq=False)
+class LabelSet:
+    """The finite set of distinct label values, sorted increasingly, as a
+    read-only array; two label sets are equal when their values are."""
+
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) == 0:
+        v = _frozen(self.values)
+        object.__setattr__(self, "values", v)
+        if v.size == 0:
             raise ValueError("label set must be non-empty")
-        for idx, v in enumerate(self.values):
-            if not math.isfinite(v):
-                raise ValueError(f"label at index {idx} is not finite: {v!r}")
-        for idx in range(1, len(self.values)):
-            if self.values[idx] <= self.values[idx - 1]:
-                raise ValueError(
-                    f"labels must be strictly increasing; violation at index {idx}"
-                )
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise ValueError(f"label at index {bad[0]} is not finite: {float(v[bad[0]])!r}")
+        bad = np.flatnonzero(v[1:] <= v[:-1])
+        if bad.size:
+            raise ValueError(f"labels must be strictly increasing; violation at index {bad[0] + 1}")
+
+    def __eq__(self, other):
+        return isinstance(other, LabelSet) and np.array_equal(self.values, other.values)
 
     @property
     def k(self) -> int:
-        return len(self.values)
+        return self.values.size
 
     @property
     def y_min(self) -> float:
-        return self.values[0]
+        return float(self.values[0])
 
     @property
     def y_max(self) -> float:
-        return self.values[-1]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+        return float(self.values[-1])
 
 
 def as_indices(indices, k: int) -> np.ndarray:
@@ -64,50 +72,59 @@ def make_label_set(values) -> LabelSet:
     """Sort and deduplicate raw values into a LabelSet.
 
     Rejects empty input and non-finite entries (the diagnostic names the
-    offending input index).
+    offending input index).  Of -0.0 and 0.0, the one that comes first in
+    the input is kept.
     """
-    vals = list(values)
-    if not vals:
+    x = np.asarray(values, dtype=float).reshape(-1)
+    if x.size == 0:
         raise ValueError("label set must be non-empty")
-    for idx, v in enumerate(vals):
-        v = float(v)
-        if not math.isfinite(v):
-            raise ValueError(f"label at input index {idx} is not finite: {v!r}")
-    return LabelSet(tuple(sorted(set(float(v) for v in vals))))
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(f"label at input index {bad[0]} is not finite: {float(x[bad[0]])!r}")
+    vals = np.sort(x)  # not np.unique, whose first call imports numpy.ma (about 10 ms)
+    vals = vals[np.append(True, vals[1:] > vals[:-1])]
+    zero = np.flatnonzero(x == 0.0)[:1]
+    vals[vals == 0.0] = x[zero]
+    return LabelSet(vals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prior:
-    """A probability distribution over a LabelSet."""
+    """A probability distribution over a LabelSet, as a read-only array of
+    probabilities; two priors are equal when their labels and probs are."""
 
     labels: LabelSet
-    probs: tuple[float, ...]
+    probs: np.ndarray
 
     def __post_init__(self):
-        if len(self.probs) != self.labels.k:
-            raise ValueError(
-                f"probs length {len(self.probs)} != label count {self.labels.k}"
-            )
-        for idx, p in enumerate(self.probs):
-            if not (p >= 0.0):
-                raise ValueError(f"probability at index {idx} is negative: {p!r}")
-        total = math.fsum(self.probs)
+        p = _frozen(self.probs)
+        object.__setattr__(self, "probs", p)
+        if p.size != self.labels.k:
+            raise ValueError(f"probs length {p.size} != label count {self.labels.k}")
+        bad = np.flatnonzero(~(p >= 0.0))
+        if bad.size:
+            raise ValueError(f"probability at index {bad[0]} is negative: {float(p[bad[0]])!r}")
+        total = math.fsum(p.tolist())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
+
+    def __eq__(self, other):
+        return (isinstance(other, Prior) and self.labels == other.labels
+                and np.array_equal(self.probs, other.probs))
 
     @property
     def k(self) -> int:
         return self.labels.k
 
-    def probs_array(self) -> np.ndarray:
-        return np.asarray(self.probs, dtype=float)
-
 
 def make_prior(labels: LabelSet, weights) -> Prior:
-    """Normalize non-negative weights (one per label) into a Prior."""
-    w = np.asarray(list(weights), dtype=float)
-    if len(w) != labels.k:
-        raise ValueError(f"got {len(w)} weights for {labels.k} labels")
+    """Normalize finite non-negative weights (one per label) into a Prior."""
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    if w.size != labels.k:
+        raise ValueError(f"got {w.size} weights for {labels.k} labels")
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        raise ValueError(f"weight at index {bad[0]} is not finite: {float(w[bad[0]])!r}")
     if np.any(w < 0):
         idx = int(np.argmin(w))
         raise ValueError(f"weight at index {idx} is negative: {float(w[idx])!r}")
@@ -116,8 +133,7 @@ def make_prior(labels: LabelSet, weights) -> Prior:
         raise ValueError("weights sum to zero; cannot normalize")
     p = w / total
     # renormalize exactly so the fsum invariant holds after rounding
-    p = p / math.fsum(p.tolist())
-    return Prior(labels, tuple(float(x) for x in p))
+    return Prior(labels, p / math.fsum(p.tolist()))
 
 
 @dataclass(frozen=True)
@@ -170,7 +186,5 @@ def expected_loss(m: MechanismMatrix, p: Prior, loss) -> float:
     """Expected loss of a mechanism under a prior: sum_y p_y sum_o M[y,o] l(o, y)."""
     if m.inputs != p.labels:
         raise ValueError("mechanism inputs do not match the prior's label set")
-    ys = p.labels.as_array()
-    outs = np.asarray(m.outputs, dtype=float)
-    lmat = loss.eval_grid(outs, ys)  # shape (k, n_outputs), l(o_j, y_i)
-    return float(np.dot(p.probs_array(), (m.rows * lmat).sum(axis=1)))
+    lmat = loss.eval_grid(np.asarray(m.outputs, dtype=float), p.labels.values)  # l(o_j, y_i)
+    return float(np.dot(p.probs, (m.rows * lmat).sum(axis=1)))

@@ -3,16 +3,17 @@ the additive-noise baselines (continuous/discrete Laplace, continuous/discrete
 staircase, the exponential mechanism by inverse CDF, plain randomized
 response).  Clipping the outputs into the label range is the pipeline's.
 
-Every sampler takes an explicit Rng, is deterministic given its seed, and
-takes and returns arrays, drawing for a whole batch of labels at once.  The
-staircase, discrete staircase and exponential samplers draw into and combine
-their noise in a few buffers of their own, never in the caller's array: one
-call peaks at under four times the label array.
+Every sampler draws from the numpy Generator it is given, so a seeded
+Generator reproduces its output, and takes and returns arrays, drawing for a
+whole batch of labels at once.  The staircase, discrete staircase and
+exponential samplers draw into and combine their noise in a few buffers of
+their own, never in the caller's array: one call peaks at under four times
+the label array.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,26 +23,6 @@ from .core import MechanismMatrix, as_indices
 # the double just above -1: keeps log1p finite where a side's mass rounds to 1,
 # which needs eps * distance / Delta above about 70
 _LOG1P_FLOOR = np.nextafter(-1.0, 0.0)
-
-
-@dataclass
-class Rng:
-    """Seeded random source; identical seeds reproduce identical streams.
-
-    Children derived with spawn(index) are independent and deterministic in
-    (seed, index), so concurrent tasks can each own their own stream.
-    """
-
-    seed: int
-    gen: np.random.Generator = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.gen is None:
-            self.gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
-
-    def spawn(self, index: int) -> "Rng":
-        seq = np.random.SeedSequence(self.seed, spawn_key=(index,))
-        return Rng(self.seed, np.random.Generator(np.random.PCG64(seq)))
 
 
 @dataclass(frozen=True)
@@ -93,7 +74,7 @@ def rr_on_bins_matrix(layout: BinLayout, eps: float) -> MechanismMatrix:
     return MechanismMatrix(layout.labels, layout.outputs, rows)
 
 
-def rr_on_bins_randomize(own_bins, d: int, eps: float, rng: Rng) -> np.ndarray:
+def rr_on_bins_randomize(own_bins, d: int, eps: float, rng: np.random.Generator) -> np.ndarray:
     """Randomized response over d bin outputs for an array of labels given by
     their own bin indices, returning each label's output index: each keeps
     its own bin with probability e^eps/(e^eps + d - 1) and otherwise moves to
@@ -104,20 +85,20 @@ def rr_on_bins_randomize(own_bins, d: int, eps: float, rng: Rng) -> np.ndarray:
     own = as_indices(own_bins, d)
     if d == 1:
         return np.zeros(own.shape, dtype=np.intp)
-    moves = rng.gen.random(own.shape) >= _stay_prob(eps, d)
-    out = rng.gen.integers(1, d, size=own.shape)  # the hop, then the output
+    moves = rng.random(own.shape) >= _stay_prob(eps, d)
+    out = rng.integers(1, d, size=own.shape)  # the hop, then the output
     out *= moves
     out += own
     return np.subtract(out, d, out=out, where=out >= d)
 
 
-def laplace_sample(y, params: NoiseParams, rng: Rng):
+def laplace_sample(y, params: NoiseParams, rng: np.random.Generator):
     """y plus continuous Laplace noise with scale sensitivity/eps."""
     y = np.asarray(y, dtype=float)
-    return y + rng.gen.laplace(0.0, params.scale, size=y.shape)
+    return y + rng.laplace(0.0, params.scale, size=y.shape)
 
 
-def discrete_laplace_sample(y, params: NoiseParams, rng: Rng):
+def discrete_laplace_sample(y, params: NoiseParams, rng: np.random.Generator):
     """y plus discrete Laplace noise (pmf proportional to e^(-|j|/b), b =
     sensitivity/eps), sampled exactly as a difference of two geometrics."""
     y = np.asarray(y)
@@ -125,27 +106,26 @@ def discrete_laplace_sample(y, params: NoiseParams, rng: Rng):
         raise ValueError("discrete laplace requires integer-valued input")
     b = params.scale
     p = 1.0 - math.exp(-1.0 / b) if b > 0 else 1.0  # eps = inf leaves no noise
-    noise = rng.gen.geometric(p, size=y.shape) - rng.gen.geometric(p, size=y.shape)
+    noise = rng.geometric(p, size=y.shape) - rng.geometric(p, size=y.shape)
     return y.astype(np.int64) + noise
 
 
-def staircase_sample(y, params: NoiseParams, rng: Rng):
+def staircase_sample(y, params: NoiseParams, rng: np.random.Generator):
     """y plus continuous staircase noise: geometric rung with ratio e^(-eps),
     a high/low step within the rung (widths gamma*D and (1-gamma)*D, heights
     1 : e^(-eps)), a sign, and a uniform position inside the step."""
     eps, delta = params.eps, params.sensitivity
     gamma = params.gamma()
     y = np.asarray(y, dtype=float)
-    g = rng.gen
-    rung = g.geometric(1.0 - math.exp(-eps), size=y.shape)
+    rung = rng.geometric(1.0 - math.exp(-eps), size=y.shape)
     rung -= 1
     denom = gamma + math.exp(-eps) * (1.0 - gamma)
     # denom underflows only when gamma ~ e^(-eps/2) ~ 0; the high step (width
     # gamma * delta ~ 0) is then the correct zero-noise limit
     p_high = gamma / denom if denom > 0 else 1.0
-    u = g.random(y.shape)
+    u = rng.random(y.shape)
     high = u < p_high
-    g.random(out=u)
+    rng.random(out=u)
     # the low step's offsets, the high step's copied in; out= keeps a 0-d batch an array
     offset = np.multiply(u, 1.0 - gamma, out=np.empty_like(u))
     offset *= delta
@@ -153,7 +133,7 @@ def staircase_sample(y, params: NoiseParams, rng: Rng):
     u *= gamma
     u *= delta
     np.copyto(offset, u, where=high)
-    negative = g.random(out=u) < 0.5
+    negative = rng.random(out=u) < 0.5
     out = np.multiply(rung, delta, out=u)
     out += offset
     np.negative(out, out=out, where=negative)
@@ -161,7 +141,7 @@ def staircase_sample(y, params: NoiseParams, rng: Rng):
     return out
 
 
-def discrete_staircase_sample(y, params: NoiseParams, rng: Rng):
+def discrete_staircase_sample(y, params: NoiseParams, rng: np.random.Generator):
     """y plus discrete staircase noise over the integers.
 
     The pmf is a(r) on |i| in [0, r), e^(-eps) a(r) on |i| in [r, Delta), and
@@ -178,37 +158,36 @@ def discrete_staircase_sample(y, params: NoiseParams, rng: Rng):
         raise ValueError("discrete staircase requires integer-valued input")
     b = math.exp(-eps)
     a = (1.0 - b) / (2 * r + 2 * b * (delta - r) - (1.0 - b))
-    g = rng.gen
 
     # one-sided masses: rung 0 excludes the atom at zero
     m_first = a * (r - 1) + a * b * (delta - r)
     m_rest = a * (r + b * (delta - r)) * b / (1.0 - b)
     side = m_first + m_rest
-    u = g.random(y.size)
+    u = rng.random(y.size)
     nonzero = u >= a
     n_nz = int(nonzero.sum())
     if n_nz:
         u = u[:n_nz]  # the buffer of every later draw
-        first = g.random(out=u) < m_first / side
-        mag = g.geometric(1.0 - b, size=n_nz)  # the rung, then the magnitude
+        first = rng.random(out=u) < m_first / side
+        mag = rng.geometric(1.0 - b, size=n_nz)  # the rung, then the magnitude
         mag[first] = 0
         # the first rung holds r - 1 high cells past the atom, the others r
         lo_weight = b * (delta - r)
         p_first, p_rest = (w / (w + lo_weight) if w + lo_weight > 0 else 0.0
                            for w in (r - 1.0, float(r)))
-        take_hi = g.random(out=u) < np.where(first, p_first, p_rest)
-        g.random(out=u)
+        take_hi = rng.random(out=u) < np.where(first, p_first, p_rest)
+        rng.random(out=u)
         u *= np.where(first, float(max(r - 1, 1)), float(r))
         offset = u.astype(np.int64)
         offset += first  # the high cells of the first rung start at 1
         take_lo = ~take_hi
-        g.random(out=u)
+        rng.random(out=u)
         u *= delta - r
         np.copyto(offset, u, casting="unsafe", where=take_lo)
         np.add(offset, r, out=offset, where=take_lo)
         mag *= delta
         mag += offset
-        np.negative(mag, out=mag, where=g.random(out=u) < 0.5)
+        np.negative(mag, out=mag, where=rng.random(out=u) < 0.5)
         del u, offset  # freed before y is copied
     out = np.array(y, dtype=np.int64, order="C").reshape(-1)  # never the caller's array
     if n_nz:
@@ -216,7 +195,8 @@ def discrete_staircase_sample(y, params: NoiseParams, rng: Rng):
     return out.reshape(y.shape)
 
 
-def exponential_mechanism_sample(y, lo: float, hi: float, eps: float, rng: Rng) -> np.ndarray:
+def exponential_mechanism_sample(y, lo: float, hi: float, eps: float,
+                                 rng: np.random.Generator) -> np.ndarray:
     """Exponential mechanism on [lo, hi] for an array of inputs: density
     proportional to e^(-eps |out - y| / (2 Delta)) there, Delta = hi - lo,
     which is Laplace noise at scale b = 2 Delta / eps truncated to the range.
@@ -247,7 +227,7 @@ def exponential_mechanism_sample(y, lo: float, hi: float, eps: float, rng: Rng) 
     step /= b
     np.negative(np.expm1(step, out=step), out=step)
     step += below
-    u = rng.gen.random(y.shape)
+    u = rng.random(y.shape)
     u *= step
     left = u < below
     # the log1p argument is formed first, so no branch leaves its domain; the

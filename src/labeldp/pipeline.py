@@ -19,7 +19,6 @@ from .core import EpsilonBudget, LabelSet, Prior
 from .losses import LossSpec
 from .mechanisms import (
     NoiseParams,
-    Rng,
     discrete_laplace_sample,
     discrete_staircase_sample,
     exponential_mechanism_sample,
@@ -47,7 +46,6 @@ class RandomizationReport:
     mechanism_loss_on_inputs: float
     n: int
     loss_kind: str
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,7 @@ def universe_indices(labels, universe: LabelSet) -> np.ndarray:
     Each index is guessed from the label's offset as if the grid were evenly
     spaced and checked; only the labels that fail the check are
     binary-searched, so the result is exact on any grid."""
-    grid = universe.as_array()
+    grid = universe.values
     x = np.asarray(labels, dtype=float)
     # clamp into the range, NaN to the top as searchsorted sorts it
     flat = np.maximum(x.reshape(-1), grid[0])
@@ -125,7 +123,7 @@ def _noise_params(universe, eps):
 
 
 def _integer_labels(idx, universe):
-    grid = universe.as_array()
+    grid = universe.values
     if not np.all(np.equal(np.mod(grid, 1), 0)):
         raise ValueError("the discrete mechanisms need an integer universe")
     return grid.astype(np.int64)[idx]
@@ -163,7 +161,7 @@ def _rr(idx, universe, eps, rng, loss, eps1, clip):
     """Plain randomized response: rr-on-bins' last step with one bin per
     universe element and all of eps; its outputs need no clip."""
     out = rr_on_bins_randomize(idx, universe.k, eps, rng)
-    return _indexed(universe.as_array(), out), EpsilonBudget(eps1=0.0, eps2=eps), None, None
+    return _indexed(universe.values, out), EpsilonBudget(eps1=0.0, eps2=eps), None, None
 
 
 # name -> (takes universe indices, sampler).  A sampler without indices gets
@@ -207,21 +205,11 @@ def _labels(labels) -> np.ndarray:
     return raw
 
 
-def _report(raw, noisy, budget, prior, layout, loss, rng) -> RandomizationReport:
-    return RandomizationReport(
-        budget=budget,
-        estimated_prior=prior,
-        layout=layout,
-        mechanism_loss_on_inputs=float(np.mean(loss.eval_fn(noisy, raw))),
-        n=int(raw.size),
-        loss_kind=loss.kind,
-        seed=rng.seed,
-    )
-
-
-def randomize(mechanism, labels, universe: LabelSet, eps: float, loss: LossSpec, rng: Rng,
-              *, clip: bool = True, eps1: float | None = None, indices=None):
-    """Randomize a batch of labels with one mechanism at total budget eps.
+def randomize(mechanism, labels, universe: LabelSet, eps: float, loss: LossSpec,
+              rng: np.random.Generator, *, clip: bool = True, eps1: float | None = None,
+              indices=None):
+    """Randomize a batch of labels with one mechanism at total budget eps,
+    drawing from rng.
 
     eps1 is rr-on-bins' prior-estimation share (default sqrt(k/n)); clip
     clamps the one-step mechanisms' outputs into the universe range.  A
@@ -241,4 +229,5 @@ def randomize(mechanism, labels, universe: LabelSet, eps: float, loss: LossSpec,
     else:
         x = np.clip(raw, universe.y_min, universe.y_max)
     out, budget, prior, layout = sample(x, universe, eps, rng, loss, eps1, clip)
-    return out, _report(raw, out.values, budget, prior, layout, loss, rng)
+    loss_on_inputs = float(np.mean(loss.eval_fn(out.values, raw)))
+    return out, RandomizationReport(budget, prior, layout, loss_on_inputs, raw.size, loss.kind)

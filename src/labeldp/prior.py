@@ -15,20 +15,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EpsilonBudget, LabelSet, Prior, as_indices, make_prior
-from .mechanisms import Rng
 
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HistogramEstimate:
-    """A privately estimated prior; prior and noised_counts are DP."""
+    """A privately estimated prior; prior and the read-only noised_counts
+    are DP."""
 
     prior: Prior
-    noised_counts: tuple[float, ...]
+    noised_counts: np.ndarray
+
+    def __eq__(self, other):
+        return (isinstance(other, HistogramEstimate) and self.prior == other.prior
+                and np.array_equal(self.noised_counts, other.noised_counts))
 
 
-def laplace_histogram(indices, universe: LabelSet, eps1: float, rng: Rng) -> HistogramEstimate:
+def laplace_histogram(indices, universe: LabelSet, eps1: float,
+                      rng: np.random.Generator) -> HistogramEstimate:
     """Estimate the label distribution with eps1-DP Laplace noise.
 
     Takes the labels as universe indices (pipeline.universe_indices), counts
@@ -42,14 +47,15 @@ def laplace_histogram(indices, universe: LabelSet, eps1: float, rng: Rng) -> His
     if idx.size == 0:
         raise ValueError("need at least one label")
     counts = np.bincount(idx, minlength=universe.k).astype(float)
-    noised = counts + rng.gen.laplace(0.0, 2.0 / eps1, size=universe.k)
+    noised = counts + rng.laplace(0.0, 2.0 / eps1, size=universe.k)
     noised = np.maximum(noised, 0.0)
     if noised.sum() <= 0.0:
         log.warning("all noised histogram counts clamped to zero; using uniform prior")
         prior = make_prior(universe, np.ones(universe.k))
     else:
         prior = make_prior(universe, noised)
-    return HistogramEstimate(prior=prior, noised_counts=tuple(float(c) for c in noised))
+    noised.flags.writeable = False
+    return HistogramEstimate(prior=prior, noised_counts=noised)
 
 
 def default_budget_split(eps: float, k: int, n: int) -> EpsilonBudget:

@@ -10,7 +10,6 @@ from .binopt import optimize_bins
 from .core import make_label_set, make_prior
 from .mechanisms import (
     NoiseParams,
-    Rng,
     discrete_laplace_sample,
     rr_on_bins_matrix,
     rr_on_bins_randomize,
@@ -113,7 +112,7 @@ def check_lp_cross(seed: int, instances: int, k_theorem: int):
                   f"worst relative gap {worst_rel:.2e}")
 
 
-def check_dp_ratio(seed: int, instances: int, eps_offset: float = 0.0):
+def check_dp_ratio(seed: int, instances: int):
     rng = np.random.default_rng(seed)
     checked = 0
     for t in range(instances):
@@ -121,8 +120,8 @@ def check_dp_ratio(seed: int, instances: int, eps_offset: float = 0.0):
         eps = float(rng.choice([0.5, 1.0, 2.0, 5.0]))
         layout = optimize_bins(prior, eps, losses.SQUARED)
         matrix = rr_on_bins_matrix(layout, eps)
-        if not check_eps_dp(matrix, eps + eps_offset):
-            return False, f"instance {t}: matrix violates the ratio at eps {eps + eps_offset:.3g}"
+        if not check_eps_dp(matrix, eps):
+            return False, f"instance {t}: matrix violates the ratio at eps {eps:.3g}"
         if layout.d >= 2 and eps >= 0.2 and check_eps_dp(matrix, eps - 0.1):
             return False, f"instance {t}: matrix passed at eps - 0.1 (too lax)"
         checked += 1
@@ -130,7 +129,7 @@ def check_dp_ratio(seed: int, instances: int, eps_offset: float = 0.0):
 
 
 def check_samplers(seed: int, trials: int):
-    root = Rng(seed)
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)]
     # randomized response over bins, against its own matrix row
     prior = make_prior(make_label_set([0, 1, 2, 3]), [4, 3, 2, 1])
     layout = optimize_bins(prior, 1.5, losses.SQUARED)
@@ -142,7 +141,7 @@ def check_samplers(seed: int, trials: int):
         return np.asarray(layout.outputs)[rr_on_bins_randomize(np.full(n, own), layout.d, 1.5, rng)]
 
     if not empirical_sampler_check(
-        sample_rr, matrix.outputs, row, max(trials // 10, 10**4), root.spawn(0)
+        sample_rr, matrix.outputs, row, max(trials // 10, 10**4), rngs[0]
     ):
         return False, "binned randomized response row failed chi-square"
 
@@ -154,25 +153,20 @@ def check_samplers(seed: int, trials: int):
         js,
         discrete_laplace_pmf(js, params.scale),
         trials,
-        root.spawn(1),
+        rngs[1],
     )
     if not ok:
         return False, "discrete laplace failed chi-square"
     return True, "binned RR and discrete laplace fit their analytic rows"
 
 
-def run_suites(quick: bool = False, seed: int = 0, dp_check_eps_offset: float = 0.0):
+def run_suites(quick: bool = False, seed: int = 0):
     """Run all suites; returns a list of (name, passed, detail)."""
     if quick:
         sizes = dict(oracle=(40, 5), lp=(10, 6), dp=10, trials=10**4)
     else:
         sizes = dict(oracle=(150, 8), lp=(30, 12), dp=30, trials=10**5)
-    results = []
-    n_inst, k_max = sizes["oracle"]
-    results.append(("oracle-equivalence",) + check_oracle_equivalence(seed, n_inst, k_max))
-    results.append(("lp-cross-check",) + check_lp_cross(seed + 1, *sizes["lp"]))
-    results.append(
-        ("dp-ratio",) + check_dp_ratio(seed + 2, sizes["dp"], dp_check_eps_offset)
-    )
-    results.append(("sampler-fit",) + check_samplers(seed + 3, sizes["trials"]))
-    return [(name, ok, detail) for name, ok, detail in results]
+    return [("oracle-equivalence",) + check_oracle_equivalence(seed, *sizes["oracle"]),
+            ("lp-cross-check",) + check_lp_cross(seed + 1, *sizes["lp"]),
+            ("dp-ratio",) + check_dp_ratio(seed + 2, sizes["dp"]),
+            ("sampler-fit",) + check_samplers(seed + 3, sizes["trials"])]

@@ -15,7 +15,6 @@ import numpy as np
 from .binopt import BinLayout, tilt_factor
 from .core import MechanismMatrix, Prior
 from .losses import POISSON_YHAT_FLOOR, LossSpec
-from .mechanisms import Rng
 
 DP_RATIO_SLACK = 1e-9
 LP_FEAS_TOL = 1e-7
@@ -94,8 +93,8 @@ def brute_force_optimal_bins(prior: Prior, eps: float, loss: LossSpec) -> BinLay
     if eps < 0:
         raise ValueError(f"eps must be non-negative, got {eps}")
     tilt = tilt_factor(eps)
-    p = prior.probs_array()
-    y = prior.labels.as_array()
+    p = prior.probs
+    y = prior.labels.values
     best = None
     for mask in range(1 << (k - 1)):
         ends = [i for i in range(k - 1) if mask >> i & 1] + [k - 1]
@@ -199,8 +198,8 @@ def best_rr_on_bins_over_grid(prior: Prior, grid, eps: float, loss: LossSpec) ->
     if k > 10:
         raise ValueError("grid enumeration limited to k <= 10")
     tilt = tilt_factor(eps)
-    p = prior.probs_array()
-    y = prior.labels.as_array()
+    p = prior.probs
+    y = prior.labels.values
     grid = sorted(float(g) for g in grid)
     lmat = loss.eval_grid(np.asarray(grid), y)  # lmat[i, j] = loss(grid[j], y_i)
     best = math.inf
@@ -271,8 +270,8 @@ def lp_optimal_mechanism(prior: Prior, outputs, eps: float, loss: LossSpec) -> L
     from scipy import sparse
 
     inv_tilt = math.exp(-eps)
-    y = prior.labels.as_array()
-    p = prior.probs_array()
+    y = prior.labels.values
+    p = prior.probs
     lmat = loss.eval_grid(np.asarray(outs), y)
     c = (p[:, None] * lmat).reshape(k * m)
     # variable i*m + o is M[y_i -> o]; row i sums to 1
@@ -371,7 +370,7 @@ def empirical_sampler_check(
     values,
     probs,
     trials: int,
-    rng: Rng,
+    rng: np.random.Generator,
     significance: float = 0.001,
 ) -> bool:
     """Chi-square goodness of fit of a sampler against an analytic discrete

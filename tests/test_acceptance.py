@@ -18,7 +18,6 @@ from labeldp import (
     POISSON,
     SQUARED,
     NoiseParams,
-    Rng,
     brute_force_optimal_bins,
     check_eps_dp,
     discrete_laplace_sample,
@@ -182,9 +181,9 @@ def test_criterion_4_inner_solver_identities():
                 report(4, False, f"{spec.kind} generic gap {gap:.2e}")
         # weighted median satisfies its cumulative-weight definition exactly
         yhat, _ = inner_min_absolute(prior, r, i, eps)
-        w = prior.probs_array().copy()
+        w = prior.probs.copy()
         w[r - 1: i] *= math.exp(eps)
-        ys = prior.labels.as_array()
+        ys = prior.labels.values
         j = int(np.searchsorted(ys, yhat))
         cum = np.cumsum(w)
         if not (cum[j] >= cum[-1] / 2 and (j == 0 or cum[j - 1] < cum[-1] / 2)):
@@ -252,7 +251,7 @@ def test_criterion_6_privacy_ratio():
 
 
 def test_criterion_7_sampler_fidelity():
-    root = Rng(107)
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(107).spawn(7)]
     n = 10**5
     details = []
 
@@ -264,7 +263,7 @@ def test_criterion_7_sampler_fidelity():
     own = layout.assignments()[1]
     ok = empirical_sampler_check(
         lambda m, r: np.asarray(layout.outputs)[rr_on_bins_randomize(np.full(m, own), layout.d, 1.5, r)],
-        matrix.outputs, row, n, root.spawn(0), SIGNIFICANCE,
+        matrix.outputs, row, n, rngs[0], SIGNIFICANCE,
     )
     details.append(("rr-on-bins", ok))
 
@@ -275,7 +274,7 @@ def test_criterion_7_sampler_fidelity():
     probs[2] = stay
     ok = empirical_sampler_check(
         lambda m, r: np.arange(1, q + 1)[rr_on_bins_randomize(np.full(m, 2), q, eps, r)],
-        np.arange(1, q + 1), probs, n, root.spawn(1), SIGNIFICANCE,
+        np.arange(1, q + 1), probs, n, rngs[1], SIGNIFICANCE,
     )
     details.append(("rr", ok))
 
@@ -284,7 +283,7 @@ def test_criterion_7_sampler_fidelity():
     js = np.arange(-60, 61)
     ok = empirical_sampler_check(
         lambda m, r: discrete_laplace_sample(np.zeros(m, dtype=int), params, r),
-        js, discrete_laplace_pmf(js, params.scale), n, root.spawn(2), SIGNIFICANCE,
+        js, discrete_laplace_pmf(js, params.scale), n, rngs[2], SIGNIFICANCE,
     )
     details.append(("discrete-laplace", ok))
 
@@ -294,14 +293,14 @@ def test_criterion_7_sampler_fidelity():
     js = np.arange(-400, 401)
     ok = empirical_sampler_check(
         lambda m, r: discrete_staircase_sample(np.zeros(m, dtype=int), dsp, r),
-        js, discrete_staircase_pmf(js, 1.0, 10, r_step), n, root.spawn(3), SIGNIFICANCE,
+        js, discrete_staircase_pmf(js, 1.0, 10, r_step), n, rngs[3], SIGNIFICANCE,
     )
     details.append(("discrete-staircase", ok))
 
     # continuous laplace on analytic CDF cells
     lp = NoiseParams(eps=2.0, sensitivity=10.0)
     b = lp.scale
-    draws = laplace_sample(np.zeros(n), lp, root.spawn(4))
+    draws = laplace_sample(np.zeros(n), lp, rngs[4])
     edges = np.linspace(-25, 25, 26)
 
     def lap_cdf(x):
@@ -318,7 +317,7 @@ def test_criterion_7_sampler_fidelity():
     # continuous staircase on exact step cells
     sp = NoiseParams(eps=1.0, sensitivity=10.0)
     gamma = sp.gamma()
-    draws = staircase_sample(np.zeros(n), sp, root.spawn(5))
+    draws = staircase_sample(np.zeros(n), sp, rngs[5])
     edges = np.concatenate([[-np.inf], np.linspace(-40, 40, 33), [np.inf]])
     probs = staircase_interval_probs(edges, 1.0, 10.0, gamma)
     counts = np.histogram(draws, bins=np.concatenate([[-1e308], edges[1:-1], [1e308]]))[0]
@@ -328,7 +327,7 @@ def test_criterion_7_sampler_fidelity():
     # exponential mechanism: truncated-laplace cells on [lo, hi]
     y, lo, hi, eps = 3.0, 0.0, 10.0, 2.0
     scale = 2 * (hi - lo) / eps
-    draws = exponential_mechanism_sample(np.full(n, y), lo, hi, eps, root.spawn(6))
+    draws = exponential_mechanism_sample(np.full(n, y), lo, hi, eps, rngs[6])
 
     def trunc_cdf(x):
         def raw(t):
@@ -353,16 +352,16 @@ def test_criterion_8_prior_estimation_bound():
     k, n = 10, 10**4
     universe = make_label_set(range(k))
     prior = zipf_prior(universe, 1.2)
-    probs = prior.probs_array()
+    probs = prior.probs
     results = []
     for idx, eps1 in enumerate((0.05, 0.1, 0.5)):
-        root = Rng(108 + idx)
+        root = np.random.SeedSequence(108 + idx)
         errs = []
         for t in range(200):
-            rng = root.spawn(t)
-            cells = rng.gen.choice(universe.k, size=n, p=probs)
+            rng = np.random.default_rng(root.spawn(1)[0])
+            cells = rng.choice(universe.k, size=n, p=probs)
             est = laplace_histogram(cells, universe, eps1, rng)
-            errs.append(float(np.abs(est.prior.probs_array() - probs).sum()))
+            errs.append(float(np.abs(est.prior.probs - probs).sum()))
         bound = 5 * (math.sqrt(k / n) + k / (eps1 * n))
         results.append((eps1, float(np.mean(errs)), bound))
         if np.mean(errs) > bound:
@@ -376,18 +375,18 @@ def test_criterion_9_two_step_convergence():
     eps = 1.0
     universe = make_label_set(range(51))
     prior = zipf_prior(universe, 1.5)
-    probs = prior.probs_array()
+    probs = prior.probs
     lstar = optimize_bins(prior, eps, SQUARED).objective
     b_max = (universe.y_max - universe.y_min) ** 2
 
     gaps, ses = [], []
     for idx, n in enumerate((10**3, 10**4, 10**5)):
         budget = default_budget_split(eps, universe.k, n)
-        root = Rng(109 + idx)
+        root = np.random.SeedSequence(109 + idx)
         trial_gaps = []
         for t in range(20):
-            rng = root.spawn(t)
-            cells = rng.gen.choice(universe.k, size=n, p=probs)
+            rng = np.random.default_rng(root.spawn(1)[0])
+            cells = rng.choice(universe.k, size=n, p=probs)
             est = laplace_histogram(cells, universe, budget.eps1, rng)
             layout = optimize_bins(est.prior, budget.eps2, SQUARED)
             achieved = expected_loss(rr_on_bins_matrix(layout, budget.eps2), prior, SQUARED)
@@ -412,8 +411,8 @@ def test_criterion_9_two_step_convergence():
 def test_criterion_10_baseline_dominance():
     universe = make_label_set(range(401))
     prior = zipf_prior(universe, 1.2)
-    probs = prior.probs_array()
-    grid = universe.as_array()
+    probs = prior.probs
+    grid = universe.values
     lo, hi = 0.0, 400.0
     n = 10**4
     eps_grid = (0.5, 1.0, 2.0, 4.0)
@@ -422,21 +421,21 @@ def test_criterion_10_baseline_dominance():
     for eps in eps_grid:
         table = {m: [] for m in mechanisms}
         for seed in range(10):
-            root = Rng(110 + seed)
-            ys = root.gen.choice(grid, size=n, p=probs)
+            ys = np.random.default_rng(110 + seed).choice(grid, size=n, p=probs)
+            rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(110 + seed).spawn(4)]
 
             # rr-on-bins splits eps by default_budget_split
-            _, rep = randomize("rr-on-bins", ys, universe, eps, SQUARED, root.spawn(0))
+            _, rep = randomize("rr-on-bins", ys, universe, eps, SQUARED, rngs[0])
             table["rr-on-bins"].append(rep.mechanism_loss_on_inputs)
 
             # sensitivity hi - lo, outputs clipped into [lo, hi]
-            lap = randomize("laplace", ys, universe, eps, SQUARED, root.spawn(1))[0].values
+            lap = randomize("laplace", ys, universe, eps, SQUARED, rngs[1])[0].values
             table["laplace+clip"].append(float(np.mean((lap - ys) ** 2)))
 
-            stair = randomize("staircase", ys, universe, eps, SQUARED, root.spawn(2))[0].values
+            stair = randomize("staircase", ys, universe, eps, SQUARED, rngs[2])[0].values
             table["staircase+clip"].append(float(np.mean((stair - ys) ** 2)))
 
-            expd = exponential_mechanism_sample(ys.astype(float), lo, hi, eps, root.spawn(3))
+            expd = exponential_mechanism_sample(ys.astype(float), lo, hi, eps, rngs[3])
             table["exponential"].append(float(np.mean((expd - ys) ** 2)))
         means[eps] = {m: float(np.mean(v)) for m, v in table.items()}
         for m in mechanisms[1:]:
@@ -459,7 +458,7 @@ def test_criterion_11_conversion_extract():
         raw = [float(line) for line in fh.read().split()]
     universe = make_label_set(range(401))
     ys = np.clip(np.floor(raw), 0, 400)
-    _, rep = randomize("rr-on-bins", ys, universe, 0.5, SQUARED, Rng(111))
+    _, rep = randomize("rr-on-bins", ys, universe, 0.5, SQUARED, np.random.default_rng(111))
     mse = rep.mechanism_loss_on_inputs
     lo, hi = 10977.09 - 3 * 885, 10977.09 + 3 * 885
     report(11, lo <= mse <= hi, f"mechanism MSE {mse:.2f} within [{lo:.0f}, {hi:.0f}]")

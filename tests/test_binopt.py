@@ -55,7 +55,7 @@ def random_prior(rng, k_max=8, y_lo=0.5, y_hi=20.0):
 
 
 def prior_mean(pr):
-    return float(np.dot(pr.probs_array(), pr.labels.as_array()))
+    return float(np.dot(pr.probs, pr.labels.values))
 
 
 def random_cell_prior(rng, k_max=9):
@@ -129,9 +129,9 @@ def test_inner_absolute_wmed_definition():
         i = int(rng.integers(r, k + 1))
         eps = float(rng.uniform(0, 4))
         yhat, _ = inner_min_absolute(pr, r, i, eps)
-        w = pr.probs_array().copy()
+        w = pr.probs.copy()
         w[r - 1: i] *= math.exp(eps)
-        ys = pr.labels.as_array()
+        ys = pr.labels.values
         total = w.sum()
         cum = np.cumsum(w)
         below = cum[np.searchsorted(ys, yhat)]
@@ -297,7 +297,7 @@ def test_generic_certified_against_golden_oracle():
     # code with the table's search
     rng = np.random.default_rng(32)
     for pr, r, i, eps in certified_cases(rng):
-        p, y = pr.probs_array(), pr.labels.as_array()
+        p, y = pr.probs, pr.labels.values
         w = p.copy()
         w[r - 1:i] *= tilt_factor(eps)
         for loss in (HUBER, QUARTIC):
@@ -374,7 +374,7 @@ def exact_cell(pr, r, i, tilt, kind):
     arithmetic on the float weights, labels and tilt."""
     y = [Fraction(float(v)) for v in pr.labels.values]
     w = [Fraction(float(q)) * (Fraction(tilt) if r - 1 <= j < i else 1)
-         for j, q in enumerate(pr.probs_array())]
+         for j, q in enumerate(pr.probs)]
     if kind == "squared":
         swy = sum(a * b for a, b in zip(w, y))
         return sum(a * b * b for a, b in zip(w, y)) - swy * swy / sum(w)
@@ -494,7 +494,7 @@ def test_eps0_gives_bayes_constant(loss):
     if loss.kind in ("squared", "poisson"):
         assert lay.outputs[0] == pytest.approx(prior_mean(pr), rel=1e-10)
     else:
-        cum = np.cumsum(pr.probs_array())
+        cum = np.cumsum(pr.probs)
         med = pr.labels.values[int(np.searchsorted(cum, 0.5 * cum[-1]))]
         assert lay.outputs[0] == med
 

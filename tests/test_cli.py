@@ -29,7 +29,6 @@ from labeldp.cli import (
     read_prior_file,
 )
 from labeldp.core import make_label_set, make_prior
-from labeldp.mechanisms import Rng
 from labeldp.pipeline import MECHANISMS, randomize, universe_indices
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -209,8 +208,8 @@ def test_bulk_parse_keeps_per_line_errors(tmp_path, capsys, text, match):
 def test_read_prior_file(tmp_path):
     p = write(tmp_path / "prior.csv", "label,probability\n0,0.25\n1,0.75\n")
     prior = read_prior_file(p)
-    assert prior.labels.values == (0.0, 1.0)
-    assert prior.probs == (0.25, 0.75)
+    assert prior.labels.values.tolist() == [0.0, 1.0]
+    assert prior.probs.tolist() == [0.25, 0.75]
 
 
 def test_read_prior_file_merges_duplicates_in_file_order(tmp_path):
@@ -256,19 +255,83 @@ def test_negative_column_is_parse_error(tmp_path, capsys, command):
 
 
 def test_parse_universe():
-    assert parse_universe("0:3:1").values == (0.0, 1.0, 2.0, 3.0)
-    assert parse_universe("0,5,2").values == (0.0, 2.0, 5.0)
-    assert parse_universe("0:400:1").values == tuple(float(v) for v in range(401))
+    assert parse_universe("0:3:1").values.tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert parse_universe("0,5,2").values.tolist() == [0.0, 2.0, 5.0]
+    assert parse_universe("0:400:1").values.tolist() == [float(v) for v in range(401)]
     # decimal steps: every element is the double nearest to lo + i*step, so
     # the index pass leaves labels written on the grid in place
     tenths = parse_universe("0:1:0.1")
-    assert tenths.values == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+    assert tenths.values.tolist() == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
     assert universe_indices([0.3, 0.6, 0.7], tenths).tolist() == [3, 6, 7]
-    assert tenths.as_array()[universe_indices([0.3, 0.6, 0.7], tenths)].tolist() == [0.3, 0.6, 0.7]
+    assert tenths.values[universe_indices([0.3, 0.6, 0.7], tenths)].tolist() == [0.3, 0.6, 0.7]
     with pytest.raises(ParseError):
         parse_universe("0:3:0")
     with pytest.raises(ParseError):
         parse_universe("3:0:1")
+
+
+@pytest.mark.parametrize("spec, match", [
+    ("0:1", "must be min:max:step"),
+    ("a:1:1", "non-numeric universe spec"),
+    ("0:inf:1", "non-finite universe spec"),
+    ("1,x", "non-numeric universe list"),
+    (",", "empty universe"),
+])
+def test_malformed_universe_is_parse_error(tmp_path, capsys, spec, match):
+    src = write(tmp_path / "in.txt", "0\n1\n")
+    assert run(["randomize", "--input", src, "--output", tmp_path / "out.txt", "--eps", "1",
+                f"--universe={spec}"]) == 2
+    assert match in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, match", [
+    ("0,0.5,1\n1,0.5\n", ":1: expected 'label,probability'"),
+    ("label,p\n0,0.5\n1,x\n", ":3: not numeric"),
+    ("label,p\n", "no prior rows found"),
+])
+def test_malformed_prior_file_is_parse_error(tmp_path, capsys, text, match):
+    p = write(tmp_path / "prior.csv", text)
+    assert run(["optimize-bins", "--prior-file", p, "--eps", "1"]) == 2
+    assert match in capsys.readouterr().err
+
+
+def test_read_prior_file_skips_blank_lines(tmp_path):
+    p = write(tmp_path / "prior.csv", "label,p\n\n0,0.25\n\n1,0.75\n\n")
+    assert read_prior_file(p) == make_prior(make_label_set([0, 1]), [0.25, 0.75])
+
+
+def test_optimize_bins_without_a_prior_is_precondition_error(capsys):
+    assert run(["optimize-bins", "--eps", "1"]) == 3
+    assert "need --prior-file or --input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, match", [
+    ("foo", "unknown synthetic prior 'foo'"),
+    ("geometric:1.5", "geometric ratio must be in (0,1), got 1.5"),
+    ("zipf:nan", "weight at index 1 is not finite: nan"),  # 1 ** -nan is 1
+])
+def test_bad_synthetic_prior_is_precondition_error(capsys, spec, match):
+    assert run(["bench", "--universe", "0:3:1", "--synthetic", spec, "--mechanisms", "rr"]) == 3
+    assert match in capsys.readouterr().err
+
+
+def test_bench_geometric_synthetic_prior(tmp_path):
+    out = tmp_path / "bench.csv"
+    assert run(["bench", "--synthetic", "geometric:0.9", "--n", "200", "--universe", "0:20:1",
+                "--eps-list", "1", "--reps", "2", "--mechanisms", "rr,laplace", "--seed", "3",
+                "--output", out]) == 0
+    rows = out.read_text().splitlines()
+    assert rows[0] == "mechanism,eps,rep,loss" and len(rows) == 5
+    assert all(math.isfinite(float(r.split(",")[3])) for r in rows[1:])
+
+
+def test_discrete_mechanism_on_fractional_universe_is_precondition_error(tmp_path, capsys):
+    src = write(tmp_path / "in.txt", "0\n0.5\n")
+    out = tmp_path / "out.txt"
+    assert run(["randomize", "--input", src, "--output", out, "--eps", "1",
+                "--mechanism", "discrete-laplace", "--universe", "0:1:0.5"]) == 3
+    assert "integer universe" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +459,7 @@ def test_randomize_output_is_fmt_of_pipeline_values(tmp_path, monkeypatch, mech)
     assert run(["randomize", "--input", src, "--output", out, "--eps", "1", "--universe",
                 "0:10:1", "--mechanism", mech, "--seed", "11"]) == 0
     noisy = randomize(mech, read_labels(src), parse_universe("0:10:1"), 1.0,
-                      losses.by_name("squared"), Rng(11))[0].values
+                      losses.by_name("squared"), np.random.default_rng(11))[0].values
     splits = sum(noisy[i] == noisy[i - 1] for i in range(chunk, noisy.size, chunk))
     # exponential's outputs are continuous, so all distinct; the others repeat
     # values, and some chunk boundary falls inside a run of one value
@@ -661,14 +724,12 @@ def test_bench_from_file(tmp_path):
 def _bench_per_cell(labels_per_cell, universe, mechs, eps_list, reps, seed):
     """The bench CSV as one randomize() call per cell on grid labels."""
     uni = parse_universe(universe)
-    root = Rng(seed)
+    root = np.random.SeedSequence(seed)
     rows = ["mechanism,eps,rep,loss"]
-    cell = 0
     for mech in mechs:
         for eps in eps_list:
             for rep in range(reps):
-                rng = root.spawn(cell)
-                cell += 1
+                rng = np.random.default_rng(root.spawn(1)[0])
                 ys = labels_per_cell(rng, uni)
                 _, report = randomize(mech, ys, uni, eps, losses.SQUARED, rng)
                 rows.append(f"{mech},{fmt(eps)},{rep},{fmt(report.mechanism_loss_on_inputs)}")
@@ -692,7 +753,7 @@ def test_bench_from_file_matches_randomize_per_cell(tmp_path, universe):
                 "--mechanisms", ",".join(mechs), "--reps", "2", "--seed", "9",
                 "--output", out]) == 0
     uni = parse_universe(universe)
-    snapped = uni.as_array()[universe_indices(read_labels(src), uni)]
+    snapped = uni.values[universe_indices(read_labels(src), uni)]
     expected = _bench_per_cell(lambda rng, uni: snapped, universe, mechs, [0.5, 1.0, 4.0], 2, 9)
     assert out.read_text() == expected
 
@@ -706,8 +767,8 @@ def test_bench_synthetic_matches_randomize_per_cell(tmp_path):
                 "--seed", "5", "--output", out]) == 0
 
     def draw(rng, uni):
-        probs = cli._synthetic_prior("zipf:1.1", uni).probs_array()
-        return rng.gen.choice(uni.as_array(), size=300, p=probs)
+        probs = cli._synthetic_prior("zipf:1.1", uni).probs
+        return rng.choice(uni.values, size=300, p=probs)
 
     assert out.read_text() == _bench_per_cell(draw, universe, mechs, [1.0, 4.0], 2, 5)
 
@@ -871,8 +932,15 @@ def test_verify_quick_passes(capsys):
     assert "huber" in out  # the oracle check covers a custom loss too
 
 
-def test_verify_detects_injected_dp_fault(capsys):
-    assert run(["verify", "--quick", "--seed", "2", "--dp-offset", "-0.1"]) == 1
+def _reject_every_matrix(monkeypatch):
+    from labeldp import selfcheck
+
+    monkeypatch.setattr(selfcheck, "check_eps_dp", lambda matrix, eps: False)
+
+
+def test_verify_detects_injected_dp_fault(capsys, monkeypatch):
+    _reject_every_matrix(monkeypatch)
+    assert run(["verify", "--quick", "--seed", "2"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  dp-ratio" in out
 
@@ -884,14 +952,15 @@ def test_verify_takes_no_loss(capsys):
     assert "unrecognized arguments: --loss" in capsys.readouterr().err
 
 
-def test_verify_json_lists_each_suite(capsys):
+def test_verify_json_lists_each_suite(capsys, monkeypatch):
     assert run(["verify", "--quick", "--seed", "2", "--json"]) == 0
     ok = json.loads(capsys.readouterr().out)
     assert [s["name"] for s in ok["suites"]] == ["oracle-equivalence", "lp-cross-check",
                                                  "dp-ratio", "sampler-fit"]
     assert all(s["ok"] is True and s["detail"] for s in ok["suites"])
     assert (ok["passed"], ok["total"]) == (4, 4)
-    assert run(["verify", "--quick", "--seed", "2", "--json", "--dp-offset", "-0.1"]) == 1
+    _reject_every_matrix(monkeypatch)
+    assert run(["verify", "--quick", "--seed", "2", "--json"]) == 1
     bad = json.loads(capsys.readouterr().out)
     assert [s["name"] for s in bad["suites"] if not s["ok"]] == ["dp-ratio"]
     assert (bad["passed"], bad["total"]) == (3, 4)

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from labeldp import (
     SQUARED,
     EpsilonBudget,
+    BinLayout,
     LabelSet,
     MechanismMatrix,
+    Prior,
     expected_loss,
     make_label_set,
     make_prior,
@@ -16,10 +20,39 @@ from labeldp import (
 
 def test_make_label_set_sorts_and_dedups():
     ls = make_label_set([3, 1, 2, 2])
-    assert ls.values == (1.0, 2.0, 3.0)
+    assert ls.values.tolist() == [1.0, 2.0, 3.0]
     assert ls.k == 3
-    assert make_label_set([0]).values == (0.0,)
-    assert make_label_set([0.5, 400.0]).values == (0.5, 400.0)
+    assert make_label_set([0]).values.tolist() == [0.0]
+    assert make_label_set([0.5, 400.0]).values.tolist() == [0.5, 400.0]
+
+
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]),
+                          st.floats(allow_nan=False, allow_infinity=False)), min_size=1))
+@example([0.0, -0.0])
+@example([-0.0, 3.0, 0.0, -0.0])
+@example([5.0, 5.0, -1.0, 5.0])
+@example([1.0, 1.0, 0.0, -0.0])  # np.unique alone keeps -0.0 here
+def test_make_label_set_keeps_the_bits_of_a_sorted_set(xs):
+    # a Python set keeps the first of -0.0 and 0.0 it meets, and so must the array
+    expected = np.array(sorted(set(xs)), dtype=float)
+    assert make_label_set(xs).values.view(np.int64).tolist() == expected.view(np.int64).tolist()
+    assert make_label_set(np.array(xs)) == make_label_set(xs)
+
+
+def test_label_set_and_prior_are_read_only_and_equal_by_value():
+    raw = np.array([2.0, 0.0, 1.0])
+    ls = make_label_set(raw)
+    pr = make_prior(ls, raw)
+    raw[:] = 7.0  # the caller's arrays are copied, not shared
+    assert ls.values.tolist() == [0.0, 1.0, 2.0]
+    with pytest.raises(ValueError, match="read-only"):
+        ls.values[0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        pr.probs[0] = 0.5
+    assert ls == LabelSet((0.0, 1.0, 2.0)) and ls != make_label_set([0, 1])
+    assert pr == Prior(LabelSet([0, 1, 2]), pr.probs.tolist())
+    assert pr != make_prior(ls, [1, 1, 1])
+    assert pr != make_prior(make_label_set([0, 1, 3]), [0, 1, 2])
 
 
 def test_make_label_set_rejects_bad_input():
@@ -31,12 +64,45 @@ def test_make_label_set_rejects_bad_input():
         make_label_set([1.0, float("inf")])
 
 
+@pytest.mark.parametrize("values, match", [
+    ((), "non-empty"),
+    ((0.0, math.nan), "index 1 is not finite"),
+    ((-math.inf, 0.0), "index 0 is not finite"),
+    ((0.0, 2.0, 2.0), "strictly increasing; violation at index 2"),
+    ((1.0, 0.0), "strictly increasing; violation at index 1"),
+])
+def test_label_set_built_directly_refuses_bad_values(values, match):
+    with pytest.raises(ValueError, match=match):
+        LabelSet(values)
+
+
+@pytest.mark.parametrize("probs, match", [
+    ((1.0,), "probs length 1 != label count 2"),
+    ((1.5, -0.5), "probability at index 1 is negative"),
+    ((0.5, 0.6), "probabilities sum to 1.1"),
+])
+def test_prior_built_directly_refuses_bad_probs(probs, match):
+    with pytest.raises(ValueError, match=match):
+        Prior(make_label_set([0, 1]), probs)
+
+
+@pytest.mark.parametrize("boundaries, outputs, match", [
+    ((2, 1, 3), (0.0, 1.0, 2.0), "strictly increasing"),
+    ((1, 1, 3), (0.0, 1.0, 2.0), "strictly increasing"),
+    ((1, 3), (1.0,), "one output per interval"),
+    ((1, 3), (0.0, 1.0, 2.0), "one output per interval"),
+])
+def test_bin_layout_built_directly_refuses_bad_bins(boundaries, outputs, match):
+    with pytest.raises(ValueError, match=match):
+        BinLayout(make_label_set([0, 1, 2]), boundaries, outputs, 1.0, 0.0)
+
+
 def test_make_prior_examples():
     ls = make_label_set([0, 1])
-    assert make_prior(ls, [1, 1]).probs == (0.5, 0.5)
+    assert make_prior(ls, [1, 1]).probs.tolist() == [0.5, 0.5]
     ls3 = make_label_set([0, 1, 2])
-    assert make_prior(ls3, [0, 0, 5]).probs == (0.0, 0.0, 1.0)
-    assert make_prior(make_label_set([1, 2]), [3, 1]).probs == (0.75, 0.25)
+    assert make_prior(ls3, [0, 0, 5]).probs.tolist() == [0.0, 0.0, 1.0]
+    assert make_prior(make_label_set([1, 2]), [3, 1]).probs.tolist() == [0.75, 0.25]
 
 
 def test_make_prior_rejects_bad_weights():
@@ -53,6 +119,17 @@ def test_make_prior_names_a_negative_weight_as_a_plain_float():
     with pytest.raises(ValueError) as err:
         make_prior(make_label_set([0, 1, 2]), np.array([0.5, -0.1, 0.6]))
     assert str(err.value) == "weight at index 1 is negative: -0.1"
+
+
+@pytest.mark.parametrize("weights, message", [
+    ([math.nan, 1.0], "weight at index 0 is not finite: nan"),
+    (np.array([1.0, math.inf]), "weight at index 1 is not finite: inf"),
+    ([1.0, -math.inf], "weight at index 1 is not finite: -inf"),
+])
+def test_make_prior_names_a_non_finite_weight(weights, message):
+    with pytest.raises(ValueError) as err:
+        make_prior(make_label_set([0, 1]), weights)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("eps1, eps2", [(math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0)])

@@ -1,5 +1,7 @@
 """Byte identity of `labeldp randomize`: the sha256 of the output file and of
-its report for every mechanism, on one small seeded label file.
+its report for every mechanism, on one small seeded label file; and of the
+`labeldp bench` CSV over all mechanisms, on that file and on a synthetic
+prior, where every cell draws from its own child stream of the seed.
 
 The file has 4,000 labels on 0:400:1, skewed towards 0; 5% of them are off
 the grid, some of those outside [0, 400].  The hashes pin the bytes a change
@@ -67,3 +69,22 @@ def test_randomize_output_and_report_bytes(tmp_path, labels, mech):
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
                     for p in (out, tmp_path / "noisy.txt.report.json"))
     assert digests == GOLDEN[mech]
+
+
+# source -> sha256 of the `bench` CSV: 7 mechanisms x eps 0.5,1,2,4 x 2 reps
+BENCH_GOLDEN = {
+    "input": "af2679722763f22ba4186d8a0ddd4f625504e001036193d3cb4811d7c4046014",
+    "synthetic": "d96d21472154a8b36b20e36ff54bbf6458847a78cdd19bb58fe585d168f7977e",
+}
+
+
+@pytest.mark.parametrize("source", list(BENCH_GOLDEN))
+def test_bench_csv_bytes(tmp_path, labels, source):
+    out = tmp_path / "bench.csv"
+    data = (["--input", str(labels)] if source == "input"
+            else ["--synthetic", "zipf:1.2", "--n", "3000"])
+    assert main(["bench", *data, "--universe", "0:400:1", "--reps", "2",
+                 "--seed", str(SEED), "--output", str(out)]) == 0
+    text = out.read_text()
+    assert text.count("\n") == 1 + len(MECHANISMS) * 4 * 2
+    assert hashlib.sha256(text.encode()).hexdigest() == BENCH_GOLDEN[source]

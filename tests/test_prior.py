@@ -3,9 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import default_rng
 
 from labeldp import (
-    Rng,
     default_budget_split,
     laplace_histogram,
     losses,
@@ -19,16 +19,20 @@ from labeldp import (
 def test_histogram_noiseless_limit():
     ls = make_label_set([0, 1])
     indices = [0, 0, 1, 1]
-    est = laplace_histogram(indices, ls, 1e6, Rng(0))
+    est = laplace_histogram(indices, ls, 1e6, default_rng(0))
     assert est.prior.probs[0] == pytest.approx(0.5, abs=0.01)
     assert est.prior.probs[1] == pytest.approx(0.5, abs=0.01)
     # Laplace(2e-6) noise leaves each noised count within 1e-3 of the true one
     assert est.noised_counts == pytest.approx(np.bincount(indices), abs=1e-3)
+    with pytest.raises(ValueError, match="read-only"):
+        est.noised_counts[0] = 0.0
+    assert est == laplace_histogram(indices, ls, 1e6, default_rng(0))
+    assert est != laplace_histogram(indices, ls, 1e6, default_rng(1))
 
 
 def test_histogram_single_sample_point_mass():
     ls = make_label_set([0, 1, 2])
-    est = laplace_histogram([2], ls, 1e6, Rng(1))
+    est = laplace_histogram([2], ls, 1e6, default_rng(1))
     assert est.prior.probs[2] == pytest.approx(1.0, abs=0.01)
 
 
@@ -38,24 +42,24 @@ def test_histogram_rejects_foreign_label():
     # the universe are foreign
     for indices in ([0, 0.5], [0, 2], [0, -1]):
         with pytest.raises(ValueError, match="index 1"):
-            laplace_histogram(indices, ls, 1.0, Rng(0))
+            laplace_histogram(indices, ls, 1.0, default_rng(0))
     with pytest.raises(ValueError):
-        laplace_histogram([], ls, 1.0, Rng(0))
+        laplace_histogram([], ls, 1.0, default_rng(0))
     with pytest.raises(ValueError):
-        laplace_histogram([0], ls, 0.0, Rng(0))
+        laplace_histogram([0], ls, 0.0, default_rng(0))
 
 
 def test_histogram_all_zero_fallback_is_uniform(caplog):
     ls = make_label_set([0, 1, 2])
     with caplog.at_level(logging.WARNING, logger="labeldp.prior"):
-        est = laplace_histogram([0], ls, 0.05, Rng(20))
+        est = laplace_histogram([0], ls, 0.05, default_rng(20))
     assert est.prior.probs == pytest.approx((1 / 3, 1 / 3, 1 / 3))
     assert "uniform" in caplog.text
 
 
 def test_histogram_counts_are_clamped_nonnegative():
     ls = make_label_set(range(10))
-    est = laplace_histogram([0, 5, 5], ls, 0.2, Rng(3))
+    est = laplace_histogram([0, 5, 5], ls, 0.2, default_rng(3))
     assert all(c >= 0 for c in est.noised_counts)
     assert math.fsum(est.prior.probs) == pytest.approx(1.0, abs=1e-12)
 
@@ -65,7 +69,7 @@ def test_histogram_noise_scale_is_2_over_eps():
     # cells and match the mean absolute deviation of Lap(2/eps) = 2/eps
     ls = make_label_set(range(200))
     eps = 0.5
-    est = laplace_histogram([0], ls, eps, Rng(4))
+    est = laplace_histogram([0], ls, eps, default_rng(4))
     dev = [c for c in est.noised_counts[1:] if c > 0]  # cells with count 0 + noise > 0
     # positive half of Lap(2/eps): mean of positives is the scale itself
     assert np.mean(dev) == pytest.approx(2 / eps, rel=0.2)
@@ -77,14 +81,14 @@ def test_histogram_l1_error_within_theory_bound():
     ls = make_label_set(range(k))
     weights = 1.0 / np.arange(1, k + 1) ** 1.2
     pr = make_prior(ls, weights)
-    probs = pr.probs_array()
-    root = Rng(5)
+    probs = pr.probs
+    root = np.random.SeedSequence(5)
     errs = []
     for t in range(50):
-        rng = root.spawn(t)
-        cells = rng.gen.choice(k, size=n, p=probs)
+        rng = default_rng(root.spawn(1)[0])
+        cells = rng.choice(k, size=n, p=probs)
         est = laplace_histogram(cells, ls, eps1, rng)
-        errs.append(float(np.abs(est.prior.probs_array() - probs).sum()))
+        errs.append(float(np.abs(est.prior.probs - probs).sum()))
     bound = 5 * (math.sqrt(k / n) + k / (eps1 * n))
     assert np.mean(errs) <= bound
 
@@ -107,7 +111,7 @@ def test_budget_split_infeasible():
 
 
 def test_budget_split_sum_exact_random():
-    rng = np.random.default_rng(6)
+    rng = default_rng(6)
     for _ in range(200):
         eps = float(rng.uniform(0.05, 8.0))
         k = int(rng.integers(2, 500))
@@ -138,7 +142,7 @@ def test_explicit_split_never_reads_above_eps():
     assert b.eps1 == eps1
     assert b.total == math.nextafter(eps, 0.0)
     assert eps1 + math.nextafter(b.eps2, math.inf) > eps
-    rng = np.random.default_rng(7)
+    rng = default_rng(7)
     for eps, share in rng.uniform(0.01, 8.0, (2000, 2)):
         eps, eps1 = float(eps), float(eps * share / 8.0)
         b = split_budget(eps, eps1)
@@ -165,6 +169,6 @@ def test_default_split_where_no_exact_sum_exists():
 def test_explicit_split_reaches_the_report():
     eps, eps1 = 0.3549130432119025, 0.08615158271934684
     _, report = randomize("rr-on-bins", [0, 1, 1, 2], make_label_set([0, 1, 2]), eps,
-                          losses.by_name("squared"), Rng(1), eps1=eps1)
+                          losses.by_name("squared"), default_rng(1), eps1=eps1)
     assert report.budget.eps1 == eps1
     assert report.budget.total == math.nextafter(eps, 0.0)

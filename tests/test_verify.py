@@ -8,7 +8,6 @@ from labeldp import (
     POISSON,
     SQUARED,
     MechanismMatrix,
-    Rng,
     brute_force_optimal_bins,
     check_eps_dp,
     custom_loss,
@@ -178,7 +177,7 @@ def test_lp_eps0_is_best_constant_row():
     # eps = 0 forces identical rows; optimum is one fixed distribution, and
     # with squared loss a point mass on the best single output is optimal
     best_const = min(
-        float(np.dot(pr.probs_array(), (o - pr.labels.as_array()) ** 2)) for o in outs
+        float(np.dot(pr.probs, (o - pr.labels.values) ** 2)) for o in outs
     )
     assert sol.objective == pytest.approx(best_const, abs=1e-7)
     assert np.max(np.abs(sol.matrix.rows - sol.matrix.rows[0])) < 1e-7
@@ -288,9 +287,9 @@ def test_sampler_check_matched():
     vals = np.array([0.0, 1.0, 2.0])
 
     def sampler(n, rng):
-        return rng.gen.choice(vals, size=n, p=probs)
+        return rng.choice(vals, size=n, p=probs)
 
-    assert empirical_sampler_check(sampler, vals, probs, 10**5, Rng(1))
+    assert empirical_sampler_check(sampler, vals, probs, 10**5, np.random.default_rng(1))
 
 
 def test_sampler_check_power():
@@ -300,9 +299,9 @@ def test_sampler_check_power():
     vals = np.array([0.0, 1.0, 2.0])
 
     def sampler(n, rng):
-        return rng.gen.choice(vals, size=n, p=true)
+        return rng.choice(vals, size=n, p=true)
 
-    assert not empirical_sampler_check(sampler, vals, claimed, 10**5, Rng(2))
+    assert not empirical_sampler_check(sampler, vals, claimed, 10**5, np.random.default_rng(2))
 
 
 def test_sampler_check_deterministic_point_mass():
@@ -311,9 +310,10 @@ def test_sampler_check_deterministic_point_mass():
     def sampler(n, rng):
         return np.full(n, 3.0)
 
-    assert empirical_sampler_check(sampler, vals, np.array([1.0]), 10**4, Rng(3))
+    assert empirical_sampler_check(sampler, vals, np.array([1.0]), 10**4, np.random.default_rng(3))
 
 
 def test_sampler_check_requires_enough_trials():
     with pytest.raises(ValueError):
-        empirical_sampler_check(lambda n, r: np.zeros(n), [0.0], [1.0], 100, Rng(0))
+        empirical_sampler_check(lambda n, r: np.zeros(n), [0.0], [1.0], 100,
+                                np.random.default_rng(0))
