@@ -185,6 +185,8 @@ def parse_universe(spec: str) -> LabelSet:
         raise ParseError(f"non-numeric universe list: {spec!r}")
     if not vals:
         raise ParseError("empty universe")
+    if not all(map(math.isfinite, vals)):
+        raise ParseError(f"non-finite universe list: {spec!r}")
     return make_label_set(vals)
 
 
@@ -478,9 +480,9 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    from . import selfcheck
+    from . import verify
 
-    results = selfcheck.run_suites(quick=args.quick, seed=args.seed)
+    results = verify.run_suites(quick=args.quick, seed=args.seed)
     passed = sum(ok for _, ok, _ in results)
     if args.json:
         print(json.dumps({"suites": [{"name": name, "ok": ok, "detail": detail}

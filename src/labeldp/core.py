@@ -64,7 +64,8 @@ def as_indices(indices, k: int) -> np.ndarray:
         return idx
     bad = np.flatnonzero((idx < 0) | (idx >= k) | (np.mod(idx, 1) != 0))
     if bad.size:
-        raise ValueError(f"entry at index {bad[0]} is not an index in [0, {k}): {idx.flat[bad[0]]!r}")
+        raise ValueError(f"entry at index {bad[0]} is not an index in [0, {k}): "
+                         f"{idx.flat[bad[0]].item()!r}")
     return idx.astype(np.intp)
 
 
@@ -136,9 +137,10 @@ def make_prior(labels: LabelSet, weights) -> Prior:
     return Prior(labels, p / math.fsum(p.tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MechanismMatrix:
-    """Explicit row-stochastic matrix M[y -> o] over inputs x outputs."""
+    """Explicit row-stochastic matrix M[y -> o] over inputs x outputs; two
+    matrices are equal when their inputs, outputs and rows are."""
 
     inputs: LabelSet
     outputs: tuple[float, ...]
@@ -160,9 +162,10 @@ class MechanismMatrix:
                 f"row {int(bad[0])} sums to {sums[bad[0]]!r}, expected 1"
             )
 
-    @property
-    def n_outputs(self) -> int:
-        return len(self.outputs)
+    def __eq__(self, other):
+        return (isinstance(other, MechanismMatrix) and self.inputs == other.inputs
+                and np.array_equal(self.outputs, other.outputs)
+                and np.array_equal(self.rows, other.rows))
 
 
 @dataclass(frozen=True)

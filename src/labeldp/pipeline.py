@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binopt import BinLayout, optimize_bins
-from .core import EpsilonBudget, LabelSet, Prior
+from .core import EpsilonBudget, LabelSet, Prior, as_indices
 from .losses import LossSpec
 from .mechanisms import (
     NoiseParams,
@@ -202,6 +202,9 @@ def _labels(labels) -> np.ndarray:
     raw = np.asarray(labels, dtype=float)
     if raw.size == 0:
         raise ValueError("need at least one label")
+    if not np.isfinite(raw).all():
+        bad = np.flatnonzero(~np.isfinite(raw))[0]
+        raise ValueError(f"label at index {bad} is not finite: {float(raw.flat[bad])!r}")
     return raw
 
 
@@ -215,15 +218,20 @@ def randomize(mechanism, labels, universe: LabelSet, eps: float, loss: LossSpec,
     clamps the one-step mechanisms' outputs into the universe range.  A
     caller running many mechanisms on one batch passes indices =
     universe_indices(labels, universe) to map it once.  A run whose outputs
-    can fall outside the loss's domain is refused before anything is
-    sampled.  Returns (Outputs, report), the noisy labels in the order of
-    the input.
+    can fall outside the loss's domain, a label that is not finite, or
+    indices that are not one index into the universe per label, is refused
+    before anything is sampled.  Returns (Outputs, report), the noisy labels
+    in the order of the input.
     """
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}; pick from {', '.join(MECHANISMS)}")
     indexed, sample = MECHANISMS[mechanism]
     _check_loss_domain(mechanism, universe, loss, clip)
     raw = _labels(labels)
+    if indices is not None:
+        indices = as_indices(indices, universe.k)
+        if indices.shape != raw.shape:
+            raise ValueError(f"indices of shape {indices.shape} for labels of shape {raw.shape}")
     if indexed:
         x = universe_indices(raw, universe) if indices is None else indices
     else:

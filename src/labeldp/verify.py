@@ -1,20 +1,30 @@
-"""Independent oracles for the optimality claims: exhaustive partition search,
-the layered fill of the full partition table, the mechanism-design linear
-program solved by scipy's HiGHS, the privacy ratio check on explicit
-matrices, and a chi-square harness for samplers against their analytic
-distributions.  None of them shares code with the optimizer it checks.
+"""Independent oracles for the optimality claims, and the suites behind
+`labeldp verify` that run optimize_bins and the samplers against them.
+
+The oracles are exhaustive partition search, the layered fill of the full
+partition table, the mechanism-design linear program solved by scipy's
+HiGHS, the privacy ratio check on explicit matrices, and a chi-square
+harness for samplers against their analytic distributions.  None of them
+shares code with the optimizer it checks.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .binopt import BinLayout, tilt_factor
-from .core import MechanismMatrix, Prior
+from . import losses
+from .binopt import BinLayout, optimize_bins, tilt_factor
+from .core import MechanismMatrix, Prior, make_label_set, make_prior
 from .losses import POISSON_YHAT_FLOOR, LossSpec
+from .mechanisms import (
+    NoiseParams,
+    discrete_laplace_sample,
+    rr_on_bins_matrix,
+    rr_on_bins_randomize,
+)
 
 DP_RATIO_SLACK = 1e-9
 LP_FEAS_TOL = 1e-7
@@ -90,19 +100,13 @@ def brute_force_optimal_bins(prior: Prior, eps: float, loss: LossSpec) -> BinLay
     k = prior.k
     if k > 16:
         raise ValueError(f"brute force limited to k <= 16 labels, got {k}")
-    if eps < 0:
-        raise ValueError(f"eps must be non-negative, got {eps}")
     tilt = tilt_factor(eps)
     p = prior.probs
     y = prior.labels.values
     best = None
     for mask in range(1 << (k - 1)):
         ends = [i for i in range(k - 1) if mask >> i & 1] + [k - 1]
-        spans = []
-        start = 0
-        for e in ends:
-            spans.append((start, e))
-            start = e + 1
+        spans = list(zip([0] + [e + 1 for e in ends[:-1]], ends))
         solved = [_interval_minimum(p, y, a, b, tilt, loss) for a, b in spans]
         cost = math.fsum(v for _, v in solved)
         d = len(spans)
@@ -146,49 +150,20 @@ def square_table(lval: np.ndarray) -> np.ndarray:
     return square
 
 
-@dataclass
-class DPTables:
-    """Tables from the layered fill: a[i][j] is the best additive cost of
-    splitting the first i labels into j bins; parent[i][j] the chosen start
-    of the last bin.  lval holds the single-bin subproblem values, packed by
-    bin end as optimize_bins builds them."""
-
-    a: np.ndarray = field(repr=False)
-    parent: np.ndarray = field(repr=False)
-    lval: np.ndarray = field(repr=False)
-
-
-def layered_tables(lval: np.ndarray) -> DPTables:
-    """Reference layered fill of the full A[i][j] table (quadratic states,
-    linear work per state), to cross-check the parametric ratio search."""
+def layered_objective(lval: np.ndarray, tilt: float) -> float:
+    """The best objective min_d a[k][d] / (d - 1 + tilt), from a reference
+    layered fill of the full table a[i][j], the best additive cost of
+    splitting the first i labels into j bins (quadratic states, linear work
+    per state), to cross-check the parametric ratio search.  lval holds the
+    single-bin costs, packed by bin end as optimize_bins builds them."""
     k = _table_k(lval)
     a = np.full((k + 1, k + 1), np.inf)
-    parent = np.full((k + 1, k + 1), -1, dtype=np.int64)
     a[0, 0] = 0.0
     for j in range(1, k + 1):
-        aprev = a[:, j - 1]
         for i in range(j, k + 1):
             col = (i - 1) * i // 2  # L[0][i-1] in the packed table
-            cand = aprev[j - 1: i] + lval[col + j - 1: col + i]
-            m = int(np.argmin(cand))
-            a[i, j] = cand[m]
-            parent[i, j] = m + (j - 1)
-    return DPTables(a=a, parent=parent, lval=lval)
-
-
-def _layered_select(tables: DPTables, tilt: float):
-    k = tables.a.shape[0] - 1
-    ds = np.arange(1, k + 1)
-    obj = tables.a[k, 1:] / (ds - 1 + tilt)
-    d = int(np.argmin(obj)) + 1
-    spans = []
-    i, j = k, d
-    while j > 0:
-        r = int(tables.parent[i, j])
-        spans.append((r, i - 1))
-        i, j = r, j - 1
-    spans.reverse()
-    return float(obj[d - 1]), spans
+            a[i, j] = np.min(a[j - 1: i, j - 1] + lval[col + j - 1: col + i])
+    return float(np.min(a[k, 1:] / (np.arange(k) + tilt)))
 
 
 def best_rr_on_bins_over_grid(prior: Prior, grid, eps: float, loss: LossSpec) -> float:
@@ -260,7 +235,7 @@ def lp_optimal_mechanism(prior: Prior, outputs, eps: float, loss: LossSpec) -> L
     fixed finite output set, as an explicit linear program over the matrix
     entries: row-stochastic equalities, non-negativity, and every pairwise
     column ratio constraint M[y',o] <= e^eps M[y,o]."""
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError(f"eps must be non-negative, got {eps}")
     outs = sorted(float(o) for o in outputs)
     k, m = prior.k, len(outs)
@@ -354,8 +329,7 @@ def check_eps_dp(matrix: MechanismMatrix, eps: float) -> bool:
     relative slack of 1e-9); all-zero columns are compliant, columns mixing
     zero and positive entries are not."""
     tilt = tilt_factor(eps)
-    for o in range(matrix.n_outputs):
-        col = matrix.rows[:, o]
+    for col in matrix.rows.T:
         mx = float(np.max(col))
         if mx == 0.0:
             continue
@@ -419,3 +393,152 @@ def empirical_sampler_check(
     stat = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
     threshold = float(chi2.ppf(1.0 - significance, df=len(obs_arr) - 1))
     return stat <= threshold
+
+
+# ---------------------------------------------------------------------------
+# the suites behind `labeldp verify`
+# ---------------------------------------------------------------------------
+
+# 12, 30 and 800 check the tables where e^eps swamps the mass outside a bin
+EPS_GRID = (0.0, 0.5, 1.0, 2.0, 5.0, 12.0, 30.0, 800.0)
+ALL_LOSSES = (losses.SQUARED, losses.ABSOLUTE, losses.POISSON)
+HUBER_EPS = tuple(e for e in EPS_GRID if e <= 5.0)
+
+
+def _huber(yhat, y):
+    """Huber loss with delta 5: on labels in 0.5..50, bins use both pieces."""
+    r = np.abs(np.asarray(yhat, dtype=float) - np.asarray(y, dtype=float))
+    return np.where(r <= 5.0, 0.5 * r * r, 5.0 * (r - 2.5))
+
+
+HUBER = losses.custom_loss(_huber, convex_in_first_arg=True)
+
+
+def _random_prior(rng, k_max, y_lo=0.0, y_hi=50.0):
+    k = int(rng.integers(2, k_max + 1))
+    vals = np.sort(rng.uniform(y_lo, y_hi, size=k))
+    while len(np.unique(vals)) < k:
+        vals = np.sort(rng.uniform(y_lo, y_hi, size=k))
+    p = rng.dirichlet(np.ones(k) * float(rng.uniform(0.3, 3.0)))
+    return make_prior(make_label_set(vals), p)
+
+
+def check_oracle_equivalence(seed: int, instances: int, k_max: int):
+    """The built-in losses over EPS_GRID, then one Huber instance per eps up
+    to 5, drawn after them from the same stream."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    cases = [(EPS_GRID[t % len(EPS_GRID)], ALL_LOSSES[t % len(ALL_LOSSES)])
+             for t in range(instances)] + [(e, HUBER) for e in HUBER_EPS]
+    for t, (eps, loss) in enumerate(cases):
+        prior = _random_prior(rng, k_max, y_lo=0.5)
+        fast = optimize_bins(prior, eps, loss)
+        slow = brute_force_optimal_bins(prior, eps, loss)
+        # relative: at high eps the squared and absolute objectives are tiny
+        gap = abs(fast.objective - slow.objective)
+        if gap > 1e-9 * abs(slow.objective):
+            return False, f"instance {t}: objective gap {gap:.3e} at eps {eps:g}"
+        worst = max(worst, gap / abs(slow.objective) if gap else 0.0)
+    return True, (f"{instances} instances and {len(HUBER_EPS)} huber, "
+                  f"worst relative gap {worst:.2e}")
+
+
+def check_lp_cross(seed: int, instances: int, k_theorem: int):
+    """The LP against the grid enumeration at k <= 5, then the paper's
+    theorem at k <= k_theorem: over a grid that holds optimize_bins' outputs
+    the LP matches its objective, and over a random grid it stays above."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for t in range(instances):
+        prior = _random_prior(rng, 5, y_lo=0.5, y_hi=10.0)
+        m = int(rng.integers(2, 6))
+        grid = np.sort(
+            rng.uniform(prior.labels.y_min, prior.labels.y_max, size=m)
+        )
+        if len(np.unique(grid)) < m:
+            continue
+        eps = float(rng.choice([0.3, 0.5, 1.0, 2.0]))
+        loss = ALL_LOSSES[t % len(ALL_LOSSES)]
+        sol = lp_optimal_mechanism(prior, grid, eps, loss)
+        if sol.status != "optimal":
+            return False, f"instance {t}: LP status {sol.status}"
+        enum = best_rr_on_bins_over_grid(prior, grid, eps, loss)
+        gap = abs(sol.objective - enum)
+        worst = max(worst, gap)
+        if gap > 1e-6:
+            return False, f"instance {t}: LP {sol.objective:.9f} vs grid best {enum:.9f}"
+    worst_rel = 0.0
+    for t in range(instances):
+        prior = _random_prior(rng, k_theorem, y_lo=0.5, y_hi=10.0)
+        eps = float(rng.choice([0.3, 0.5, 1.0, 2.0]))
+        loss = ALL_LOSSES[t % len(ALL_LOSSES)]
+        best = optimize_bins(prior, eps, loss)
+        extra = rng.uniform(prior.labels.y_min, prior.labels.y_max, size=prior.k)
+        holds = np.union1d(best.outputs, extra[: prior.k - best.d])
+        for grid, exact in ((holds, True), (extra, False)):
+            sol = lp_optimal_mechanism(prior, grid, eps, loss)
+            if sol.status != "optimal":
+                return False, f"theorem instance {t}: LP status {sol.status}"
+            rel = (sol.objective - best.objective) / abs(best.objective)
+            worst_rel = max(worst_rel, abs(rel) if exact else -rel)
+            if rel < -1e-9 or (exact and rel > 1e-6):
+                return False, f"theorem instance {t}: LP {sol.objective:.9f} vs {best.objective:.9f}"
+    return True, (f"{instances} instances, worst gap {worst:.2e}; theorem at k <= {k_theorem}, "
+                  f"worst relative gap {worst_rel:.2e}")
+
+
+def check_dp_ratio(seed: int, instances: int):
+    rng = np.random.default_rng(seed)
+    for t in range(instances):
+        prior = _random_prior(rng, 8, y_lo=0.5)
+        eps = float(rng.choice([0.5, 1.0, 2.0, 5.0]))
+        layout = optimize_bins(prior, eps, losses.SQUARED)
+        matrix = rr_on_bins_matrix(layout, eps)
+        if not check_eps_dp(matrix, eps):
+            return False, f"instance {t}: matrix violates the ratio at eps {eps:.3g}"
+        if layout.d >= 2 and eps >= 0.2 and check_eps_dp(matrix, eps - 0.1):
+            return False, f"instance {t}: matrix passed at eps - 0.1 (too lax)"
+    return True, f"{instances} matrices"
+
+
+def check_samplers(seed: int, trials: int):
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)]
+    # randomized response over bins, against its own matrix row
+    prior = make_prior(make_label_set([0, 1, 2, 3]), [4, 3, 2, 1])
+    layout = optimize_bins(prior, 1.5, losses.SQUARED)
+    matrix = rr_on_bins_matrix(layout, 1.5)
+    own = layout.assignments()[1]
+    row = matrix.rows[1]
+
+    def sample_rr(n, rng):
+        return np.asarray(layout.outputs)[rr_on_bins_randomize(np.full(n, own), layout.d, 1.5, rng)]
+
+    if not empirical_sampler_check(
+        sample_rr, matrix.outputs, row, max(trials // 10, 10**4), rngs[0]
+    ):
+        return False, "binned randomized response row failed chi-square"
+
+    # discrete laplace against its exact pmf
+    params = NoiseParams(eps=1.0, sensitivity=1.0)
+    js = np.arange(-40, 41)
+    if not empirical_sampler_check(
+        lambda n, rng: discrete_laplace_sample(np.zeros(n, dtype=int), params, rng),
+        js,
+        discrete_laplace_pmf(js, params.scale),
+        trials,
+        rngs[1],
+    ):
+        return False, "discrete laplace failed chi-square"
+    return True, "binned RR and discrete laplace fit their analytic rows"
+
+
+def run_suites(quick: bool = False, seed: int = 0):
+    """Run all suites; returns a list of (name, passed, detail)."""
+    if quick:
+        sizes = dict(oracle=(40, 5), lp=(10, 6), dp=10, trials=10**4)
+    else:
+        sizes = dict(oracle=(150, 8), lp=(30, 12), dp=30, trials=10**5)
+    return [("oracle-equivalence",) + check_oracle_equivalence(seed, *sizes["oracle"]),
+            ("lp-cross-check",) + check_lp_cross(seed + 1, *sizes["lp"]),
+            ("dp-ratio",) + check_dp_ratio(seed + 2, sizes["dp"]),
+            ("sampler-fit",) + check_samplers(seed + 3, sizes["trials"])]

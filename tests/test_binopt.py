@@ -23,9 +23,8 @@ from labeldp import binopt
 from labeldp.binopt import TILT_CAP, _build_tables, tilt_factor
 from labeldp.verify import (
     _interval_minimum,
-    _layered_select,
     brute_force_optimal_bins,
-    layered_tables,
+    layered_objective,
     square_table,
 )
 
@@ -109,6 +108,10 @@ def test_inner_poisson_examples():
     yhat, val = inner_min_poisson(zero, 1, 1, 0.0)
     assert yhat == 1e-12
     assert val == pytest.approx(1e-12, rel=1e-6)
+
+    negative = make_prior(make_label_set([-1, 3]), [1, 1])
+    with pytest.raises(ValueError, match="poisson loss requires non-negative labels"):
+        inner_min_poisson(negative, 1, 2, 0.0)
 
 
 def test_inner_absolute_wmed_examples():
@@ -533,7 +536,7 @@ def test_parametric_matches_layered_reference(loss):
         eps = float(rng.choice([0.0, 0.5, 1.5, 4.0, 20.0]))
         lay = optimize_bins(pr, eps, loss)
         lval = _build_tables(pr, tilt_factor(eps), loss)
-        obj_ref, _ = _layered_select(layered_tables(lval), tilt_factor(eps))
+        obj_ref = layered_objective(lval, tilt_factor(eps))
         assert lay.objective == pytest.approx(obj_ref, rel=1e-10, abs=1e-12)
 
 

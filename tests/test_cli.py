@@ -254,6 +254,28 @@ def test_negative_column_is_parse_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["randomize", "optimize-bins"])
+def test_missing_file_is_parse_error(tmp_path, capsys, command):
+    missing = tmp_path / "missing.txt"
+    reader, args = {
+        "randomize": (read_labels, ["--input", missing, "--output", tmp_path / "out.txt",
+                                    "--universe", "0:4:1", "--eps", "1"]),
+        "optimize-bins": (read_prior_file, ["--prior-file", missing, "--eps", "1"])}[command]
+    with pytest.raises(ParseError, match=f"cannot read {missing}"):
+        reader(str(missing))
+    assert run([command, *args]) == 2
+    assert f"cannot read {missing}" in capsys.readouterr().err
+
+
+def test_column_past_the_row_names_the_line(tmp_path, capsys):
+    src = write(tmp_path / "in.csv", "0,1\n1,2\n")
+    with pytest.raises(ParseError, match="no column 3"):
+        read_labels(src, column=3)
+    assert run(["randomize", "--input", src, "--output", tmp_path / "out.txt", "--universe",
+                "0:4:1", "--eps", "1", "--column", "3"]) == 2
+    assert f"{src}:1: no column 3 in '0,1'" in capsys.readouterr().err
+
+
 def test_parse_universe():
     assert parse_universe("0:3:1").values.tolist() == [0.0, 1.0, 2.0, 3.0]
     assert parse_universe("0,5,2").values.tolist() == [0.0, 2.0, 5.0]
@@ -275,6 +297,8 @@ def test_parse_universe():
     ("a:1:1", "non-numeric universe spec"),
     ("0:inf:1", "non-finite universe spec"),
     ("1,x", "non-numeric universe list"),
+    ("1,nan,3", "non-finite universe list: '1,nan,3'"),
+    ("1,inf", "non-finite universe list: '1,inf'"),
     (",", "empty universe"),
 ])
 def test_malformed_universe_is_parse_error(tmp_path, capsys, spec, match):
@@ -933,9 +957,9 @@ def test_verify_quick_passes(capsys):
 
 
 def _reject_every_matrix(monkeypatch):
-    from labeldp import selfcheck
+    from labeldp import verify
 
-    monkeypatch.setattr(selfcheck, "check_eps_dp", lambda matrix, eps: False)
+    monkeypatch.setattr(verify, "check_eps_dp", lambda matrix, eps: False)
 
 
 def test_verify_detects_injected_dp_fault(capsys, monkeypatch):

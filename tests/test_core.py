@@ -15,6 +15,8 @@ from labeldp import (
     expected_loss,
     make_label_set,
     make_prior,
+    optimize_bins,
+    rr_on_bins_matrix,
 )
 
 
@@ -145,6 +147,16 @@ def test_matrix_validation():
         MechanismMatrix(ls, (0.0, 1.0), np.array([[0.6, 0.3], [0.5, 0.5]]))
     with pytest.raises(ValueError, match="non-negative"):
         MechanismMatrix(ls, (0.0, 1.0), np.array([[1.1, -0.1], [0.5, 0.5]]))
+    with pytest.raises(ValueError, match=r"matrix shape \(2, 1\) != \(2, 2\)"):
+        MechanismMatrix(ls, (0.0, 1.0), np.ones((2, 1)))
+
+
+def test_matrix_equal_by_value():
+    layout = optimize_bins(make_prior(make_label_set([0, 1, 2]), [1, 2, 3]), 1.0, SQUARED)
+    a, b = rr_on_bins_matrix(layout, 1.0), rr_on_bins_matrix(layout, 1.0)
+    assert a is not b and a == b
+    assert a != rr_on_bins_matrix(layout, 2.0)
+    assert a != "a matrix"
 
 
 def test_expected_loss_identity_is_zero():

@@ -67,6 +67,11 @@ def test_rr_matrix_single_output():
     assert np.array_equal(m.rows, np.ones((2, 1)))
 
 
+def test_rr_matrix_refuses_nan_eps():
+    with pytest.raises(ValueError, match="eps must be non-negative, got nan"):
+        rr_on_bins_matrix(three_bin_layout(), math.nan)
+
+
 def test_rr_matrix_eps0_uniform():
     pr = make_prior(make_label_set([0, 1, 2, 3]), [1, 1, 1, 1])
     lay = optimize_bins(pr, 50.0, SQUARED)  # 4 bins

@@ -128,6 +128,35 @@ def test_preconditions():
         randomize("rr-on-bins", [0, 1], ls, 0.5, SQUARED, default_rng(0), eps1=1.0)
     with pytest.raises(ValueError):
         randomize("rr-on-bins", [], ls, 2.0, SQUARED, default_rng(0), eps1=1.0)
+    with pytest.raises(ValueError, match="unknown mechanism 'nope'; pick from rr-on-bins, laplace"):
+        randomize("nope", [0, 1], ls, 1.0, SQUARED, default_rng(0))
+
+
+@pytest.mark.parametrize("mech", MECHANISMS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_label_is_refused_before_any_draw(mech, bad):
+    rng = default_rng(4)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"label at index 1 is not finite: {bad!r}"):
+        randomize(mech, [1.0, bad, 3.0], make_label_set(range(10)), 1.0, SQUARED, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("mech", MECHANISMS)
+@pytest.mark.parametrize("indices, match", [
+    ([-1, -2, -3], r"entry at index 0 is not an index in \[0, 10\): -1"),
+    ([1.5, 2, 3], r"entry at index 0 is not an index in \[0, 10\): 1.5"),
+    ([1, 2, 10], r"entry at index 2 is not an index in \[0, 10\): 10"),
+    ([1, 2], r"indices of shape \(2,\) for labels of shape \(3,\)"),
+])
+def test_bad_indices_are_refused_before_any_draw(mech, indices, match):
+    # labels 1, 2, 3 on 0:9:1, whose universe indices are 1, 2, 3
+    rng = default_rng(4)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=match):
+        randomize(mech, [1, 2, 3], make_label_set(range(10)), 50.0, SQUARED, rng,
+                  eps1=1.0, indices=indices)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("mech", MECHANISMS)

@@ -108,6 +108,8 @@ def test_budget_split_examples():
 def test_budget_split_infeasible():
     with pytest.raises(ValueError, match="explicit split or more data"):
         default_budget_split(0.1, 10**4, 10**4)
+    with pytest.raises(ValueError, match="need k >= 1 labels and n >= 1 samples"):
+        default_budget_split(1.0, 0, 5)
 
 
 def test_budget_split_sum_exact_random():

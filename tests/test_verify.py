@@ -66,6 +66,15 @@ def test_brute_force_size_guard():
         brute_force_optimal_bins(pr, 1.0, SQUARED)
 
 
+@pytest.mark.parametrize("eps", [-1.0, math.nan])
+def test_oracles_refuse_a_negative_or_nan_eps(eps):
+    pr = make_prior(make_label_set([0, 1, 2]), [1, 2, 3])
+    with pytest.raises(ValueError, match=f"eps must be non-negative, got {eps}"):
+        brute_force_optimal_bins(pr, eps, SQUARED)
+    with pytest.raises(ValueError, match=f"eps must be non-negative, got {eps}"):
+        lp_optimal_mechanism(pr, [0.5, 1.5], eps, SQUARED)
+
+
 def test_brute_force_matches_optimizer():
     # past eps 5 the squared and absolute objectives shrink like e^-eps, so
     # the bound is relative only; 800 runs at the capped tilt
