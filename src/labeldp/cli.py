@@ -10,7 +10,7 @@ Exit codes: 0 success, 1 verification failure, 2 parse error, 3 precondition
 or configuration error.  The default seed comes from the LABELDP_SEED
 environment variable, where a value that is not an integer is a parse error;
 an explicit --seed wins and leaves the variable unread.  Output is a pure
-function of (input bytes, flags, seed).
+function of (input bytes, flags, seed), independent of the CPU count.
 """
 from __future__ import annotations
 
@@ -428,7 +428,23 @@ def _synthetic_prior(spec: str, universe: LabelSet) -> Prior:
     return make_prior(universe, w)
 
 
+BENCH_MAX_THREADS = 4  # cells in flight at most; each holds a few label-sized arrays
+
+
+def _bench_workers(cells: int) -> int:
+    """Threads for bench's cells: one per CPU this process may run on, at
+    most one per cell and BENCH_MAX_THREADS."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(cells, cpus, BENCH_MAX_THREADS))
+
+
 def cmd_bench(args) -> int:
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
     universe = parse_universe(args.universe)
     loss = losses.by_name(args.loss)
     eps_grid = [_flag_float("--eps-list", t) for t in args.eps_list.split(",") if t.strip()]
@@ -444,12 +460,15 @@ def cmd_bench(args) -> int:
         if m not in MECHANISMS:
             raise ValueError(f"unknown mechanism {m!r}; pick from {', '.join(MECHANISMS)}")
 
-    root = np.random.SeedSequence(args.seed)  # each cell draws from the next child
     grid = universe.values
     if args.input:
-        # every cell runs on these labels, so they are mapped only once
+        # every cell runs on these labels, so they are mapped only once, and
+        # read-only: a sampler that wrote into them would corrupt the cells
+        # running beside it, so it raises instead
         idx = universe_indices(read_labels(args.input, args.column), universe)
         fixed = idx, grid[idx]
+        for a in fixed:
+            a.flags.writeable = False
         draw = lambda rng: fixed
     else:
         probs = _synthetic_prior(args.synthetic, universe).probs
@@ -458,14 +477,33 @@ def cmd_bench(args) -> int:
             idx = rng.choice(universe.k, size=args.n, p=probs)
             return idx, grid[idx]
 
-    rows = ["mechanism,eps,rep,loss"]
-    for mech in mechs:
-        for eps in eps_grid:
-            for rep in range(args.reps):
-                rng = np.random.default_rng(root.spawn(1)[0])
-                idx, ys = draw(rng)
-                _, run = randomize(mech, ys, universe, eps, loss, rng, clip=args.clip, indices=idx)
-                rows.append(f"{mech},{fmt(eps)},{rep},{fmt(run.mechanism_loss_on_inputs)}")
+    # the cells in CSV order, each with its own child stream, so a row does
+    # not depend on which thread runs its cell, or when
+    cells = [(mech, eps, rep) for mech in mechs for eps in eps_grid for rep in range(args.reps)]
+    seeds = np.random.SeedSequence(args.seed).spawn(len(cells))
+
+    failed = threading.Event()  # set by a cell that raised
+
+    def run_cell(cell, seed):
+        if failed.is_set():
+            return None  # a cell queued before this one failed; map raises its error
+        mech, eps, rep = cell
+        try:
+            rng = np.random.default_rng(seed)
+            idx, ys = draw(rng)
+            _, run = randomize(mech, ys, universe, eps, loss, rng, clip=args.clip, indices=idx)
+        except BaseException:
+            failed.set()
+            raise
+        return f"{mech},{fmt(eps)},{rep},{fmt(run.mechanism_loss_on_inputs)}"
+
+    # map gives the rows in cell order and raises the first failing cell's
+    # error; the cells that have not started by then never run
+    pool = ThreadPoolExecutor(_bench_workers(len(cells)))
+    try:
+        rows = ["mechanism,eps,rep,loss", *pool.map(run_cell, cells, seeds)]
+    finally:
+        pool.shutdown(cancel_futures=True)
     text = "\n".join(rows) + "\n"
     if args.output:
         with open(args.output, "w") as fh:

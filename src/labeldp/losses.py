@@ -50,7 +50,8 @@ class LossSpec:
 
 def _squared(yhat, y):
     d = np.asarray(yhat) - np.asarray(y)
-    return d * d
+    d *= d  # in place: one label-sized temporary, not two
+    return d
 
 
 def _absolute(yhat, y):

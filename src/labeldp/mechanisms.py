@@ -95,7 +95,9 @@ def rr_on_bins_randomize(own_bins, d: int, eps: float, rng: np.random.Generator)
 def laplace_sample(y, params: NoiseParams, rng: np.random.Generator):
     """y plus continuous Laplace noise with scale sensitivity/eps."""
     y = np.asarray(y, dtype=float)
-    return y + rng.laplace(0.0, params.scale, size=y.shape)
+    noise = rng.laplace(0.0, params.scale, size=y.shape)
+    noise += y
+    return noise
 
 
 def discrete_laplace_sample(y, params: NoiseParams, rng: np.random.Generator):

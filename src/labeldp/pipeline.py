@@ -237,5 +237,6 @@ def randomize(mechanism, labels, universe: LabelSet, eps: float, loss: LossSpec,
     else:
         x = np.clip(raw, universe.y_min, universe.y_max)
     out, budget, prior, layout = sample(x, universe, eps, rng, loss, eps1, clip)
+    del x  # a clamped copy is freed before the loss takes its temporary
     loss_on_inputs = float(np.mean(loss.eval_fn(out.values, raw)))
     return out, RandomizationReport(budget, prior, layout, loss_on_inputs, raw.size, loss.kind)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import urllib.request
 import warnings
 from fractions import Fraction
@@ -814,6 +815,65 @@ def test_bench_maps_input_to_universe_once(tmp_path, monkeypatch):
     calls.clear()
     assert run(["bench", "--synthetic", "uniform", "--n", "300", *common]) == 0
     assert calls == []
+
+
+@pytest.mark.parametrize("source", ["input", "synthetic"])
+def test_bench_csv_does_not_depend_on_the_worker_count(tmp_path, monkeypatch, source):
+    # three workers, more than a 2-core host has, on a short switch interval,
+    # against one
+    src = write(tmp_path / "l.txt", "\n".join(str(v % 23 - 1) for v in range(400)) + "\n")
+    data = ["--input", src] if source == "input" else ["--synthetic", "zipf:1.1", "--n", "300"]
+    common = ["bench", *data, "--universe", "0:20:1", "--eps-list", "0.5,1,4", "--reps", "2",
+              "--seed", "4"]
+    blobs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 3):
+            monkeypatch.setattr(cli, "_bench_workers", lambda cells, w=workers: w)
+            out = tmp_path / f"b{workers}.csv"
+            assert run([*common, "--output", out]) == 0
+            blobs.append(out.read_bytes())
+    finally:
+        sys.setswitchinterval(interval)
+    assert blobs[0] == blobs[1]
+    assert len(blobs[0].splitlines()) == 1 + len(MECHANISMS) * 3 * 2
+
+
+def test_bench_workers_are_capped_by_cells_and_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert cli._bench_workers(1) == 1
+    assert cli._bench_workers(1000) == cli.BENCH_MAX_THREADS
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._bench_workers(1000) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_bench_raises_the_first_failing_cell(tmp_path, capsys, monkeypatch, workers):
+    # cell 2 (rr at eps 2) waits before it fails, so with three workers cell
+    # 6 (laplace at eps 2) may fail first; cell 2's message is the one printed,
+    # and with one worker no cell after it starts
+    calls = []
+    real = cli.randomize
+
+    def failing(mechanism, labels, universe, eps, *args, **kwargs):
+        calls.append((mechanism, eps))
+        if eps == 2.0:
+            if mechanism == "rr":
+                time.sleep(0.05)
+            raise ValueError(f"{mechanism} failed at eps 2")
+        return real(mechanism, labels, universe, eps, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "randomize", failing)
+    monkeypatch.setattr(cli, "_bench_workers", lambda cells: workers)
+    out = tmp_path / "b.csv"
+    assert run(["bench", "--universe", "0:20:1", "--n", "300", "--reps", "1",
+                "--eps-list", "0.5,1,2,4", "--mechanisms", "rr,laplace,staircase",
+                "--output", out]) == 3
+    assert capsys.readouterr().err == "error: rr failed at eps 2\n"
+    assert not out.exists()
+    if workers == 1:
+        assert calls == [("rr", 0.5), ("rr", 1.0), ("rr", 2.0)]
 
 
 @pytest.mark.parametrize("flag", ["--n", "--reps"])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,40 @@ def test_bad_indices_are_refused_before_any_draw(mech, indices, match):
         randomize(mech, [1, 2, 3], make_label_set(range(10)), 50.0, SQUARED, rng,
                   eps1=1.0, indices=indices)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("mech", MECHANISMS)
+@pytest.mark.parametrize("clip", [True, False])
+def test_randomize_never_writes_into_its_inputs(mech, clip):
+    # read-only labels and indices, as bench shares them between the cells
+    # it runs at once: a sampler that wrote into either would raise here
+    uni = make_label_set(range(21))
+    labels = np.arange(300.0) % 23 - 1  # one label below and one above the range
+    idx = universe_indices(labels, uni)
+    for a in (labels, idx):
+        a.flags.writeable = False
+    out, _ = randomize(mech, labels, uni, 1.0, SQUARED, default_rng(8), clip=clip, indices=idx)
+    assert out.values.shape == labels.shape
+    assert np.array_equal(labels, np.arange(300.0) % 23 - 1)
+    assert np.array_equal(idx, np.clip(labels, 0, 20))
+
+
+@pytest.mark.parametrize("mech, bound", [("laplace", 2.0), ("rr", 3.0)])
+def test_randomize_peak_memory_in_label_arrays(mech, bound):
+    # bench runs cells side by side, each at its own peak: the traced peak of
+    # one call on 2e5 float labels and their indices, in label arrays, plus
+    # 64 KiB for the call's Python objects
+    uni = make_label_set(range(401))
+    labels = default_rng(6).integers(0, 401, 200_000).astype(float)
+    idx = universe_indices(labels, uni)
+    rng = default_rng(7)
+    tracemalloc.start()
+    try:
+        randomize(mech, labels, uni, 1.0, SQUARED, rng, indices=idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * labels.nbytes + 2**16
 
 
 @pytest.mark.parametrize("mech", MECHANISMS)
