@@ -10,7 +10,11 @@ Exit codes: 0 success, 1 verification failure, 2 parse error, 3 precondition
 or configuration error.  The default seed comes from the LABELDP_SEED
 environment variable, where a value that is not an integer is a parse error;
 an explicit --seed wins and leaves the variable unread.  Output is a pure
-function of (input bytes, flags, seed), independent of the CPU count.
+function of (input bytes, flags, seed), independent of the CPU count, with
+one exception: exponential's output bytes, and a bench CSV that includes
+exponential, also depend on numpy's build and on its CPU dispatch of
+np.expm1 and np.log1p.  On an AVX-512 host, running with
+NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" shows the effect.
 """
 from __future__ import annotations
 

@@ -28,10 +28,11 @@ from .mechanisms import (
 
 DP_RATIO_SLACK = 1e-9
 LP_FEAS_TOL = 1e-7
-# the LP's time and memory follow its m*k*(k-1) ratio rows: at k = m = 30
-# (26,100 rows) HiGHS took 1.6 s with a 6 MB traced peak on a 2-core host,
-# and k = 900, m = 1 (808,200 rows) took 24 s and 195 MB
-LP_MAX_ROWS = 26_100
+# the LP's time and memory follow its 2km ratio rows: at k = m = 100 (20,000
+# rows) HiGHS took 3.0-4.6 s with a 7.2 MB traced peak on a 2-core host, and
+# other shapes of 20,000 rows, k = 1000 by m = 10 to k = 10 by m = 1000, took
+# 2.1-5.4 s
+LP_MAX_ROWS = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -213,66 +214,51 @@ class LpSolution:
     status: str  # optimal | infeasible | unbounded | iteration_limit | numerical
 
 
-def simplex_solve(c, a_ub, b_ub, a_eq, b_eq):
-    """Minimize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0, with
-    the HiGHS dual simplex.  Either block may be empty; a_ub and a_eq may be
-    scipy.sparse matrices.  Returns (x, objective, status); x and objective
-    are None unless status is optimal."""
-    # scipy.optimize takes most of a second to import; only the LP needs it
-    from scipy.optimize import linprog
-
-    res = linprog(c, A_ub=a_ub if len(b_ub) else None, b_ub=b_ub if len(b_ub) else None,
-                  A_eq=a_eq if len(b_eq) else None, b_eq=b_eq if len(b_eq) else None,
-                  method="highs-ds")
-    status = ("optimal", "iteration_limit", "infeasible", "unbounded", "numerical")[res.status]
-    if status != "optimal":
-        return None, None, status
-    return res.x, float(res.fun), status
-
-
 def lp_optimal_mechanism(prior: Prior, outputs, eps: float, loss: LossSpec) -> LpSolution:
     """Solve for the loss-minimal eps-DP mechanism from the labels onto a
     fixed finite output set, as an explicit linear program over the matrix
-    entries: row-stochastic equalities, non-negativity, and every pairwise
-    column ratio constraint M[y',o] <= e^eps M[y,o]."""
+    entries: row-stochastic equalities, non-negativity, and the column ratio
+    M[y',o] <= e^eps M[y,o] for all labels y, y'.  That ratio holds exactly
+    when some floor l_o has l_o <= M[y,o] <= e^eps l_o for every y, so the
+    program adds one variable l_o per output and has 2km ratio rows, solved
+    with the HiGHS dual simplex."""
     if not eps >= 0:
         raise ValueError(f"eps must be non-negative, got {eps}")
     outs = sorted(float(o) for o in outputs)
     k, m = prior.k, len(outs)
-    if m * k * (k - 1) > LP_MAX_ROWS:
-        raise ValueError(f"LP size {k}x{m} needs {m * k * (k - 1)} ratio rows, "
+    if 2 * k * m > LP_MAX_ROWS:
+        raise ValueError(f"LP size {k}x{m} needs {2 * k * m} ratio rows, "
                          f"more than {LP_MAX_ROWS}")
+    # scipy.optimize takes most of a second to import; only the LP needs it
     from scipy import sparse
+    from scipy.optimize import linprog
 
     inv_tilt = math.exp(-eps)
-    y = prior.labels.values
-    p = prior.probs
-    lmat = loss.eval_grid(np.asarray(outs), y)
-    c = (p[:, None] * lmat).reshape(k * m)
-    # variable i*m + o is M[y_i -> o]; row i sums to 1
-    a_eq = sparse.csr_array((np.ones(k * m), (np.repeat(np.arange(k), m), np.arange(k * m))))
-    b_eq = np.ones(k)
+    lmat = loss.eval_grid(np.asarray(outs), prior.labels.values)
+    # variable i*m + o is M[y_i -> o], variable k*m + o is l_o; row i sums to 1
+    cell = np.arange(k * m)
+    floor = k * m + cell % m
+    c = np.concatenate([(prior.probs[:, None] * lmat).ravel(), np.zeros(m)])
+    a_eq = sparse.csr_array((np.ones(k * m), (cell // m, cell)), shape=(k, k * m + m))
+    # l_o - M[y_i -> o] <= 0, then the upper side scaled by e^-eps for
+    # conditioning: e^-eps * M[y_i -> o] - l_o <= 0
+    rows = np.arange(2 * k * m)
+    vals = np.concatenate([np.ones(k * m), np.full(k * m, inv_tilt), -np.ones(2 * k * m)])
+    cols = np.concatenate([floor, cell, cell, floor])
+    a_ub = sparse.csr_array((vals, (np.tile(rows, 2), cols)), shape=(2 * k * m, k * m + m))
 
-    # ratio constraints scaled by e^-eps for conditioning, one row for each
-    # output o and ordered pair i != i2: e^-eps * M[y_i2 -> o] - M[y_i -> o] <= 0
-    i, i2 = np.nonzero(~np.eye(k, dtype=bool))
-    o = np.arange(m)[:, None]
-    cols = np.concatenate([(i2 * m + o).ravel(), (i * m + o).ravel()])
-    n_rows = cols.size // 2
-    vals = np.repeat([inv_tilt, -1.0], n_rows)
-    a_ub = sparse.csr_array((vals, (np.tile(np.arange(n_rows), 2), cols)), shape=(n_rows, k * m))
-    b_ub = np.zeros(n_rows)
-
-    x, obj, status = simplex_solve(c, a_ub, b_ub, a_eq, b_eq)
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(2 * k * m), A_eq=a_eq, b_eq=np.ones(k),
+                  method="highs-ds")
+    status = ("optimal", "iteration_limit", "infeasible", "unbounded", "numerical")[res.status]
     if status != "optimal":
         return LpSolution(matrix=None, objective=None, status=status)
-    mat = np.maximum(x.reshape(k, m), 0.0)
+    mat = np.maximum(res.x[: k * m].reshape(k, m), 0.0)
     # feasibility audit before declaring optimality
     if (np.max(np.abs(mat.sum(axis=1) - 1.0)) > LP_FEAS_TOL
             or np.any(inv_tilt * mat.max(axis=0) > mat.min(axis=0) + LP_FEAS_TOL)):
         return LpSolution(matrix=None, objective=None, status="iteration_limit")
     matrix = MechanismMatrix(prior.labels, tuple(outs), mat)
-    return LpSolution(matrix=matrix, objective=float(obj), status="optimal")
+    return LpSolution(matrix=matrix, objective=float(res.fun), status="optimal")
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +523,7 @@ def run_suites(quick: bool = False, seed: int = 0):
     if quick:
         sizes = dict(oracle=(40, 5), lp=(10, 6), dp=10, trials=10**4)
     else:
-        sizes = dict(oracle=(150, 8), lp=(30, 12), dp=30, trials=10**5)
+        sizes = dict(oracle=(150, 8), lp=(30, 60), dp=30, trials=10**5)
     return [("oracle-equivalence",) + check_oracle_equivalence(seed, *sizes["oracle"]),
             ("lp-cross-check",) + check_lp_cross(seed + 1, *sizes["lp"]),
             ("dp-ratio",) + check_dp_ratio(seed + 2, sizes["dp"]),

@@ -612,6 +612,18 @@ def test_zero_mass_cells_are_handled():
         assert all(a < b for a, b in zip(lay.outputs, lay.outputs[1:]))
 
 
+def test_coinciding_outputs_merge_into_one_bin(monkeypatch):
+    # at eps 0 every bin's tilted mean is the prior mean, so a search that
+    # returned two bins would give two equal outputs: the layout merges them
+    # and re-costs the one bin
+    pr = make_prior(make_label_set([0, 1, 2, 3]), [1, 1, 3, 3])
+    want = optimize_bins(pr, 0.0, SQUARED)
+    monkeypatch.setattr(binopt, "_parametric_search", lambda *a: (0.0, [(0, 1), (2, 3)]))
+    lay = optimize_bins(pr, 0.0, SQUARED)
+    assert (lay.d, lay.outputs) == (want.d, want.outputs) == (1, (2.0,))
+    assert lay.objective == want.objective == pytest.approx(1.0, rel=1e-15)
+
+
 def test_layout_validation():
     ls = make_label_set([0, 1, 2])
     with pytest.raises(ValueError, match="cover"):

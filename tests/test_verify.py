@@ -19,13 +19,13 @@ from labeldp import (
     optimize_bins,
     rr_on_bins_matrix,
 )
+from labeldp import losses
 from labeldp.binopt import tilt_factor
 from labeldp.verify import (
     LP_MAX_ROWS,
     _golden,
     _interval_minimum,
     best_rr_on_bins_over_grid,
-    simplex_solve,
 )
 
 ALL_LOSSES = (SQUARED, ABSOLUTE, POISSON)
@@ -120,41 +120,38 @@ def test_interval_minimum_at_the_capped_tilt():
         assert v == pytest.approx(float(np.dot(p, (y[r] - y) ** 4)), rel=1e-12)
 
 
+@pytest.mark.parametrize("loss, y_lo", [
+    (custom_loss(losses._poisson, True, domain_min=0.0), 0.0),
+    # squared error restricted to yhat > 0: a bin of labels below 0 outputs
+    # the floor above 0, not their mean
+    (custom_loss(losses._squared, True, domain_min=0.0), -5.0),
+], ids=("poisson", "squared-above-0"))
+def test_brute_force_clamps_a_custom_loss_to_its_domain(loss, y_lo):
+    # a custom loss goes through the golden search, whose bracket starts just
+    # above domain_min
+    rng = np.random.default_rng(26)
+    for t in range(20):
+        vals = random_prior(rng, k_max=6, y_lo=y_lo, y_hi=5.0).labels.values.copy()
+        vals[-1] = 5.0
+        if t % 2:
+            vals[0] = y_lo
+        pr = make_prior(make_label_set(vals), rng.dirichlet(np.ones(len(vals))))
+        eps = (0.0, 0.5, 2.0, 8.0)[t % 4]
+        fast = optimize_bins(pr, eps, loss)
+        slow = brute_force_optimal_bins(pr, eps, loss)
+        assert fast.objective == pytest.approx(slow.objective, rel=1e-9, abs=0), (t, eps)
+
+
+def test_brute_force_refuses_a_nonconvex_custom_loss():
+    capped = custom_loss(lambda yhat, y: np.minimum(np.abs(yhat - y), 3.0), False)
+    pr = make_prior(make_label_set([0.0, 1.0, 5.0]), [1, 2, 1])
+    with pytest.raises(ValueError, match="convex"):
+        brute_force_optimal_bins(pr, 1.0, capped)
+
+
 # ---------------------------------------------------------------------------
-# simplex / LP
+# mechanism LP
 # ---------------------------------------------------------------------------
-
-def test_simplex_basic_lp():
-    # max x1 + x2 s.t. x1 + x2 <= 1  ->  min -(x1+x2) = -1
-    x, obj, status = simplex_solve(
-        [-1.0, -1.0], [[1.0, 1.0]], [1.0], [], []
-    )
-    assert status == "optimal"
-    assert obj == pytest.approx(-1.0)
-
-
-def test_simplex_equality_and_bounds():
-    # min x1 + 2 x2 s.t. x1 + x2 = 1 -> x = (1, 0)
-    x, obj, status = simplex_solve([1.0, 2.0], [], [], [[1.0, 1.0]], [1.0])
-    assert status == "optimal"
-    assert obj == pytest.approx(1.0)
-    assert x[0] == pytest.approx(1.0)
-
-
-def test_simplex_infeasible():
-    # x1 = 1 and x1 <= 0.5 cannot both hold with x >= 0
-    x, obj, status = simplex_solve([1.0], [[1.0]], [0.5], [[1.0]], [1.0])
-    assert status == "infeasible"
-
-
-def test_simplex_degenerate_instance():
-    # many tight zero rows; Bland's rule must not cycle
-    a_ub = [[1.0, -1.0], [-1.0, 1.0], [1.0, 0.0]]
-    b_ub = [0.0, 0.0, 2.0]
-    x, obj, status = simplex_solve([-1.0, -1.0], a_ub, b_ub, [], [])
-    assert status == "optimal"
-    assert obj == pytest.approx(-4.0)
-
 
 def test_lp_spot_value_matches_rr():
     pr = make_prior(make_label_set([0, 1]), [1, 1])
@@ -231,24 +228,24 @@ def test_lp_deterministic_objective():
 
 
 def test_lp_size_guard():
-    # k = m = 30 is the largest square LP under the cap, and it solves
-    assert 30 * 30 * 29 == LP_MAX_ROWS
-    pr = make_prior(make_label_set(range(30)), np.arange(1, 31))
-    assert lp_optimal_mechanism(pr, np.arange(30) + 0.5, 1.0, SQUARED).status == "optimal"
-    with pytest.raises(ValueError, match="26970 ratio rows, more than 26100"):
-        lp_optimal_mechanism(pr, range(31), 1.0, SQUARED)
-    wide = make_prior(make_label_set(range(31)), np.ones(31))
-    with pytest.raises(ValueError, match="more than 26100"):
-        lp_optimal_mechanism(wide, range(29), 1.0, SQUARED)
+    # k = m = 100 is the largest square LP under the cap; one output or one
+    # label more is refused before scipy is touched
+    assert 2 * 100 * 100 == LP_MAX_ROWS
+    pr = make_prior(make_label_set(range(100)), np.arange(1, 101))
+    with pytest.raises(ValueError, match="20200 ratio rows, more than 20000"):
+        lp_optimal_mechanism(pr, range(101), 1.0, SQUARED)
+    wide = make_prior(make_label_set(range(101)), np.ones(101))
+    with pytest.raises(ValueError, match="more than 20000"):
+        lp_optimal_mechanism(wide, range(100), 1.0, SQUARED)
 
 
 @pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda loss: loss.kind)
 def test_lp_confirms_rr_on_bins_at_real_size(loss):
     # the paper's theorem against every eps-DP mechanism on a finite grid: a
     # grid that holds optimize_bins' outputs reaches its objective, and no
-    # grid beats it; k = m = 20 also has HiGHS solve and pass the audit there
+    # grid beats it; k = m = 60 also has HiGHS solve and pass the audit there
     rng = np.random.default_rng(25)
-    for k, eps in ((4, 0.3), (9, 1.0), (14, 4.0), (20, 1.5)):
+    for k, eps in ((4, 0.3), (9, 1.0), (14, 4.0), (20, 1.5), (60, 2.0)):
         pr = prior_of_size(rng, k)
         best = optimize_bins(pr, eps, loss)
         extra = rng.uniform(pr.labels.y_min, pr.labels.y_max, k)
