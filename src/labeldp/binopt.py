@@ -584,6 +584,7 @@ def optimize_bins(prior: Prior, eps: float, loss: LossSpec) -> BinLayout:
     ties resolve toward fewer bins, then smaller start indices; layouts that
     tie only in real arithmetic may resolve either way.
     """
+    loss.check_labels(prior.labels.y_max)
     tilt = tilt_factor(eps)
     lval = _build_tables(prior, tilt, loss)
     objective, spans = _parametric_search(lval, prior.k, tilt)

@@ -230,8 +230,9 @@ def _digit_rows(v: np.ndarray):
     exactly as hi + lo, where hi >= 1e16 > 2^53 is an even integer, so
     n = hi + rint(lo).  |v| lies at least 10^(x+1) / 2^53 below 10^(x+1), so
     n < 10^17 - 11: rounding never carries to an 18th digit.  The digits are
-    written in pairs, then the fraction digits move one byte right to make
-    room for the point, in groups of rows of one x."""
+    written in pairs and their trailing zeros counted, as n >= 10^16 starts
+    with a digit other than 0; then the fraction digits move one byte right
+    to make room for the point, in groups of rows of one x."""
     a = np.abs(v)
     x = _X_OF_EXP[(a.view(np.int64) >> 52) - 1023]
     x += a >= _POW10[x + 1]
@@ -241,13 +242,6 @@ def _digit_rows(v: np.ndarray):
     hi = a * s
     (ah, al), (sh, sl) = _halves(a), _halves(s)
     n = hi.astype(np.int64) + np.rint((ah * sh - hi) + ah * sl + al * sh + al * sl).astype(np.int64)
-    zeros = np.zeros(n.size, np.intp)  # trailing zeros of n
-    at, rest = np.arange(n.size), n
-    while at.size:
-        q = rest // 10
-        z = rest == 10 * q
-        at, rest = at[z], q[z]
-        zeros[at] += 1
     rows = np.empty((n.size, _ROW), np.uint8)
     pairs = rows.view(np.uint16)  # digit k of n goes to byte k + 1
     top = (n // 10**8).astype(np.int32)
@@ -260,6 +254,7 @@ def _digit_rows(v: np.ndarray):
         pairs[:, 4 + j] = _PAIRS.take(low - 100 * q)
         low = q
     rows[:, 0], rows[:, 1] = ord("-"), top + ord("0")
+    zeros = np.argmax(rows[:, 17:0:-1] != ord("0"), axis=1)  # n's trailing zeros
     cuts = np.searchsorted(x, np.arange(17))
     for k in range(x[0], x[-1] + 1):
         group = rows[cuts[k]:cuts[k + 1]]

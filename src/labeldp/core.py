@@ -6,7 +6,7 @@ threads; every operation is a pure function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -21,8 +21,18 @@ def _frozen(values) -> np.ndarray:
     return a
 
 
+class ValueEq:
+    """Equal when the other object has the same type and every field is equal,
+    arrays by value.  Defining __eq__ leaves instances unhashable."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self)))
+
+
 @dataclass(frozen=True, eq=False)
-class LabelSet:
+class LabelSet(ValueEq):
     """The finite set of distinct label values, sorted increasingly, as a
     read-only array; two label sets are equal when their values are."""
 
@@ -39,9 +49,6 @@ class LabelSet:
         bad = np.flatnonzero(v[1:] <= v[:-1])
         if bad.size:
             raise ValueError(f"labels must be strictly increasing; violation at index {bad[0] + 1}")
-
-    def __eq__(self, other):
-        return isinstance(other, LabelSet) and np.array_equal(self.values, other.values)
 
     @property
     def k(self) -> int:
@@ -90,7 +97,7 @@ def make_label_set(values) -> LabelSet:
 
 
 @dataclass(frozen=True, eq=False)
-class Prior:
+class Prior(ValueEq):
     """A probability distribution over a LabelSet, as a read-only array of
     probabilities; two priors are equal when their labels and probs are."""
 
@@ -108,10 +115,6 @@ class Prior:
         total = math.fsum(p.tolist())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
-
-    def __eq__(self, other):
-        return (isinstance(other, Prior) and self.labels == other.labels
-                and np.array_equal(self.probs, other.probs))
 
     @property
     def k(self) -> int:
@@ -138,7 +141,7 @@ def make_prior(labels: LabelSet, weights) -> Prior:
 
 
 @dataclass(frozen=True, eq=False)
-class MechanismMatrix:
+class MechanismMatrix(ValueEq):
     """Explicit row-stochastic matrix M[y -> o] over inputs x outputs; two
     matrices are equal when their inputs, outputs and rows are."""
 
@@ -147,7 +150,7 @@ class MechanismMatrix:
     rows: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
+        rows = _frozen(self.rows)
         object.__setattr__(self, "rows", rows)
         if rows.shape != (self.inputs.k, len(self.outputs)):
             raise ValueError(
@@ -162,11 +165,6 @@ class MechanismMatrix:
                 f"row {int(bad[0])} sums to {sums[bad[0]]!r}, expected 1"
             )
 
-    def __eq__(self, other):
-        return (isinstance(other, MechanismMatrix) and self.inputs == other.inputs
-                and np.array_equal(self.outputs, other.outputs)
-                and np.array_equal(self.rows, other.rows))
-
 
 @dataclass(frozen=True)
 class EpsilonBudget:
@@ -176,9 +174,9 @@ class EpsilonBudget:
     eps2: float
 
     def __post_init__(self):
-        if not (self.eps1 >= 0 and self.eps2 >= 0):
-            raise ValueError(
-                f"budget components must be non-negative, got {self.eps1}, {self.eps2}")
+        for name, value in (("eps1", self.eps1), ("eps2", self.eps2)):
+            if not value >= 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
 
     @property
     def total(self) -> float:

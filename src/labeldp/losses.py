@@ -41,6 +41,13 @@ class LossSpec:
         self._check_domain(np.min(yhats))
         return self.eval_fn(yhats[None, :], ys[:, None])
 
+    def check_labels(self, y_max: float) -> None:
+        """Refuse labels that all lie below domain_min, where no output is both
+        inside the domain and inside the labels' range."""
+        if self.domain_min is not None and self.domain_min > y_max:
+            raise ValueError(f"{self.kind} loss has domain_min {self.domain_min} "
+                             f"above the largest label {y_max}")
+
     def _check_domain(self, yhat) -> None:
         if self.domain_min is not None and not np.all(yhat > self.domain_min):
             raise ValueError(

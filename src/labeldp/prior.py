@@ -14,22 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EpsilonBudget, LabelSet, Prior, as_indices, make_prior
+from .core import EpsilonBudget, LabelSet, Prior, ValueEq, as_indices, make_prior
+from .mechanisms import NoiseParams, laplace_sample
 
 log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
-class HistogramEstimate:
+class HistogramEstimate(ValueEq):
     """A privately estimated prior; prior and the read-only noised_counts
     are DP."""
 
     prior: Prior
     noised_counts: np.ndarray
-
-    def __eq__(self, other):
-        return (isinstance(other, HistogramEstimate) and self.prior == other.prior
-                and np.array_equal(self.noised_counts, other.noised_counts))
 
 
 def laplace_histogram(indices, universe: LabelSet, eps1: float,
@@ -47,7 +44,7 @@ def laplace_histogram(indices, universe: LabelSet, eps1: float,
     if idx.size == 0:
         raise ValueError("need at least one label")
     counts = np.bincount(idx, minlength=universe.k).astype(float)
-    noised = counts + rng.laplace(0.0, 2.0 / eps1, size=universe.k)
+    noised = laplace_sample(counts, NoiseParams(eps=eps1, sensitivity=2.0), rng)
     noised = np.maximum(noised, 0.0)
     if noised.sum() <= 0.0:
         log.warning("all noised histogram counts clamped to zero; using uniform prior")
@@ -88,6 +85,4 @@ def split_budget(eps: float, eps1: float) -> EpsilonBudget:
         eps2 += eps - (eps1 + eps2)
     while eps1 + eps2 > eps:
         eps2 = math.nextafter(eps2, -math.inf)
-    if not eps2 >= 0:
-        raise ValueError(f"eps2 must be non-negative, got {eps2}")
     return EpsilonBudget(eps1=eps1, eps2=eps2)

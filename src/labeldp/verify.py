@@ -17,7 +17,7 @@ import numpy as np
 
 from . import losses
 from .binopt import BinLayout, optimize_bins, tilt_factor
-from .core import MechanismMatrix, Prior, make_label_set, make_prior
+from .core import ROW_SUM_TOL, MechanismMatrix, Prior, make_label_set, make_prior
 from .losses import POISSON_YHAT_FLOOR, LossSpec
 from .mechanisms import (
     NoiseParams,
@@ -101,6 +101,7 @@ def brute_force_optimal_bins(prior: Prior, eps: float, loss: LossSpec) -> BinLay
     k = prior.k
     if k > 16:
         raise ValueError(f"brute force limited to k <= 16 labels, got {k}")
+    loss.check_labels(prior.labels.y_max)
     tilt = tilt_factor(eps)
     p = prior.probs
     y = prior.labels.values
@@ -253,8 +254,9 @@ def lp_optimal_mechanism(prior: Prior, outputs, eps: float, loss: LossSpec) -> L
     if status != "optimal":
         return LpSolution(matrix=None, objective=None, status=status)
     mat = np.maximum(res.x[: k * m].reshape(k, m), 0.0)
-    # feasibility audit before declaring optimality
-    if (np.max(np.abs(mat.sum(axis=1) - 1.0)) > LP_FEAS_TOL
+    # feasibility audit before declaring optimality; the rows are held to the
+    # bound MechanismMatrix checks, so an audited answer always builds one
+    if (np.max(np.abs(mat.sum(axis=1) - 1.0)) > ROW_SUM_TOL
             or np.any(inv_tilt * mat.max(axis=0) > mat.min(axis=0) + LP_FEAS_TOL)):
         return LpSolution(matrix=None, objective=None, status="iteration_limit")
     matrix = MechanismMatrix(prior.labels, tuple(outs), mat)

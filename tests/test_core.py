@@ -13,6 +13,7 @@ from labeldp import (
     MechanismMatrix,
     Prior,
     expected_loss,
+    laplace_histogram,
     make_label_set,
     make_prior,
     optimize_bins,
@@ -55,6 +56,28 @@ def test_label_set_and_prior_are_read_only_and_equal_by_value():
     assert pr == Prior(LabelSet([0, 1, 2]), pr.probs.tolist())
     assert pr != make_prior(ls, [1, 1, 1])
     assert pr != make_prior(make_label_set([0, 1, 3]), [0, 1, 2])
+
+
+def test_matrix_and_estimate_are_read_only_equal_by_value_and_unhashable():
+    ls = make_label_set([0, 1])
+    rows = np.eye(2)
+    m = MechanismMatrix(ls, (0.0, 1.0), rows)
+    rows[0, 0] = 7.0  # the caller's rows are copied, not shared
+    assert m.rows[0, 0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        m.rows[0, 0] = 7.0
+    assert m == MechanismMatrix(LabelSet([0, 1]), (0.0, 1.0), np.eye(2).tolist())
+    assert m != MechanismMatrix(ls, (0.0, 1.0), np.full((2, 2), 0.5))
+    assert m != MechanismMatrix(ls, (0.0, 2.0), np.eye(2))
+    est = laplace_histogram([0, 1, 1], ls, 1.0, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="read-only"):
+        est.noised_counts[0] = 1.0
+    assert est == laplace_histogram([0, 1, 1], ls, 1.0, np.random.default_rng(3))
+    assert est != laplace_histogram([0, 1, 1], ls, 1.0, np.random.default_rng(4))
+    assert ls != ls.values.tolist() and est != est.prior
+    for value in (ls, est.prior, m, est):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
 
 
 def test_make_label_set_rejects_bad_input():
@@ -137,6 +160,9 @@ def test_make_prior_names_a_non_finite_weight(weights, message):
 @pytest.mark.parametrize("eps1, eps2", [(math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0)])
 def test_budget_rejects_nan_and_negative_components(eps1, eps2):
     with pytest.raises(ValueError, match="non-negative"):
+        EpsilonBudget(eps1, eps2)
+    name, value = ("eps1", eps1) if not eps1 >= 0 else ("eps2", eps2)
+    with pytest.raises(ValueError, match=f"{name} must be non-negative, got {value}"):
         EpsilonBudget(eps1, eps2)
     assert EpsilonBudget(0.0, math.inf).total == math.inf
 

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from labeldp import (
     brute_force_optimal_bins,
     check_eps_dp,
     custom_loss,
+    discrete_laplace_sample,
     empirical_sampler_check,
     expected_loss,
     lp_optimal_mechanism,
@@ -19,10 +22,11 @@ from labeldp import (
     optimize_bins,
     rr_on_bins_matrix,
 )
-from labeldp import losses
+from labeldp import binopt, losses, verify
 from labeldp.binopt import tilt_factor
 from labeldp.verify import (
     LP_MAX_ROWS,
+    LpSolution,
     _golden,
     _interval_minimum,
     best_rr_on_bins_over_grid,
@@ -142,6 +146,24 @@ def test_brute_force_clamps_a_custom_loss_to_its_domain(loss, y_lo):
         assert fast.objective == pytest.approx(slow.objective, rel=1e-9, abs=0), (t, eps)
 
 
+def test_optimizers_name_a_domain_above_every_label(monkeypatch):
+    pr = make_prior(make_label_set([-3, -1]), [1, 1])
+    # at the largest label the output sits just inside the domain and the range
+    at_top = custom_loss(losses._squared, True, domain_min=-1.0)
+    assert optimize_bins(pr, 1.0, at_top).objective == pytest.approx(
+        brute_force_optimal_bins(pr, 1.0, at_top).objective, rel=1e-9)
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(binopt, "_build_tables", no_table)
+    above = custom_loss(losses._squared, True, domain_min=0.0)
+    for solve in (optimize_bins, brute_force_optimal_bins):
+        with pytest.raises(ValueError, match="custom loss has domain_min 0.0 above "
+                                             "the largest label -1.0"):
+            solve(pr, 1.0, above)
+
+
 def test_brute_force_refuses_a_nonconvex_custom_loss():
     capped = custom_loss(lambda yhat, y: np.minimum(np.abs(yhat - y), 3.0), False)
     pr = make_prior(make_label_set([0.0, 1.0, 5.0]), [1, 2, 1])
@@ -225,6 +247,23 @@ def test_lp_deterministic_objective():
     a = lp_optimal_mechanism(pr, [0.0, 1.0, 2.0], 1.0, SQUARED)
     b = lp_optimal_mechanism(pr, [0.0, 1.0, 2.0], 1.0, SQUARED)
     assert a.objective == b.objective
+
+
+@pytest.mark.parametrize("off, status", [(5e-10, "optimal"), (5e-8, "iteration_limit")])
+def test_lp_audits_rows_at_the_matrix_tolerance(monkeypatch, off, status):
+    # an answer whose rows pass the audit builds a MechanismMatrix; one whose
+    # rows are off by more than it allows is reported, never raised
+    import scipy.optimize
+
+    def answer(c, **kwargs):
+        x = np.array([0.5 + off, 0.5, 0.5, 0.5, 0.5, 0.5])
+        return scipy.optimize.OptimizeResult(status=0, x=x, fun=float(np.dot(c, x)))
+
+    monkeypatch.setattr(scipy.optimize, "linprog", answer)
+    pr = make_prior(make_label_set([0, 1]), [1, 1])
+    sol = lp_optimal_mechanism(pr, [0.0, 1.0], 1.0, SQUARED)
+    assert sol.status == status
+    assert (sol.matrix is not None) == (status == "optimal")
 
 
 def test_lp_size_guard():
@@ -323,3 +362,70 @@ def test_sampler_check_requires_enough_trials():
     with pytest.raises(ValueError):
         empirical_sampler_check(lambda n, r: np.zeros(n), [0.0], [1.0], 100,
                                 np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# the suites behind `labeldp verify`, each broken where it checks
+# ---------------------------------------------------------------------------
+
+def _worse_objective(monkeypatch):
+    real = verify.optimize_bins
+
+    def worse(prior, eps, loss):
+        layout = real(prior, eps, loss)
+        return dataclasses.replace(layout, objective=2.0 * layout.objective + 1.0)
+
+    monkeypatch.setattr(verify, "optimize_bins", worse)
+
+
+def _lp_in_phase(monkeypatch, theorem: bool, broken):
+    """Replace the LP's answers with broken(solution) in one phase of
+    check_lp_cross: the theorem phase starts at its first optimize_bins."""
+    real_lp, real_opt, started = verify.lp_optimal_mechanism, verify.optimize_bins, []
+
+    def lp(*args):
+        sol = real_lp(*args)
+        return broken(sol) if bool(started) == theorem else sol
+
+    monkeypatch.setattr(verify, "optimize_bins", lambda *a: started.append(1) or real_opt(*a))
+    monkeypatch.setattr(verify, "lp_optimal_mechanism", lp)
+
+
+def _not_optimal(sol):
+    return LpSolution(matrix=None, objective=None, status="numerical")
+
+
+def _shifted(sol):
+    return dataclasses.replace(sol, objective=0.5 * sol.objective)
+
+
+@pytest.mark.parametrize("check, args, breaks, detail", [
+    (verify.check_oracle_equivalence, (3, 5), _worse_objective,
+     r"^instance 0: objective gap \S+ at eps 0$"),
+    (verify.check_lp_cross, (3, 6), lambda mp: _lp_in_phase(mp, False, _not_optimal),
+     r"^instance 0: LP status numerical$"),
+    (verify.check_lp_cross, (3, 6), lambda mp: _lp_in_phase(mp, False, _shifted),
+     r"^instance 0: LP \S+ vs grid best \S+$"),
+    (verify.check_lp_cross, (3, 6), lambda mp: _lp_in_phase(mp, True, _not_optimal),
+     r"^theorem instance 0: LP status numerical$"),
+    (verify.check_lp_cross, (3, 6), lambda mp: _lp_in_phase(mp, True, _shifted),
+     r"^theorem instance 0: LP \S+ vs \S+$"),
+    (verify.check_dp_ratio, (5,),
+     lambda mp: mp.setattr(verify, "check_eps_dp", lambda matrix, eps: True),
+     r"^instance \d: matrix passed at eps - 0\.1 \(too lax\)$"),
+    (verify.check_samplers, (10**4,),
+     lambda mp: mp.setattr(verify, "rr_on_bins_randomize", lambda own, d, eps, rng: own),
+     r"^binned randomized response row failed chi-square$"),
+    (verify.check_samplers, (10**4,),
+     lambda mp: mp.setattr(verify, "discrete_laplace_sample",
+                           lambda y, params, rng: discrete_laplace_sample(y, params, rng) + 1),
+     r"^discrete laplace failed chi-square$"),
+], ids=("oracle-gap", "lp-status", "lp-vs-grid", "theorem-status", "theorem-gap",
+        "dp-too-lax", "rr-skewed", "discrete-laplace-shifted"))
+def test_verify_suite_fails_where_its_check_breaks(monkeypatch, check, args, breaks, detail):
+    ok, text = check(7, *args)
+    assert ok is True, text
+    breaks(monkeypatch)
+    ok, text = check(7, *args)
+    assert ok is False
+    assert re.match(detail, text), text
