@@ -9,16 +9,17 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 precondition
 or configuration error.  The default seed comes from the LABELDP_SEED
 environment variable, where a value that is not an integer is a parse error;
-an explicit --seed wins and leaves the variable unread.  Output is a pure
-function of (input bytes, flags, seed), independent of the CPU count, with
-one exception: exponential's output bytes, and a bench CSV that includes
-exponential, also depend on numpy's build and on its CPU dispatch of
-np.expm1 and np.log1p.  On an AVX-512 host, running with
+an explicit --seed wins and leaves the variable unread.  A negative seed is a
+configuration error.  Output is a pure function of (input bytes, flags, seed),
+independent of the CPU count, with one exception: exponential's output bytes,
+and a bench CSV that includes exponential, also depend on numpy's build and on
+its CPU dispatch of np.expm1 and np.log1p.  On an AVX-512 host, running with
 NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" shows the effect.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -55,41 +56,40 @@ def fmt(x: float) -> str:
 
 
 def read_labels(path: str, column: int | None = None) -> np.ndarray:
-    """One numeric label per row, as a float array; a single non-numeric
-    header line is allowed.  With column=N, rows are comma-split and field N
-    (0-based) is used."""
+    """One numeric label per row, or with column=N field N (0-based) of each
+    comma-split row, as a float array, read by the rules of _rows."""
     if column is not None and column < 0:
         raise ParseError(f"--column must be a non-negative index, got {column}")
+
+    def field(text):
+        try:
+            return [text if column is None else text.split(",")[column]]
+        except IndexError:
+            raise ValueError(f"no column {column} in {text!r}") from None
+
     labels = _bulk_labels(path) if column is None else None
     if labels is None:
-        try:
-            with open(path) as fh:
-                lines = fh.read().splitlines()
-        except OSError as e:
-            raise ParseError(f"cannot read {path}: {e}")
-        labels = np.array(_parse_lines(path, lines, column))
+        labels = _rows(path, field)
+    if not labels.size:
+        raise ParseError(f"{path}: no labels found")
     return labels
 
 
 def _bulk_labels(path: str) -> np.ndarray | None:
     """The file through numpy's C reader, which parses each token as float()
-    does, after skipping a first line that float() rejects as the header.
-    None where the per-line parser might differ: a row that is not one finite
-    float, no labels or a first line that splitlines() would split; and for a
-    pipe, which yields its data once, or a suffix numpy's opener decompresses."""
+    does, after skipping a first line that _rows takes for the header.  None
+    where _rows might differ: a row that is not one finite float (as a
+    numeric row after a byte-order mark is to numpy), no labels or a first line
+    that splitlines() splits; a pipe, and a suffix numpy's opener decompresses."""
     path = os.path.abspath(path)  # numpy's opener never takes it for a URL
     if not os.path.isfile(path) or path.endswith((".gz", ".bz2", ".xz", ".lzma")):
         return None
-    header = 0
     try:
         with open(path) as fh:
-            first = fh.readline()
+            first = fh.readline().removeprefix("\ufeff")
         if len(first.splitlines()) > 1:
             return None
-        try:
-            float(first)
-        except ValueError:
-            header = 1
+        header = int(_numbers([first]) is None)
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             labels = np.loadtxt(path, dtype=float, comments=None, ndmin=2, skiprows=header)
@@ -100,67 +100,68 @@ def _bulk_labels(path: str) -> np.ndarray | None:
     return labels.reshape(-1)
 
 
-def _parse_lines(path: str, lines: list[str], column: int | None) -> list[float]:
-    """Line by line, skipping blank lines; a malformed line raises a
-    ParseError that names it."""
-    out: list[float] = []
+def _numbers(fields: list[str]) -> list[float] | None:
+    """The fields as floats, or None where float() rejects one."""
+    try:
+        return [float(f) for f in fields]
+    except ValueError:
+        return None
+
+
+def _rows(path: str, fields) -> np.ndarray:
+    """A text file's numbers, row after row.  fields(line) picks a data line's
+    number fields, as many on every line, or raises ValueError with a reason.
+    A file that cannot be opened or decoded cannot be read; a leading
+    byte-order mark is not part of line 1; blank lines are skipped; a first
+    line with a field that float() rejects is the header.  Past it, the first
+    reason, else the first such field or non-finite number, is a ParseError
+    naming its line."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().removeprefix("\ufeff").splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"cannot read {path}: {e}") from None
+    at, texts = [], []  # each row's line number; the rows' fields, in order
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
             continue
-        if column is not None:
-            fields = text.split(",")
-            if column >= len(fields):
-                raise ParseError(f"{path}:{lineno}: no column {column} in {text!r}")
-            text = fields[column].strip()
         try:
-            v = float(text)
-        except ValueError:
-            if lineno == 1 and not out:
-                continue  # header
-            raise ParseError(f"{path}:{lineno}: not a number: {text!r}")
-        if not math.isfinite(v):
-            raise ParseError(f"{path}:{lineno}: non-finite label {text!r}")
-        out.append(v)
-    if not out:
-        raise ParseError(f"{path}: no labels found")
-    return out
+            row = fields(text)
+        except ValueError as e:
+            raise ParseError(f"{path}:{lineno}: {e}") from None
+        if lineno > 1 or _numbers(row) is not None:  # else the header
+            at.append(lineno)
+            texts.extend(row)
+    numbers: list[float] = []
+    with contextlib.suppress(ValueError):
+        numbers.extend(map(float, texts))  # up to the first field float() rejects
+    values = np.array(numbers)
+    bad = np.append(np.flatnonzero(~np.isfinite(values)), len(numbers))[0]
+    if bad < len(texts):
+        lineno = at[bad * len(at) // len(texts)]  # every row has as many fields
+        reason = "not a number" if bad == len(numbers) else "non-finite value"
+        raise ParseError(f"{path}:{lineno}: {reason} in {lines[lineno - 1].strip()!r}")
+    return values
 
 
 def read_prior_file(path: str) -> Prior:
-    """Two comma-separated columns: label,probability.  Header optional."""
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}")
-    labels: list[float] = []
-    weights: list[float] = []
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        parts = [t.strip() for t in text.split(",")]
+    """Two comma-separated columns, label,probability, with no negative
+    weight, read by the rules of _rows; a label's weights add up in file order."""
+    def fields(text):
+        parts = text.split(",")
         if len(parts) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 'label,probability', got {text!r}")
-        try:
-            y, w = float(parts[0]), float(parts[1])
-        except ValueError:
-            if lineno == 1 and not labels:
-                continue  # header
-            raise ParseError(f"{path}:{lineno}: not numeric: {text!r}")
-        if not (math.isfinite(y) and math.isfinite(w)):
-            raise ParseError(f"{path}:{lineno}: non-finite value in {text!r}")
-        if w < 0:
-            raise ParseError(f"{path}:{lineno}: negative probability in {text!r}")
-        labels.append(y)
-        weights.append(w)
-    if not labels:
+            raise ValueError(f"expected 'label,probability', got {text!r}")
+        if (_numbers(parts) or [0, 0])[1] < 0:  # a row that is not two numbers is _rows' to name
+            raise ValueError(f"negative probability in {text!r}")
+        return parts
+
+    rows = _rows(path, fields)
+    if not rows.size:
         raise ParseError(f"{path}: no prior rows found")
-    # one weight per distinct label, in label order; bincount adds each
-    # label's weights in file order
-    _, inverse = np.unique(labels, return_inverse=True)
-    return make_prior(make_label_set(labels), np.bincount(inverse, weights))
+    labels, weights = rows.reshape(-1, 2).T
+    support = make_label_set(labels)
+    return make_prior(support, np.bincount(np.searchsorted(support.values, labels), weights))
 
 
 def parse_universe(spec: str) -> LabelSet:
@@ -183,9 +184,8 @@ def parse_universe(spec: str) -> LabelSet:
             raise ParseError(f"universe min {lo} > max {hi}")
         n = int((hi - lo) // step) + 1
         return make_label_set([float(lo + i * step) for i in range(n)])
-    try:
-        vals = [float(t) for t in spec.split(",") if t.strip()]
-    except ValueError:
+    vals = _numbers([t for t in spec.split(",") if t.strip()])
+    if vals is None:
         raise ParseError(f"non-numeric universe list: {spec!r}")
     if not vals:
         raise ParseError("empty universe")
@@ -536,14 +536,6 @@ def cmd_verify(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _env_seed() -> int:
-    text = os.environ.get(SEED_ENV, "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"${SEED_ENV}: not an integer seed: {text!r}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="labeldp", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -610,8 +602,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        source = "--seed"
         if args.seed is None:
-            args.seed = _env_seed()
+            source, text = f"${SEED_ENV}", os.environ.get(SEED_ENV, "0")
+            try:
+                args.seed = int(text)
+            except ValueError:
+                raise ParseError(f"{source}: not an integer seed: {text!r}") from None
+        if args.seed < 0:
+            raise ValueError(f"{source} must be a non-negative integer, got {args.seed}")
         return args.fn(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)

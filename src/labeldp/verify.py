@@ -258,7 +258,7 @@ def lp_optimal_mechanism(prior: Prior, outputs, eps: float, loss: LossSpec) -> L
     # bound MechanismMatrix checks, so an audited answer always builds one
     if (np.max(np.abs(mat.sum(axis=1) - 1.0)) > ROW_SUM_TOL
             or np.any(inv_tilt * mat.max(axis=0) > mat.min(axis=0) + LP_FEAS_TOL)):
-        return LpSolution(matrix=None, objective=None, status="iteration_limit")
+        return LpSolution(matrix=None, objective=None, status="numerical")
     matrix = MechanismMatrix(prior.labels, tuple(outs), mat)
     return LpSolution(matrix=matrix, objective=float(res.fun), status="optimal")
 

@@ -21,7 +21,7 @@ from labeldp import binopt, cli, losses, pipeline
 from labeldp.cli import (
     ParseError,
     _bulk_labels,
-    _parse_lines,
+    _rows,
     _write_lines,
     fmt,
     main,
@@ -67,8 +67,7 @@ def test_read_labels_error_names_line(tmp_path):
 
 
 def _per_line(path):
-    with open(path) as fh:
-        return _parse_lines(path, fh.read().splitlines(), None)
+    return _rows(path, lambda line: [line]).tolist()
 
 
 @pytest.mark.parametrize("text", [
@@ -96,17 +95,20 @@ def test_blank_lines_skipped_as_per_line_parser_does(tmp_path):
     assert read_labels(p).tolist() == _per_line(p) == [1.0, 2.0]
 
 
-def _assert_matches_per_line(path, open_text=open):
-    """read_labels gives the per-line parser's labels, bit for bit, or
-    raises the ParseError it raises."""
+def _assert_matches_per_line(path):
+    """read_labels gives the per-line reader's labels, bit for bit, raises
+    the ParseError it raises, or finds no labels where it finds none."""
     try:
-        with open_text(path) as fh:
-            expected = np.array(_parse_lines(path, fh.read().splitlines(), None))
+        expected = _rows(path, lambda line: [line])
     except ParseError as e:
         with pytest.raises(ParseError) as got:
             read_labels(path)
         assert str(got.value) == str(e)
     else:
+        if not expected.size:
+            with pytest.raises(ParseError, match="no labels found"):
+                read_labels(path)
+            return
         got = read_labels(path)
         assert got.dtype == np.float64
         assert got.tobytes() == expected.tobytes()
@@ -122,7 +124,8 @@ _line = st.one_of(st.sampled_from(_NUMBERS),
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(header=st.sampled_from(["", "label", "\ufefflabel", "\ufeff", "y\x0c1", "\x0c"]),
+@given(header=st.sampled_from(["", "label", "\ufefflabel", "\ufeff", "y\x0c1", "\x0c",
+                               "\ufeff1", "\ufeff-2.5e3", "\ufeff 9", "\ufeffnan"]),
        lines=st.lists(_line, max_size=8),
        newline=st.sampled_from(["\n", "\r\n", "\r"]),
        tail=st.booleans())
@@ -140,7 +143,7 @@ def test_compressed_suffix_is_read_as_text(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "open", latin1, raising=False)
     p = tmp_path / "labels.gz"
     p.write_bytes(gzip.compress(b"label\n1\n2\n", mtime=0))
-    _assert_matches_per_line(str(p), latin1)
+    _assert_matches_per_line(str(p))
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -163,7 +166,7 @@ def test_read_labels_reads_a_pipe_once(tmp_path):
     for t in threads:
         t.join(timeout=30)
     assert got, "read_labels blocked on the pipe"
-    assert got[0].tolist() == _parse_lines(fifo, text.splitlines(), None)
+    assert got[0].tolist() == _per_line(write(tmp_path / "labels.txt", text))
 
 
 def test_url_like_path_is_read_as_local_file(tmp_path, monkeypatch):
@@ -187,6 +190,36 @@ def test_read_labels_without_labels_warns_nothing(tmp_path, text):
         warnings.simplefilter("error")
         with pytest.raises(ParseError, match="no labels found"):
             read_labels(p)
+
+
+def test_byte_order_mark_is_not_part_of_the_first_row(tmp_path, capsys):
+    # float("\ufeff1") fails, so a mark kept on the first row made it a header
+    p = tmp_path / "labels.txt"
+    p.write_bytes(b"\xef\xbb\xbf1\n2\n3\n")
+    assert read_labels(str(p)).tolist() == _per_line(str(p)) == [1.0, 2.0, 3.0]
+    p.write_bytes(b"\xef\xbb\xbflabel\n1\n")
+    assert read_labels(str(p)).tolist() == _per_line(str(p)) == [1.0]
+    prior = tmp_path / "prior.csv"
+    prior.write_bytes(b"\xef\xbb\xbf1,0.5\n2,0.5\n")
+    assert read_prior_file(str(prior)) == make_prior(make_label_set([1, 2]), [0.5, 0.5])
+    assert run(["optimize-bins", "--prior-file", prior, "--eps", "1"]) == 0
+    assert "  [1, " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, text", [
+    ("randomize", b"label\n1\n2\xe9\n"),
+    ("optimize-bins", b"label,p\n1,0.5\n2\xe9,0.5\n"),
+])
+def test_undecodable_file_is_parse_error_naming_it(tmp_path, capsys, monkeypatch, command, text):
+    # decoded as under a UTF-8 locale, where 0xe9 before a newline is invalid
+    monkeypatch.setattr(cli, "open", functools.partial(open, encoding="utf-8"), raising=False)
+    src = tmp_path / "in.txt"
+    src.write_bytes(text)
+    args = {"randomize": ["--input", src, "--output", tmp_path / "out.txt",
+                          "--universe", "0:4:1", "--eps", "1"],
+            "optimize-bins": ["--prior-file", src, "--eps", "1"]}[command]
+    assert run([command, *args]) == 2
+    assert f"cannot read {src}: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text,match", [
@@ -311,7 +344,7 @@ def test_malformed_universe_is_parse_error(tmp_path, capsys, spec, match):
 
 @pytest.mark.parametrize("text, match", [
     ("0,0.5,1\n1,0.5\n", ":1: expected 'label,probability'"),
-    ("label,p\n0,0.5\n1,x\n", ":3: not numeric"),
+    ("label,p\n0,0.5\n1,x\n", ":3: not a number in '1,x'"),
     ("label,p\n", "no prior rows found"),
 ])
 def test_malformed_prior_file_is_parse_error(tmp_path, capsys, text, match):
@@ -546,6 +579,24 @@ def test_seed_env_var_malformed(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("LABELDP_SEED")
     assert run([*bench, "--seed", "5", "--output", tmp_path / "b.csv"]) == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("source", ["--seed", "$LABELDP_SEED"])
+@pytest.mark.parametrize("command", ["randomize", "bench", "verify"])
+def test_negative_seed_is_precondition_error_naming_its_source(tmp_path, capsys, monkeypatch,
+                                                               source, command):
+    src = write(tmp_path / "in.txt", "0\n1\n2\n")
+    out = tmp_path / "out.txt"
+    args = {"randomize": ["--input", src, "--output", out, "--universe", "0:2:1", "--eps", "1"],
+            "bench": ["--universe", "0:2:1", "--mechanisms", "rr", "--output", out],
+            "verify": ["--quick"]}[command]
+    if source == "--seed":
+        args.append("--seed=-1")
+    else:
+        monkeypatch.setenv("LABELDP_SEED", "-1")
+    assert run([command, *args]) == 3
+    assert f"{source} must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists() and not Path(f"{out}.report.json").exists()
 
 
 @pytest.mark.parametrize("flag, value, entry", [

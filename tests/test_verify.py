@@ -249,7 +249,7 @@ def test_lp_deterministic_objective():
     assert a.objective == b.objective
 
 
-@pytest.mark.parametrize("off, status", [(5e-10, "optimal"), (5e-8, "iteration_limit")])
+@pytest.mark.parametrize("off, status", [(5e-10, "optimal"), (5e-8, "numerical")])
 def test_lp_audits_rows_at_the_matrix_tolerance(monkeypatch, off, status):
     # an answer whose rows pass the audit builds a MechanismMatrix; one whose
     # rows are off by more than it allows is reported, never raised
