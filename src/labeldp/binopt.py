@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelSet, Prior
+from .core import LabelSet, Prior, check_eps
 from .losses import POISSON_YHAT_FLOOR, LossSpec
 
 TILT_CAP = 1e300          # e^eps saturates here; layouts beyond eps ~ 35 are identity-like
@@ -59,9 +59,7 @@ _CGOLD = 1.0 - _INV_PHI  # a golden step's share of the larger side
 
 def tilt_factor(eps: float) -> float:
     """e^eps, capped at 1e300 for overflow safety."""
-    if not eps >= 0:
-        raise ValueError(f"eps must be non-negative, got {eps}")
-    return TILT_CAP if eps >= 690.0 else min(math.exp(eps), TILT_CAP)
+    return TILT_CAP if check_eps(eps) >= 690.0 else min(math.exp(eps), TILT_CAP)
 
 
 @dataclass(frozen=True)

@@ -25,14 +25,14 @@ import math
 import os
 import sys
 import warnings
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, DecimalException, InvalidOperation
 
 import numpy as np
 
-from . import losses
+from . import binopt, losses
 from .binopt import BinLayout, optimize_bins
-from .core import LabelSet, Prior, make_label_set, make_prior
-from .pipeline import MECHANISMS, randomize, universe_indices
+from .core import LabelSet, Prior, check_eps, make_label_set, make_prior
+from .pipeline import MECHANISMS, find_mechanism, randomize, universe_indices
 
 SEED_ENV = "LABELDP_SEED"
 FLOAT_NOISE = ("laplace, staircase and exponential draw float noise and are not hardened "
@@ -164,8 +164,13 @@ def read_prior_file(path: str) -> Prior:
     return make_prior(support, np.bincount(np.searchsorted(support.values, labels), weights))
 
 
+UNIVERSE_ELEMENT_BYTES = 58  # traced peak of a min:max:step build of 10^6 elements, 57.4 MB
+
+
 def parse_universe(spec: str) -> LabelSet:
-    """'min:max:step' or an explicit comma-separated value list."""
+    """'min:max:step' or an explicit comma-separated value list.  A
+    min:max:step spec whose build would not fit in physical memory is
+    refused before it is built."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -182,8 +187,18 @@ def parse_universe(spec: str) -> LabelSet:
             raise ParseError(f"universe step must be positive, got {step}")
         if lo > hi:
             raise ParseError(f"universe min {lo} > max {hi}")
-        n = int((hi - lo) // step) + 1
-        return make_label_set([float(lo + i * step) for i in range(n)])
+        try:
+            n = int((hi - lo) // step) + 1
+            need, memory = n * UNIVERSE_ELEMENT_BYTES, binopt._physical_memory()
+            if need > memory:
+                raise ValueError(f"universe {spec!r} has {n:,} elements, whose build needs "
+                                 f"{need:,} bytes, more than the {memory:,.0f} bytes of "
+                                 "physical memory")
+            values = [float(lo + i * step) for i in range(n)]
+        except DecimalException:  # a count past 28 digits, or a value past the exponent range
+            raise ValueError(f"universe {spec!r} has 10^28 elements or more, "
+                             "or values past Decimal's range") from None
+        return make_label_set(values)
     vals = _numbers([t for t in spec.split(",") if t.strip()])
     if vals is None:
         raise ParseError(f"non-numeric universe list: {spec!r}")
@@ -447,8 +462,10 @@ def cmd_bench(args) -> int:
     universe = parse_universe(args.universe)
     loss = losses.by_name(args.loss)
     eps_grid = [_flag_float("--eps-list", t) for t in args.eps_list.split(",") if t.strip()]
-    if not eps_grid or not all(e > 0 for e in eps_grid):
+    if not eps_grid:
         raise ValueError(f"bad eps list {args.eps_list!r}")
+    for eps in eps_grid:
+        check_eps(eps, positive=True)
     for flag, count in (("--n", args.n), ("--reps", args.reps)):
         if count < 1:
             raise ValueError(f"{flag} must be at least 1, got {count}")
@@ -456,8 +473,7 @@ def cmd_bench(args) -> int:
     if not mechs:
         raise ValueError(f"--mechanisms names no mechanism: {args.mechanisms!r}")
     for m in mechs:
-        if m not in MECHANISMS:
-            raise ValueError(f"unknown mechanism {m!r}; pick from {', '.join(MECHANISMS)}")
+        find_mechanism(m)
 
     grid = universe.values
     if args.input:

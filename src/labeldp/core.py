@@ -21,6 +21,20 @@ def _frozen(values) -> np.ndarray:
     return a
 
 
+def check_eps(value, name: str = "eps", positive: bool = False):
+    """value if it is at least 0 (above 0 with positive set), else ValueError."""
+    if not (value > 0 if positive else value >= 0):
+        raise ValueError(f"{name} must be {'positive' if positive else 'non-negative'}, got {value}")
+    return value
+
+
+def refuse_first(ok, values: np.ndarray, message: str) -> None:
+    """Raise message.format(i, values.flat[i]) at the first False in ok."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(message.format(i, values.flat[i].item()))
+
+
 class ValueEq:
     """Equal when the other object has the same type and every field is equal,
     arrays by value.  Defining __eq__ leaves instances unhashable."""
@@ -43,12 +57,9 @@ class LabelSet(ValueEq):
         object.__setattr__(self, "values", v)
         if v.size == 0:
             raise ValueError("label set must be non-empty")
-        bad = np.flatnonzero(~np.isfinite(v))
-        if bad.size:
-            raise ValueError(f"label at index {bad[0]} is not finite: {float(v[bad[0]])!r}")
-        bad = np.flatnonzero(v[1:] <= v[:-1])
-        if bad.size:
-            raise ValueError(f"labels must be strictly increasing; violation at index {bad[0] + 1}")
+        refuse_first(np.isfinite(v), v, "label at index {} is not finite: {!r}")
+        refuse_first(np.append(True, v[1:] > v[:-1]), v,
+                     "labels must be strictly increasing; violation at index {}")
 
     @property
     def k(self) -> int:
@@ -69,10 +80,8 @@ def as_indices(indices, k: int) -> np.ndarray:
     idx = np.asarray(indices)
     if idx.dtype.kind in "iu" and (idx.size == 0 or (idx.min() >= 0 and idx.max() < k)):
         return idx
-    bad = np.flatnonzero((idx < 0) | (idx >= k) | (np.mod(idx, 1) != 0))
-    if bad.size:
-        raise ValueError(f"entry at index {bad[0]} is not an index in [0, {k}): "
-                         f"{idx.flat[bad[0]].item()!r}")
+    refuse_first((idx >= 0) & (idx < k) & (np.mod(idx, 1) == 0), idx,
+                 f"entry at index {{}} is not an index in [0, {k}): {{!r}}")
     return idx.astype(np.intp)
 
 
@@ -86,9 +95,7 @@ def make_label_set(values) -> LabelSet:
     x = np.asarray(values, dtype=float).reshape(-1)
     if x.size == 0:
         raise ValueError("label set must be non-empty")
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        raise ValueError(f"label at input index {bad[0]} is not finite: {float(x[bad[0]])!r}")
+    refuse_first(np.isfinite(x), x, "label at input index {} is not finite: {!r}")
     vals = np.sort(x)  # not np.unique, whose first call imports numpy.ma (about 10 ms)
     vals = vals[np.append(True, vals[1:] > vals[:-1])]
     zero = np.flatnonzero(x == 0.0)[:1]
@@ -109,9 +116,7 @@ class Prior(ValueEq):
         object.__setattr__(self, "probs", p)
         if p.size != self.labels.k:
             raise ValueError(f"probs length {p.size} != label count {self.labels.k}")
-        bad = np.flatnonzero(~(p >= 0.0))
-        if bad.size:
-            raise ValueError(f"probability at index {bad[0]} is negative: {float(p[bad[0]])!r}")
+        refuse_first(p >= 0.0, p, "probability at index {} is negative: {!r}")
         total = math.fsum(p.tolist())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
@@ -126,12 +131,8 @@ def make_prior(labels: LabelSet, weights) -> Prior:
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.size != labels.k:
         raise ValueError(f"got {w.size} weights for {labels.k} labels")
-    bad = np.flatnonzero(~np.isfinite(w))
-    if bad.size:
-        raise ValueError(f"weight at index {bad[0]} is not finite: {float(w[bad[0]])!r}")
-    if np.any(w < 0):
-        idx = int(np.argmin(w))
-        raise ValueError(f"weight at index {idx} is negative: {float(w[idx])!r}")
+    refuse_first(np.isfinite(w), w, "weight at index {} is not finite: {!r}")
+    refuse_first(w >= 0, w, "weight at index {} is negative: {!r}")
     total = math.fsum(w.tolist())
     if total <= 0:
         raise ValueError("weights sum to zero; cannot normalize")
@@ -174,9 +175,8 @@ class EpsilonBudget:
     eps2: float
 
     def __post_init__(self):
-        for name, value in (("eps1", self.eps1), ("eps2", self.eps2)):
-            if not value >= 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
+        check_eps(self.eps1, "eps1")
+        check_eps(self.eps2, "eps2")
 
     @property
     def total(self) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binopt import BinLayout
-from .core import MechanismMatrix, as_indices
+from .core import MechanismMatrix, as_indices, check_eps
 
 # the double just above -1: keeps log1p finite where a side's mass rounds to 1,
 # which needs eps * distance / Delta above about 70
@@ -34,8 +34,7 @@ class NoiseParams:
     sensitivity: float
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        check_eps(self.eps, positive=True)
         if not self.sensitivity > 0:
             raise ValueError(f"sensitivity must be positive, got {self.sensitivity}")
 
@@ -43,6 +42,16 @@ class NoiseParams:
     def scale(self) -> float:
         """Laplace scale sensitivity/eps."""
         return self.sensitivity / self.eps
+
+    def geometric_p(self, rate: float) -> float:
+        """1 - e^(-rate), the success probability of a geometric with ratio
+        e^(-rate), rate being eps or eps/sensitivity; refuses an eps so small
+        that it rounds to 0."""
+        p = 1.0 - math.exp(-rate)
+        if p == 0:
+            raise ValueError(f"eps {self.eps} too small: the noise's geometric ratio "
+                             f"e^(-{rate}) rounds to 1")
+        return p
 
     def gamma(self) -> float:
         """Staircase step split, the variance-optimal 1/(1+e^(eps/2)), computed
@@ -64,10 +73,8 @@ def _stay_prob(eps: float, m: int) -> float:
 def rr_on_bins_matrix(layout: BinLayout, eps: float) -> MechanismMatrix:
     """Row-stochastic matrix of randomized response over the layout's outputs:
     stay probability e^eps/(e^eps + d - 1) at the own bin, uniform elsewhere."""
-    if not eps >= 0:
-        raise ValueError(f"eps must be non-negative, got {eps}")
     d = layout.d
-    stay = _stay_prob(eps, d)
+    stay = _stay_prob(check_eps(eps), d)
     off = math.exp(-eps) * stay if d > 1 else 0.0
     rows = np.full((layout.labels.k, d), off)
     rows[np.arange(layout.labels.k), layout.assignments()] = stay
@@ -80,8 +87,7 @@ def rr_on_bins_randomize(own_bins, d: int, eps: float, rng: np.random.Generator)
     its own bin with probability e^eps/(e^eps + d - 1) and otherwise moves to
     one of the other d - 1 bins uniformly.  Plain randomized response is the
     case of one label per bin (the universe indices, with d = k)."""
-    if not eps >= 0:
-        raise ValueError(f"eps must be non-negative, got {eps}")
+    check_eps(eps)
     own = as_indices(own_bins, d)
     if d == 1:
         return np.zeros(own.shape, dtype=np.intp)
@@ -107,7 +113,7 @@ def discrete_laplace_sample(y, params: NoiseParams, rng: np.random.Generator):
     if y.dtype.kind not in "iu" and not np.all(np.equal(np.mod(y, 1), 0)):
         raise ValueError("discrete laplace requires integer-valued input")
     b = params.scale
-    p = 1.0 - math.exp(-1.0 / b) if b > 0 else 1.0  # eps = inf leaves no noise
+    p = params.geometric_p(1.0 / b if b > 0 else math.inf)  # eps = inf leaves no noise
     noise = rng.geometric(p, size=y.shape) - rng.geometric(p, size=y.shape)
     return y.astype(np.int64) + noise
 
@@ -119,7 +125,7 @@ def staircase_sample(y, params: NoiseParams, rng: np.random.Generator):
     eps, delta = params.eps, params.sensitivity
     gamma = params.gamma()
     y = np.asarray(y, dtype=float)
-    rung = rng.geometric(1.0 - math.exp(-eps), size=y.shape)
+    rung = rng.geometric(params.geometric_p(eps), size=y.shape)
     rung -= 1
     denom = gamma + math.exp(-eps) * (1.0 - gamma)
     # denom underflows only when gamma ~ e^(-eps/2) ~ 0; the high step (width
@@ -158,12 +164,12 @@ def discrete_staircase_sample(y, params: NoiseParams, rng: np.random.Generator):
     y = np.asarray(y)
     if y.dtype.kind not in "iu" and not np.all(np.equal(np.mod(y, 1), 0)):
         raise ValueError("discrete staircase requires integer-valued input")
-    b = math.exp(-eps)
-    a = (1.0 - b) / (2 * r + 2 * b * (delta - r) - (1.0 - b))
+    b, q = math.exp(-eps), params.geometric_p(eps)  # q = 1 - b
+    a = q / (2 * r + 2 * b * (delta - r) - q)
 
     # one-sided masses: rung 0 excludes the atom at zero
     m_first = a * (r - 1) + a * b * (delta - r)
-    m_rest = a * (r + b * (delta - r)) * b / (1.0 - b)
+    m_rest = a * (r + b * (delta - r)) * b / q
     side = m_first + m_rest
     u = rng.random(y.size)
     nonzero = u >= a
@@ -171,7 +177,7 @@ def discrete_staircase_sample(y, params: NoiseParams, rng: np.random.Generator):
     if n_nz:
         u = u[:n_nz]  # the buffer of every later draw
         first = rng.random(out=u) < m_first / side
-        mag = rng.geometric(1.0 - b, size=n_nz)  # the rung, then the magnitude
+        mag = rng.geometric(q, size=n_nz)  # the rung, then the magnitude
         mag[first] = 0
         # the first rung holds r - 1 high cells past the atom, the others r
         lo_weight = b * (delta - r)
@@ -213,8 +219,7 @@ def exponential_mechanism_sample(y, lo: float, hi: float, eps: float,
     inside = (y >= lo) & (y <= hi)
     if not inside.all():
         raise ValueError(f"input {y.flat[np.argmin(inside)]} outside the output range [{lo}, {hi}]")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    check_eps(eps, positive=True)
     if hi == lo:
         return np.full(y.shape, float(lo))
     b = 2.0 * (float(hi) - float(lo)) / float(eps)

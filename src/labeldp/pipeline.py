@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binopt import BinLayout, optimize_bins
-from .core import EpsilonBudget, LabelSet, Prior, as_indices
+from .core import EpsilonBudget, LabelSet, Prior, as_indices, check_eps, refuse_first
 from .losses import LossSpec
 from .mechanisms import (
     NoiseParams,
@@ -178,6 +178,13 @@ MECHANISMS = {
 }
 
 
+def find_mechanism(name):
+    """MECHANISMS[name], or a ValueError naming the mechanisms there are."""
+    if name not in MECHANISMS:
+        raise ValueError(f"unknown mechanism {name!r}; pick from {', '.join(MECHANISMS)}")
+    return MECHANISMS[name]
+
+
 # the one-step mechanisms whose outputs leave [y_min, y_max] unless clipped
 _ADDITIVE = ("laplace", "discrete-laplace", "staircase", "discrete-staircase")
 
@@ -202,9 +209,7 @@ def _labels(labels) -> np.ndarray:
     raw = np.asarray(labels, dtype=float)
     if raw.size == 0:
         raise ValueError("need at least one label")
-    if not np.isfinite(raw).all():
-        bad = np.flatnonzero(~np.isfinite(raw))[0]
-        raise ValueError(f"label at index {bad} is not finite: {float(raw.flat[bad])!r}")
+    refuse_first(np.isfinite(raw), raw, "label at index {} is not finite: {!r}")
     return raw
 
 
@@ -218,14 +223,13 @@ def randomize(mechanism, labels, universe: LabelSet, eps: float, loss: LossSpec,
     clamps the one-step mechanisms' outputs into the universe range.  A
     caller running many mechanisms on one batch passes indices =
     universe_indices(labels, universe) to map it once.  A run whose outputs
-    can fall outside the loss's domain, a label that is not finite, or
-    indices that are not one index into the universe per label, is refused
-    before anything is sampled.  Returns (Outputs, report), the noisy labels
-    in the order of the input.
+    can fall outside the loss's domain, a NaN or negative eps, a label that
+    is not finite, or indices that are not one index into the universe per
+    label, is refused before anything is sampled.  Returns (Outputs,
+    report), the noisy labels in the order of the input.
     """
-    if mechanism not in MECHANISMS:
-        raise ValueError(f"unknown mechanism {mechanism!r}; pick from {', '.join(MECHANISMS)}")
-    indexed, sample = MECHANISMS[mechanism]
+    indexed, sample = find_mechanism(mechanism)
+    check_eps(eps)
     _check_loss_domain(mechanism, universe, loss, clip)
     raw = _labels(labels)
     if indices is not None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EpsilonBudget, LabelSet, Prior, ValueEq, as_indices, make_prior
+from .core import EpsilonBudget, LabelSet, Prior, ValueEq, as_indices, check_eps, make_prior
 from .mechanisms import NoiseParams, laplace_sample
 
 log = logging.getLogger(__name__)
@@ -38,8 +38,6 @@ def laplace_histogram(indices, universe: LabelSet, eps1: float,
     zero and normalizes.  If every noised count clamps to zero the estimate
     falls back to the uniform distribution (logged).
     """
-    if not eps1 > 0:
-        raise ValueError(f"eps1 must be positive, got {eps1}")
     idx = as_indices(indices, universe.k)
     if idx.size == 0:
         raise ValueError("need at least one label")
@@ -58,8 +56,7 @@ def laplace_histogram(indices, universe: LabelSet, eps1: float,
 def default_budget_split(eps: float, k: int, n: int) -> EpsilonBudget:
     """Split a total budget as eps1 = sqrt(k/n) for prior estimation and the
     remainder for randomization, as split_budget does."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    check_eps(eps, positive=True)
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 labels and n >= 1 samples")
     eps1 = math.sqrt(k / n)
@@ -76,9 +73,7 @@ def split_budget(eps: float, eps1: float) -> EpsilonBudget:
     eps2 is corrected so that the float sum eps1 + eps2 is eps or, where no
     eps2 gives that sum (eps odd in its last bit, eps1 half an ulp of eps off
     its grid), falls just below it: the total never reads above eps."""
-    if not eps1 > 0:
-        raise ValueError(f"eps1 must be positive, got {eps1}")
-    eps2 = eps - eps1
+    eps2 = eps - check_eps(eps1, "eps1", positive=True)
     for _ in range(4):  # a couple of one-ulp corrections at most
         if eps1 + eps2 == eps:
             break

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import losses
 from .binopt import BinLayout, optimize_bins, tilt_factor
-from .core import ROW_SUM_TOL, MechanismMatrix, Prior, make_label_set, make_prior
+from .core import ROW_SUM_TOL, MechanismMatrix, Prior, check_eps, make_label_set, make_prior
 from .losses import POISSON_YHAT_FLOOR, LossSpec
 from .mechanisms import (
     NoiseParams,
@@ -223,8 +223,7 @@ def lp_optimal_mechanism(prior: Prior, outputs, eps: float, loss: LossSpec) -> L
     when some floor l_o has l_o <= M[y,o] <= e^eps l_o for every y, so the
     program adds one variable l_o per output and has 2km ratio rows, solved
     with the HiGHS dual simplex."""
-    if not eps >= 0:
-        raise ValueError(f"eps must be non-negative, got {eps}")
+    check_eps(eps)
     outs = sorted(float(o) for o in outputs)
     k, m = prior.k, len(outs)
     if 2 * k * m > LP_MAX_ROWS:

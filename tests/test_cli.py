@@ -326,6 +326,30 @@ def test_parse_universe():
         parse_universe("3:0:1")
 
 
+def test_universe_past_physical_memory_is_refused_unbuilt(monkeypatch):
+    # the limit is patched, so no spec here is ever built past 4 elements
+    monkeypatch.setattr(binopt, "_physical_memory", lambda: 4 * cli.UNIVERSE_ELEMENT_BYTES)
+    assert parse_universe("0:3:1").k == 4
+    with pytest.raises(ValueError, match="universe '0:4:1' has 5 elements, whose build needs "):
+        parse_universe("0:4:1")
+    with pytest.raises(ValueError, match="universe '0:1:1e-9' has 1,000,000,001 elements"):
+        parse_universe("0:1:1e-9")
+
+
+@pytest.mark.parametrize("spec", ["0:1:1e-300", "0:1e1000000:1", "1e1000000:1e1000000:1"])
+def test_universe_past_decimal_range_is_precondition_error(tmp_path, capsys, spec):
+    src = write(tmp_path / "in.txt", "1\n2\n")
+    assert run(["randomize", "--input", src, "--output", tmp_path / "out.txt", "--eps", "1",
+                "--universe", spec]) == 3
+    assert f"universe {spec!r} has 10^28 elements or more" in capsys.readouterr().err
+
+
+def test_universe_of_a_million_decimal_steps_builds():
+    grid = parse_universe("0:1000:0.001").values
+    assert grid.size == 1_000_001
+    assert grid[[0, 1, 3, 999_999, 1_000_000]].tolist() == [0.0, 0.001, 0.003, 999.999, 1000.0]
+
+
 @pytest.mark.parametrize("spec, match", [
     ("0:1", "must be min:max:step"),
     ("a:1:1", "non-numeric universe spec"),
@@ -612,6 +636,35 @@ def test_bench_malformed_number_is_parse_error(flag, value, entry, capsys):
 
 def test_bench_nonpositive_eps_is_precondition_error():
     assert run(["bench", "--universe", "0:3:1", "--eps-list", "1,-2"]) == 3
+
+
+def test_bench_names_the_eps_it_refuses(capsys):
+    assert run(["bench", "--universe", "0:3:1", "--eps-list", "1,-2"]) == 3
+    assert "eps must be positive, got -2.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", ["1e-17", "5e-324"])
+@pytest.mark.parametrize("mechanism", ["discrete-laplace", "staircase", "discrete-staircase"])
+@pytest.mark.parametrize("command", ["randomize", "bench"])
+def test_eps_whose_geometric_ratio_rounds_to_1_is_precondition_error(tmp_path, capsys, command,
+                                                                      mechanism, eps):
+    # 1 - e^(-eps) (the staircases) or 1 - e^(-eps/4) (discrete Laplace) rounds to 0
+    src = write(tmp_path / "in.txt", "label\n1\n2\n3\n")
+    out = tmp_path / "out.txt"
+    args = {"randomize": ["--input", src, "--mechanism", mechanism, "--eps", eps],
+            "bench": ["--input", src, "--mechanisms", mechanism, "--eps-list", eps, "--reps", "1"]}
+    assert run([command, *args[command], "--universe", "0:4:1", "--output", out]) == 3
+    assert f"eps {float(eps)!r} too small: the noise's geometric ratio" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mechanism", ["laplace", "exponential", "rr"])
+def test_eps_1e_17_still_runs_where_no_ratio_rounds(tmp_path, mechanism):
+    src = write(tmp_path / "in.txt", "label\n1\n2\n3\n")
+    out = tmp_path / "out.txt"
+    assert run(["randomize", "--input", src, "--output", out, "--universe", "0:4:1",
+                "--mechanism", mechanism, "--eps", "1e-17"]) == 0
+    assert len(out.read_text().splitlines()) == 3
 
 
 @pytest.mark.parametrize("command, mechanism", [

@@ -11,14 +11,24 @@ from labeldp import (
     BinLayout,
     LabelSet,
     MechanismMatrix,
+    NoiseParams,
     Prior,
+    brute_force_optimal_bins,
+    check_eps_dp,
+    default_budget_split,
     expected_loss,
+    exponential_mechanism_sample,
     laplace_histogram,
+    lp_optimal_mechanism,
     make_label_set,
     make_prior,
     optimize_bins,
+    randomize,
     rr_on_bins_matrix,
+    rr_on_bins_randomize,
+    split_budget,
 )
+from labeldp.binopt import tilt_factor
 
 
 def test_make_label_set_sorts_and_dedups():
@@ -144,6 +154,9 @@ def test_make_prior_names_a_negative_weight_as_a_plain_float():
     with pytest.raises(ValueError) as err:
         make_prior(make_label_set([0, 1, 2]), np.array([0.5, -0.1, 0.6]))
     assert str(err.value) == "weight at index 1 is negative: -0.1"
+    with pytest.raises(ValueError) as err:  # the first negative weight, not the most negative
+        make_prior(make_label_set([0, 1, 2]), [-0.1, -0.5, 1.0])
+    assert str(err.value) == "weight at index 0 is negative: -0.1"
 
 
 @pytest.mark.parametrize("weights, message", [
@@ -244,3 +257,40 @@ def test_expected_loss_nonnegative_random():
         rows = rng.dirichlet(np.ones(3), size=k)
         m = MechanismMatrix(ls, tuple(np.sort(rng.uniform(0, 10, 3))), rows)
         assert expected_loss(m, pr, SQUARED) >= 0.0
+
+
+_PR = make_prior(make_label_set([0, 1, 2]), [1, 2, 3])
+_RNG = np.random.default_rng(0)
+
+
+@pytest.mark.parametrize("call, text", [
+    pytest.param(lambda e: NoiseParams(e, 1.0), "eps must be positive", id="NoiseParams"),
+    pytest.param(lambda e: rr_on_bins_matrix(optimize_bins(_PR, 1.0, SQUARED), e),
+                 "eps must be non-negative", id="rr_on_bins_matrix"),
+    pytest.param(lambda e: rr_on_bins_randomize([0, 1], 2, e, _RNG),
+                 "eps must be non-negative", id="rr_on_bins_randomize"),
+    pytest.param(lambda e: exponential_mechanism_sample([0.5], 0.0, 1.0, e, _RNG),
+                 "eps must be positive", id="exponential_mechanism_sample"),
+    pytest.param(tilt_factor, "eps must be non-negative", id="tilt_factor"),
+    pytest.param(lambda e: optimize_bins(_PR, e, SQUARED), "eps must be non-negative",
+                 id="optimize_bins"),
+    pytest.param(lambda e: laplace_histogram([0, 1], _PR.labels, e, _RNG),
+                 "eps must be positive", id="laplace_histogram"),
+    pytest.param(lambda e: default_budget_split(e, 3, 100), "eps must be positive",
+                 id="default_budget_split"),
+    pytest.param(lambda e: split_budget(1.0, e), "eps1 must be positive", id="split_budget"),
+    pytest.param(lambda e: EpsilonBudget(e, 1.0), "eps1 must be non-negative", id="EpsilonBudget.eps1"),
+    pytest.param(lambda e: EpsilonBudget(1.0, e), "eps2 must be non-negative", id="EpsilonBudget.eps2"),
+    pytest.param(lambda e: randomize("rr", [0, 1], _PR.labels, e, SQUARED, _RNG),
+                 "eps must be non-negative", id="randomize"),
+    pytest.param(lambda e: brute_force_optimal_bins(_PR, e, SQUARED), "eps must be non-negative",
+                 id="brute_force_optimal_bins"),
+    pytest.param(lambda e: lp_optimal_mechanism(_PR, [0.5, 1.5], e, SQUARED),
+                 "eps must be non-negative", id="lp_optimal_mechanism"),
+    pytest.param(lambda e: check_eps_dp(rr_on_bins_matrix(optimize_bins(_PR, 1.0, SQUARED), 1.0), e),
+                 "eps must be non-negative", id="check_eps_dp"),
+])
+def test_public_eps_entry_points_refuse_nan_with_the_shared_text(call, text):
+    with pytest.raises(ValueError) as err:
+        call(math.nan)
+    assert str(err.value) == f"{text}, got nan"

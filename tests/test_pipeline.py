@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from labeldp import SQUARED, make_label_set, randomize
+from labeldp import SQUARED, make_label_set, pipeline, randomize
 from labeldp.cli import parse_universe
 from labeldp.pipeline import MECHANISMS, universe_indices
 
@@ -140,6 +140,20 @@ def test_non_finite_label_is_refused_before_any_draw(mech, bad):
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match=f"label at index 1 is not finite: {bad!r}"):
         randomize(mech, [1.0, bad, 3.0], make_label_set(range(10)), 1.0, SQUARED, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("mech", MECHANISMS)
+@pytest.mark.parametrize("eps", [math.nan, -1.0])
+def test_bad_eps_is_refused_before_the_labels_are_mapped(mech, eps, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("labels mapped before eps was checked")
+
+    monkeypatch.setattr(pipeline, "universe_indices", unreachable)
+    rng = default_rng(4)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^eps must be non-negative, got {eps}$"):
+        randomize(mech, [1.0, 2.0, 3.0], make_label_set(range(10)), eps, SQUARED, rng)
     assert rng.bit_generator.state == state
 
 
