@@ -85,6 +85,15 @@ def as_indices(indices, k: int) -> np.ndarray:
     return idx.astype(np.intp)
 
 
+def integer_valued(values, what: str) -> np.ndarray:
+    """values as an array, or a ValueError that opens with what and names the
+    first entry that is not a whole number; integer arrays pass unscanned."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu":
+        refuse_first(np.mod(a, 1) == 0, a, what + ": entry at index {} is {!r}")
+    return a
+
+
 def make_label_set(values) -> LabelSet:
     """Sort and deduplicate raw values into a LabelSet.
 

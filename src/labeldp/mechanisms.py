@@ -7,8 +7,8 @@ Every sampler draws from the numpy Generator it is given, so a seeded
 Generator reproduces its output, and takes and returns arrays, drawing for a
 whole batch of labels at once.  The staircase, discrete staircase and
 exponential samplers draw into and combine their noise in a few buffers of
-their own, never in the caller's array: one call peaks at under four times
-the label array.
+their own, never in the caller's array: one call peaks at under three and a
+half times the label array.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binopt import BinLayout
-from .core import MechanismMatrix, as_indices, check_eps
+from .core import MechanismMatrix, as_indices, check_eps, integer_valued
 
 # the double just above -1: keeps log1p finite where a side's mass rounds to 1,
 # which needs eps * distance / Delta above about 70
@@ -99,7 +99,11 @@ def rr_on_bins_randomize(own_bins, d: int, eps: float, rng: np.random.Generator)
 
 
 def laplace_sample(y, params: NoiseParams, rng: np.random.Generator):
-    """y plus continuous Laplace noise with scale sensitivity/eps."""
+    """y plus continuous Laplace noise with scale sensitivity/eps; refuses an
+    eps so small that the scale overflows."""
+    if params.scale == math.inf:
+        raise ValueError(f"eps {params.eps} too small for sensitivity {params.sensitivity}: "
+                         "the noise scale overflows")
     y = np.asarray(y, dtype=float)
     noise = rng.laplace(0.0, params.scale, size=y.shape)
     noise += y
@@ -109,9 +113,7 @@ def laplace_sample(y, params: NoiseParams, rng: np.random.Generator):
 def discrete_laplace_sample(y, params: NoiseParams, rng: np.random.Generator):
     """y plus discrete Laplace noise (pmf proportional to e^(-|j|/b), b =
     sensitivity/eps), sampled exactly as a difference of two geometrics."""
-    y = np.asarray(y)
-    if y.dtype.kind not in "iu" and not np.all(np.equal(np.mod(y, 1), 0)):
-        raise ValueError("discrete laplace requires integer-valued input")
+    y = integer_valued(y, "discrete laplace requires integer-valued input")
     b = params.scale
     p = params.geometric_p(1.0 / b if b > 0 else math.inf)  # eps = inf leaves no noise
     noise = rng.geometric(p, size=y.shape) - rng.geometric(p, size=y.shape)
@@ -133,24 +135,31 @@ def staircase_sample(y, params: NoiseParams, rng: np.random.Generator):
     p_high = gamma / denom if denom > 0 else 1.0
     u = rng.random(y.shape)
     high = u < p_high
+    low = ~high
     rng.random(out=u)
-    # the low step's offsets, the high step's copied in; out= keeps a 0-d batch an array
-    offset = np.multiply(u, 1.0 - gamma, out=np.empty_like(u))
-    offset *= delta
-    offset += gamma * delta
-    u *= gamma
+    # the in-step offset, in place: (1-gamma)*delta wide from gamma*delta on
+    # the low step, gamma*delta wide from 0 on the high one
+    np.multiply(u, 1.0 - gamma, out=u, where=low)
+    np.multiply(u, gamma, out=u, where=high)
     u *= delta
-    np.copyto(offset, u, where=high)
-    negative = rng.random(out=u) < 0.5
-    out = np.multiply(rung, delta, out=u)
-    out += offset
-    np.negative(out, out=out, where=negative)
+    np.add(u, gamma * delta, out=u, where=low)
+    del high, low
+    # rung * delta + offset in the rung's own buffer: a 1-d assignment casts
+    # it to float64 element by element, with no temporary
+    flat = rung.reshape(-1)
+    out = flat.view(np.float64)
+    out[...] = flat
+    out = out.reshape(y.shape)
+    out *= delta
+    out += u
+    np.negative(out, out=out, where=rng.random(out=u) < 0.5)
     out += y
     return out
 
 
-def discrete_staircase_sample(y, params: NoiseParams, rng: np.random.Generator):
-    """y plus discrete staircase noise over the integers.
+def discrete_staircase_noise(shape, params: NoiseParams, rng: np.random.Generator):
+    """Discrete staircase noise over the integers, an int64 array of the
+    given shape.
 
     The pmf is a(r) on |i| in [0, r), e^(-eps) a(r) on |i| in [r, Delta), and
     decays by e^(-eps) per rung of width Delta, with
@@ -161,9 +170,6 @@ def discrete_staircase_sample(y, params: NoiseParams, rng: np.random.Generator):
     if delta != params.sensitivity or delta < 2:
         raise ValueError("discrete staircase requires integer sensitivity >= 2")
     r = params.discrete_r(delta)
-    y = np.asarray(y)
-    if y.dtype.kind not in "iu" and not np.all(np.equal(np.mod(y, 1), 0)):
-        raise ValueError("discrete staircase requires integer-valued input")
     b, q = math.exp(-eps), params.geometric_p(eps)  # q = 1 - b
     a = q / (2 * r + 2 * b * (delta - r) - q)
 
@@ -171,7 +177,7 @@ def discrete_staircase_sample(y, params: NoiseParams, rng: np.random.Generator):
     m_first = a * (r - 1) + a * b * (delta - r)
     m_rest = a * (r + b * (delta - r)) * b / q
     side = m_first + m_rest
-    u = rng.random(y.size)
+    u = rng.random(math.prod(shape))
     nonzero = u >= a
     n_nz = int(nonzero.sum())
     if n_nz:
@@ -188,7 +194,8 @@ def discrete_staircase_sample(y, params: NoiseParams, rng: np.random.Generator):
         u *= np.where(first, float(max(r - 1, 1)), float(r))
         offset = u.astype(np.int64)
         offset += first  # the high cells of the first rung start at 1
-        take_lo = ~take_hi
+        del first
+        take_lo = np.logical_not(take_hi, out=take_hi)
         rng.random(out=u)
         u *= delta - r
         np.copyto(offset, u, casting="unsafe", where=take_lo)
@@ -196,11 +203,19 @@ def discrete_staircase_sample(y, params: NoiseParams, rng: np.random.Generator):
         mag *= delta
         mag += offset
         np.negative(mag, out=mag, where=rng.random(out=u) < 0.5)
-        del u, offset  # freed before y is copied
-    out = np.array(y, dtype=np.int64, order="C").reshape(-1)  # never the caller's array
+        del u, offset  # freed before the output is allocated
+    out = np.zeros(nonzero.size, dtype=np.int64)
     if n_nz:
-        out[nonzero] += mag
-    return out.reshape(y.shape)
+        out[nonzero] = mag
+    return out.reshape(shape)
+
+
+def discrete_staircase_sample(y, params: NoiseParams, rng: np.random.Generator):
+    """y plus discrete_staircase_noise, as int64."""
+    y = integer_valued(y, "discrete staircase requires integer-valued input")
+    out = discrete_staircase_noise(y.shape, params, rng)
+    out += y.astype(np.int64, copy=False)
+    return out
 
 
 def exponential_mechanism_sample(y, lo: float, hi: float, eps: float,

@@ -2,7 +2,8 @@
 
 Each mechanism first maps the labels into the public universe, so it keeps
 its eps on any input: laplace, staircase and exponential clamp them into
-[y_min, y_max], the others snap them down to universe indices once.
+[y_min, y_max] (labels already there are passed as they are), the others
+snap them down to universe indices once.
 rr-on-bins is the two-step pipeline for the unknown prior: estimate the
 prior with eps1, optimize the bins against it, then randomize every label
 with eps2, (eps1 + eps2)-DP by basic composition.
@@ -15,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binopt import BinLayout, optimize_bins
-from .core import EpsilonBudget, LabelSet, Prior, as_indices, check_eps, refuse_first
+from .core import (EpsilonBudget, LabelSet, Prior, as_indices, check_eps, integer_valued,
+                   refuse_first)
 from .losses import LossSpec
 from .mechanisms import (
     NoiseParams,
     discrete_laplace_sample,
-    discrete_staircase_sample,
+    discrete_staircase_noise,
     exponential_mechanism_sample,
     laplace_sample,
     rr_on_bins_randomize,
@@ -122,11 +124,10 @@ def _noise_params(universe, eps):
     return NoiseParams(eps=eps, sensitivity=span if span > 0 else 1.0)
 
 
-def _integer_labels(idx, universe):
-    grid = universe.values
-    if not np.all(np.equal(np.mod(grid, 1), 0)):
-        raise ValueError("the discrete mechanisms need an integer universe")
-    return grid.astype(np.int64)[idx]
+def _integer_grid(universe):
+    """The universe as int64, refused unless every element is a whole number."""
+    return integer_valued(universe.values,
+                          "the discrete mechanisms need an integer universe").astype(np.int64)
 
 
 @_one_step
@@ -141,15 +142,18 @@ def _staircase(y, universe, eps, rng):
 
 @_one_step
 def _discrete_laplace(idx, universe, eps, rng):
-    ints = _integer_labels(idx, universe)
+    ints = _integer_grid(universe).take(idx)
     return discrete_laplace_sample(ints, _noise_params(universe, eps), rng).astype(float)
 
 
 @_one_step
 def _discrete_staircase(idx, universe, eps, rng):
-    ints = _integer_labels(idx, universe)
+    # the labels are gathered after the last draw, never beside the draw buffers
+    grid = _integer_grid(universe)
     params = NoiseParams(eps=eps, sensitivity=float(round(universe.y_max - universe.y_min)))
-    return discrete_staircase_sample(ints, params, rng).astype(float)
+    out = discrete_staircase_noise(idx.shape, params, rng)
+    out += grid.take(idx)
+    return out.astype(float)
 
 
 @_one_step
@@ -238,6 +242,8 @@ def randomize(mechanism, labels, universe: LabelSet, eps: float, loss: LossSpec,
             raise ValueError(f"indices of shape {indices.shape} for labels of shape {raw.shape}")
     if indexed:
         x = universe_indices(raw, universe) if indices is None else indices
+    elif raw.min() >= universe.y_min and raw.max() <= universe.y_max:
+        x = raw  # clip would return the same bits, -0.0 included; no sampler writes x
     else:
         x = np.clip(raw, universe.y_min, universe.y_max)
     out, budget, prior, layout = sample(x, universe, eps, rng, loss, eps1, clip)

@@ -667,6 +667,23 @@ def test_eps_1e_17_still_runs_where_no_ratio_rounds(tmp_path, mechanism):
     assert len(out.read_text().splitlines()) == 3
 
 
+@pytest.mark.parametrize("args, sensitivity", [
+    (["randomize", "--mechanism", "laplace", "--eps", "5e-324", "--no-clip"], 4.0),
+    (["randomize", "--mechanism", "laplace", "--eps", "5e-324", "--clip"], 4.0),
+    (["bench", "--mechanisms", "laplace", "--eps-list", "5e-324", "--reps", "1"], 4.0),
+    # the prior's histogram draws at scale 2/eps1
+    (["randomize", "--mechanism", "rr-on-bins", "--eps", "1", "--eps1", "5e-324"], 2.0),
+])
+def test_laplace_scale_that_overflows_is_precondition_error(tmp_path, capsys, args, sensitivity):
+    # sensitivity/eps is inf: the noise would be +-inf, or the range's ends once clipped
+    src = write(tmp_path / "in.txt", "label\n1\n2\n3\n")
+    out = tmp_path / "out.txt"
+    assert run([*args, "--input", src, "--universe", "0:4:1", "--output", out]) == 3
+    assert (f"eps 5e-324 too small for sensitivity {sensitivity}: the noise scale overflows"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, mechanism", [
     *(("randomize", m) for m in MECHANISMS), ("optimize-bins", None), ("bench", None)])
 def test_nan_eps_is_precondition_error(tmp_path, capsys, command, mechanism):

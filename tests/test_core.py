@@ -29,6 +29,7 @@ from labeldp import (
     split_budget,
 )
 from labeldp.binopt import tilt_factor
+from labeldp.core import integer_valued
 
 
 def test_make_label_set_sorts_and_dedups():
@@ -168,6 +169,20 @@ def test_make_prior_names_a_non_finite_weight(weights, message):
     with pytest.raises(ValueError) as err:
         make_prior(make_label_set([0, 1]), weights)
     assert str(err.value) == message
+
+
+def test_integer_valued_passes_whole_numbers_and_names_the_first_fraction():
+    ints = np.arange(5)
+    assert integer_valued(ints, "need integers") is ints  # no scan, no copy
+    assert integer_valued([0.0, -3.0, 1e300], "need integers").tolist() == [0.0, -3.0, 1e300]
+    assert integer_valued(7.0, "need integers").shape == ()
+    for values, message in (([0.0, 1.5, 2.25], "need integers: entry at index 1 is 1.5"),
+                            (np.array([[1.0, 2.0], [3.0, -0.5]]),
+                             "need integers: entry at index 3 is -0.5"),
+                            (0.5, "need integers: entry at index 0 is 0.5")):
+        with pytest.raises(ValueError) as err:
+            integer_valued(values, "need integers")
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("eps1, eps2", [(math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0)])

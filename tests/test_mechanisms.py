@@ -209,7 +209,7 @@ def test_discrete_samplers_take_integers_of_any_dtype(sample):
     draws = [sample(ys.astype(dtype), params, default_rng(21))
              for dtype in (np.int64, np.int32, np.uint16, float)]
     assert all(np.array_equal(d, draws[0]) and d.dtype == np.int64 for d in draws)
-    with pytest.raises(ValueError, match="integer-valued"):
+    with pytest.raises(ValueError, match="integer-valued input: entry at index 58 is 0.5"):
         sample(np.r_[ys, 0.5], params, default_rng(21))
 
 
@@ -458,8 +458,8 @@ def test_in_place_samplers_keep_their_contract(name, shape, dtype):
     assert type(out) is np.ndarray and out.shape == shape and out.dtype == out_dtype
 
 
-@pytest.mark.parametrize("name, bound", [("exponential", 3.5), ("staircase", 4.5),
-                                         ("discrete-staircase", 8.0)])
+@pytest.mark.parametrize("name, bound", [("exponential", 3.3), ("staircase", 2.3),
+                                         ("discrete-staircase", 3.45)])
 def test_sampler_peak_memory_in_label_arrays(name, bound):
     # the traced peak of one call on 2e5 labels, in multiples of the label
     # array: float labels as the clamping mechanisms pass them, int64 labels

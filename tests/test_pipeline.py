@@ -8,6 +8,7 @@ from numpy.random import default_rng
 
 from labeldp import SQUARED, make_label_set, pipeline, randomize
 from labeldp.cli import parse_universe
+from labeldp.mechanisms import NoiseParams, discrete_staircase_noise, discrete_staircase_sample
 from labeldp.pipeline import MECHANISMS, universe_indices
 
 
@@ -190,7 +191,9 @@ def test_randomize_never_writes_into_its_inputs(mech, clip):
     assert np.array_equal(idx, np.clip(labels, 0, 20))
 
 
-@pytest.mark.parametrize("mech, bound", [("laplace", 2.0), ("rr", 3.0)])
+@pytest.mark.parametrize("mech, bound", [
+    ("rr-on-bins", 3.05), ("laplace", 2.0), ("discrete-laplace", 3.0), ("staircase", 2.3),
+    ("discrete-staircase", 3.45), ("exponential", 3.3), ("rr", 3.0)])
 def test_randomize_peak_memory_in_label_arrays(mech, bound):
     # bench runs cells side by side, each at its own peak: the traced peak of
     # one call on 2e5 float labels and their indices, in label arrays, plus
@@ -206,6 +209,55 @@ def test_randomize_peak_memory_in_label_arrays(mech, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * labels.nbytes + 2**16
+
+
+@pytest.mark.parametrize("mech", ["laplace", "staircase", "exponential"])
+@pytest.mark.parametrize("clip", [True, False])
+@pytest.mark.parametrize("bottom", [0.0, -0.0])
+def test_in_range_labels_draw_as_their_clamped_copy(mech, clip, bottom):
+    # labels already in [y_min, y_max] reach the sampler uncopied: the same
+    # bits as the clamped copy they used to get, signed zeros included
+    uni = make_label_set([bottom, *range(1, 21)])
+    labels = np.r_[-0.0, 0.0, 20.0, np.arange(300.0) % 41 / 2]
+    labels.flags.writeable = False
+    before = labels.tobytes()
+    out, _ = randomize(mech, labels, uni, 1.0, SQUARED, default_rng(8), clip=clip)
+    clamped = np.clip(labels, uni.y_min, uni.y_max)
+    assert clamped.flags.writeable and clamped.tobytes() == before
+    ref, *_ = MECHANISMS[mech][1](clamped, uni, 1.0, default_rng(8), SQUARED, None, clip)
+    assert out.values.tobytes() == ref.values.tobytes()
+    assert labels.tobytes() == before
+
+
+@pytest.mark.parametrize("eps, k, n", [
+    *((eps, 401, n) for eps in (0.5, 4.0) for n in (0, 1, 200_000)),
+    (60.0, 3, 1000),  # a(r) rounds to 1: every draw lands on the atom
+])
+def test_discrete_staircase_gathers_its_labels_after_the_same_draws(eps, k, n):
+    # the pipeline draws the noise alone and adds the gathered integer labels
+    # afterwards: the bytes of the sampler on the gathered labels
+    uni = make_label_set(range(k))
+    idx = default_rng(3).integers(0, k, n)
+    out, *_ = MECHANISMS["discrete-staircase"][1](idx, uni, eps, default_rng(9), SQUARED,
+                                                  None, False)
+    params = NoiseParams(eps=eps, sensitivity=float(k - 1))
+    ints = uni.values.astype(np.int64)[idx]
+    ref = discrete_staircase_sample(ints, params, default_rng(9))
+    assert out.values.tobytes() == ref.astype(float).tobytes()
+    noise = discrete_staircase_noise(idx.shape, params, default_rng(9))
+    assert noise.dtype == np.int64 and np.array_equal(out.values, ints + noise)
+    if eps == 60.0:
+        assert not noise.any()
+
+
+@pytest.mark.parametrize("mech", ["discrete-laplace", "discrete-staircase"])
+def test_discrete_mechanisms_refuse_a_fractional_universe_before_any_draw(mech):
+    rng = default_rng(4)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"^the discrete mechanisms need an integer universe: "
+                                         r"entry at index 1 is 0.5$"):
+        randomize(mech, [0.0, 1.0], make_label_set([0, 0.5, 1, 2]), 1.0, SQUARED, rng)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("mech", MECHANISMS)
