@@ -87,10 +87,13 @@ def as_indices(indices, k: int) -> np.ndarray:
 
 def integer_valued(values, what: str) -> np.ndarray:
     """values as an array, or a ValueError that opens with what and names the
-    first entry that is not a whole number; integer arrays pass unscanned."""
+    first entry that is not a whole number in the int64 range (a non-finite
+    one included); arrays that cast safely to int64 pass unscanned."""
     a = np.asarray(values)
-    if a.dtype.kind not in "iu":
-        refuse_first(np.mod(a, 1) == 0, a, what + ": entry at index {} is {!r}")
+    if not np.can_cast(a.dtype, np.int64):
+        with np.errstate(invalid="ignore"):  # the remainder of inf is NaN
+            ok = (np.mod(a, 1) == 0) & (a >= -2**63) & (a < 2**63)
+        refuse_first(ok, a, what + ": entry at index {} is {!r}")
     return a
 
 

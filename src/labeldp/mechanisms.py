@@ -7,8 +7,18 @@ Every sampler draws from the numpy Generator it is given, so a seeded
 Generator reproduces its output, and takes and returns arrays, drawing for a
 whole batch of labels at once.  The staircase, discrete staircase and
 exponential samplers draw into and combine their noise in a few buffers of
-their own, never in the caller's array: one call peaks at under three and a
-half times the label array.
+their own, never in the caller's array: one call peaks at under 3.05 times
+the label array.
+
+No sampler masks a ufunc by a per-label array (numpy's where), which on a
+random mask costs about 30 times the unmasked call.  A sign flip is an XOR of
+the sign bit (x ^ m - m for int64), built in the buffer the sign draw frees; a
+choice of constant per label is a take from a two-entry table, over chunks of
+4096 elements so that each temporary stays at 32 KiB, or its bits chosen by
+integer arithmetic on the 0/1 mask where a freed buffer can hold them; a
+choice of int or bool is arithmetic on 0/1 masks; and rr's wrap is a minimum
+on the uint64 bits.  Each element comes out with the bits it had under the
+masks, from the same draws in the same order.
 """
 from __future__ import annotations
 
@@ -23,6 +33,28 @@ from .core import MechanismMatrix, as_indices, check_eps, integer_valued
 # the double just above -1: keeps log1p finite where a side's mass rounds to 1,
 # which needs eps * distance / Delta above about 70
 _LOG1P_FLOOR = np.nextafter(-1.0, 0.0)
+
+_CHUNK = 4096  # elements: an 8-byte temporary of 32 KiB
+_INT64_MAX = 2**63 - 1
+# the bits of 1.0 and of -0.0 (the sign bit alone), as uint64
+_ONE_BITS = np.array(1.0).view(np.uint64)[()]
+_MINUS_ZERO_BITS = np.array(-0.0).view(np.uint64)[()]
+
+
+def _chunked(fn, *arrays):
+    """Call fn on each run of _CHUNK aligned elements of equal-size contiguous
+    arrays, given as flat views, so that its temporaries stay small."""
+    flat = [a.reshape(-1) for a in arrays]
+    for i in range(0, flat[0].size, _CHUNK):
+        fn(*(a[i:i + _CHUNK] for a in flat))
+
+
+def _draw_signs(u, rng):
+    """Draw u afresh and turn it in place into int64 -1 where it is below 1/2
+    and 0 elsewhere: m gives x ^ m - m = -x, and m << 63 a float's sign bit."""
+    rng.random(out=u)
+    m = np.less(u, 0.5, out=u.view(np.int64))
+    return np.negative(m, out=m)
 
 
 @dataclass(frozen=True)
@@ -91,11 +123,17 @@ def rr_on_bins_randomize(own_bins, d: int, eps: float, rng: np.random.Generator)
     own = as_indices(own_bins, d)
     if d == 1:
         return np.zeros(own.shape, dtype=np.intp)
-    moves = rng.random(own.shape) >= _stay_prob(eps, d)
+    move = rng.random(own.shape)  # the stay draw's buffer: the 0/1 move, then out - d
+    move = np.greater_equal(move, _stay_prob(eps, d), out=move.view(np.int64))
     out = rng.integers(1, d, size=own.shape)  # the hop, then the output
-    out *= moves
+    out *= move
     out += own
-    return np.subtract(out, d, out=out, where=out >= d)
+    # out - d where out >= d: out < 2d, so as uint64 c - d wraps above c
+    # exactly where c < d
+    c, c_minus_d = out.view(np.uint64), move.view(np.uint64)
+    np.subtract(c, d, out=c_minus_d)
+    np.minimum(c, c_minus_d, out=c)
+    return out
 
 
 def laplace_sample(y, params: NoiseParams, rng: np.random.Generator):
@@ -135,15 +173,19 @@ def staircase_sample(y, params: NoiseParams, rng: np.random.Generator):
     p_high = gamma / denom if denom > 0 else 1.0
     u = rng.random(y.shape)
     high = u < p_high
-    low = ~high
     rng.random(out=u)
-    # the in-step offset, in place: (1-gamma)*delta wide from gamma*delta on
-    # the low step, gamma*delta wide from 0 on the high one
-    np.multiply(u, 1.0 - gamma, out=u, where=low)
-    np.multiply(u, gamma, out=u, where=high)
-    u *= delta
-    np.add(u, gamma * delta, out=u, where=low)
-    del high, low
+    # the in-step offset: (1-gamma)*delta wide from gamma*delta on the low
+    # step, gamma*delta wide from 0 (+0.0 leaves the offset's bits) on the
+    # high one
+    width, start = np.array([1.0 - gamma, gamma]), np.array([gamma * delta, 0.0])
+
+    def offset(h, x):
+        x *= width.take(h)
+        x *= delta
+        x += start.take(h)
+
+    _chunked(offset, high, u)
+    del high
     # rung * delta + offset in the rung's own buffer: a 1-d assignment casts
     # it to float64 element by element, with no temporary
     flat = rung.reshape(-1)
@@ -152,23 +194,30 @@ def staircase_sample(y, params: NoiseParams, rng: np.random.Generator):
     out = out.reshape(y.shape)
     out *= delta
     out += u
-    np.negative(out, out=out, where=rng.random(out=u) < 0.5)
+    sign = _draw_signs(u, rng)
+    sign <<= 63
+    np.bitwise_xor(out.view(np.int64), sign, out=out.view(np.int64))
     out += y
     return out
 
 
-def discrete_staircase_noise(shape, params: NoiseParams, rng: np.random.Generator):
+def discrete_staircase_noise(shape, params: NoiseParams, rng: np.random.Generator,
+                             label_bound: int = 0):
     """Discrete staircase noise over the integers, an int64 array of the
-    given shape.
+    given shape, for labels of absolute value at most label_bound.
 
     The pmf is a(r) on |i| in [0, r), e^(-eps) a(r) on |i| in [r, Delta), and
     decays by e^(-eps) per rung of width Delta, with
-    a(r) = (1-b) / (2r + 2b(Delta-r) - (1-b)) for b = e^(-eps).
+    a(r) = (1-b) / (2r + 2b(Delta-r) - (1-b)) for b = e^(-eps).  A Delta
+    past int64 is refused before any draw, and drawn rungs whose noise plus
+    label_bound could pass int64 before any product.
     """
     eps = params.eps
     delta = int(params.sensitivity)
     if delta != params.sensitivity or delta < 2:
         raise ValueError("discrete staircase requires integer sensitivity >= 2")
+    if delta > _INT64_MAX:
+        raise ValueError(f"discrete staircase span {delta} is past the int64 range")
     r = params.discrete_r(delta)
     b, q = math.exp(-eps), params.geometric_p(eps)  # q = 1 - b
     a = q / (2 * r + 2 * b * (delta - r) - q)
@@ -179,32 +228,53 @@ def discrete_staircase_noise(shape, params: NoiseParams, rng: np.random.Generato
     side = m_first + m_rest
     u = rng.random(math.prod(shape))
     nonzero = u >= a
-    n_nz = int(nonzero.sum())
+    n_nz = np.count_nonzero(nonzero)
+    out = u.view(np.int64)  # the output, once the draws are done with u
     if n_nz:
         u = u[:n_nz]  # the buffer of every later draw
         first = rng.random(out=u) < m_first / side
         mag = rng.geometric(q, size=n_nz)  # the rung, then the magnitude
-        mag[first] = 0
+        mag *= ~first  # the first rung is rung 0
+        rung = int(mag.max())
+        if (rung + 1) * delta - 1 + label_bound > _INT64_MAX:
+            raise ValueError(f"eps {eps} drew a discrete staircase rung of {rung} at span "
+                             f"{delta}: the noisy labels would pass the int64 range")
         # the first rung holds r - 1 high cells past the atom, the others r
         lo_weight = b * (delta - r)
         p_first, p_rest = (w / (w + lo_weight) if w + lo_weight > 0 else 0.0
                            for w in (r - 1.0, float(r)))
-        take_hi = rng.random(out=u) < np.where(first, p_first, p_rest)
+        hi_width = np.array([float(r), float(max(r - 1, 1))])  # indexed by first
         rng.random(out=u)
-        u *= np.where(first, float(max(r - 1, 1)), float(r))
-        offset = u.astype(np.int64)
-        offset += first  # the high cells of the first rung start at 1
-        del first
-        take_lo = np.logical_not(take_hi, out=take_hi)
+        # u < p_first where first, u < p_rest elsewhere
+        take_hi = u < p_rest
+        hi_first = u < p_first
+        hi_first ^= take_hi
+        hi_first &= first
+        take_hi ^= hi_first
+        del hi_first
+        # the high offset, from 1 on the first rung, in u's buffer: a 1-d
+        # assignment casts each element in place
+        offset = u.view(np.int64)
         rng.random(out=u)
-        u *= delta - r
-        np.copyto(offset, u, casting="unsafe", where=take_lo)
-        np.add(offset, r, out=offset, where=take_lo)
+        _chunked(lambda f, x: np.multiply(x, hi_width.take(f), out=x), first, u)
+        offset[...] = u
+        offset += first
+        offset *= take_hi
         mag *= delta
         mag += offset
-        np.negative(mag, out=mag, where=rng.random(out=u) < 0.5)
-        del u, offset  # freed before the output is allocated
-    out = np.zeros(nonzero.size, dtype=np.int64)
+        del first
+        # the low offset, from r
+        rng.random(out=u)
+        u *= delta - r
+        offset[...] = u
+        offset += r
+        offset *= np.logical_not(take_hi, out=take_hi)
+        mag += offset
+        del take_hi
+        sign = _draw_signs(u, rng)
+        mag ^= sign
+        mag -= sign
+    out[...] = 0
     if n_nz:
         out[nonzero] = mag
     return out.reshape(shape)
@@ -213,7 +283,8 @@ def discrete_staircase_noise(shape, params: NoiseParams, rng: np.random.Generato
 def discrete_staircase_sample(y, params: NoiseParams, rng: np.random.Generator):
     """y plus discrete_staircase_noise, as int64."""
     y = integer_valued(y, "discrete staircase requires integer-valued input")
-    out = discrete_staircase_noise(y.shape, params, rng)
+    bound = max(-int(y.min()), int(y.max())) if y.size else 0
+    out = discrete_staircase_noise(y.shape, params, rng, bound)
     out += y.astype(np.int64, copy=False)
     return out
 
@@ -231,8 +302,8 @@ def exponential_mechanism_sample(y, lo: float, hi: float, eps: float,
     if lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
     y = np.asarray(y, dtype=float)
-    inside = (y >= lo) & (y <= hi)
-    if not inside.all():
+    if y.size and not (y.min() >= lo and y.max() <= hi):  # a NaN fails both
+        inside = (y >= lo) & (y <= hi)
         raise ValueError(f"input {y.flat[np.argmin(inside)]} outside the output range [{lo}, {hi}]")
     check_eps(eps, positive=True)
     if hi == lo:
@@ -245,21 +316,29 @@ def exponential_mechanism_sample(y, lo: float, hi: float, eps: float,
     below = np.subtract(lo, y, out=np.empty_like(y))
     below /= b
     np.negative(np.expm1(below, out=below), out=below)
-    step = np.subtract(y, hi, out=np.empty_like(y))  # the mass above y, then the step
+    step = np.subtract(y, hi, out=np.empty_like(y))  # the mass above y, the step, the side
     step /= b
     np.negative(np.expm1(step, out=step), out=step)
     step += below
     u = rng.random(y.shape)
     u *= step
-    left = u < below
+    # step's buffer holds the side's factor, by its bits: -0.0 where u lands
+    # below y, 1.0 above
+    side = np.less(u, below, out=step.view(np.uint64))
+    side *= _MINUS_ZERO_BITS - _ONE_BITS
+    side += _ONE_BITS
     # the log1p argument is formed first, so no branch leaves its domain; the
-    # clip only absorbs rounding at the ends
-    np.subtract(below, u, out=step)
-    np.negative(u, out=step, where=left)
-    del below, u
-    np.maximum(step, _LOG1P_FLOOR, out=step)
-    np.log1p(step, out=step)
-    step *= b
-    # y - (-step) is y + step exactly, so one subtraction serves both sides
-    np.negative(step, out=step, where=left)
-    return np.clip(np.subtract(y, step, out=step), lo, hi, out=step)
+    # clip only absorbs rounding at the ends.  It is -u below y and below - u
+    # above: every cell below y has below > 0, which times -0.0 is -0.0, and
+    # -0.0 - u is -u bit for bit
+    below *= step
+    np.subtract(below, u, out=u)
+    del below
+    np.maximum(u, _LOG1P_FLOOR, out=u)
+    np.log1p(u, out=u)
+    u *= b
+    # the factor's sign bit flips the cells below y: y - (-x) is y + x
+    # exactly, so one subtraction serves both sides
+    side &= _MINUS_ZERO_BITS
+    np.bitwise_xor(u.view(np.uint64), side, out=u.view(np.uint64))
+    return np.clip(np.subtract(y, u, out=u), lo, hi, out=u)

@@ -125,7 +125,8 @@ def _noise_params(universe, eps):
 
 
 def _integer_grid(universe):
-    """The universe as int64, refused unless every element is a whole number."""
+    """The universe as int64, refused unless every element is a whole number
+    in the int64 range."""
     return integer_valued(universe.values,
                           "the discrete mechanisms need an integer universe").astype(np.int64)
 
@@ -151,7 +152,9 @@ def _discrete_staircase(idx, universe, eps, rng):
     # the labels are gathered after the last draw, never beside the draw buffers
     grid = _integer_grid(universe)
     params = NoiseParams(eps=eps, sensitivity=float(round(universe.y_max - universe.y_min)))
-    out = discrete_staircase_noise(idx.shape, params, rng)
+    # bounded by the universe, not the labels, so that a refusal tells nothing of them
+    label_bound = max(-int(grid[0]), int(grid[-1]))
+    out = discrete_staircase_noise(idx.shape, params, rng, label_bound)
     out += grid.take(idx)
     return out.astype(float)
 

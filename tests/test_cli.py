@@ -416,6 +416,27 @@ def test_discrete_mechanism_on_fractional_universe_is_precondition_error(tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("universe, eps, message", [
+    # an element past int64: refused by the integer rule, before any draw
+    ("0,1e19", "1", "the discrete mechanisms need an integer universe: entry at index 1 is 1e+19"),
+    # every element within int64, but not the span Delta: refused before any draw
+    ("-5e18,5e18", "1", "discrete staircase span 10000000000000000000 is past the int64 range"),
+    # a drawn rung whose rung * Delta + offset, plus the universe's reach,
+    # passes int64: refused before any product, where it wrapped silently
+    ("0,4000000000000000000", "0.05", "eps 0.05 drew a discrete staircase rung of 30 at span "
+                                      "4000000000000000000: the noisy labels would pass the "
+                                      "int64 range"),
+], ids=["element", "span", "rung"])
+def test_discrete_staircase_past_int64_is_precondition_error(tmp_path, capsys, universe, eps,
+                                                              message):
+    src = write(tmp_path / "in.txt", "0\n" * 8)
+    out = tmp_path / "out.txt"
+    assert run(["randomize", "--input", src, "--output", out, "--eps", eps, "--seed", "3",
+                "--mechanism", "discrete-staircase", "--no-clip", f"--universe={universe}"]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # output
 # ---------------------------------------------------------------------------

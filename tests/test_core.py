@@ -174,12 +174,23 @@ def test_make_prior_names_a_non_finite_weight(weights, message):
 def test_integer_valued_passes_whole_numbers_and_names_the_first_fraction():
     ints = np.arange(5)
     assert integer_valued(ints, "need integers") is ints  # no scan, no copy
-    assert integer_valued([0.0, -3.0, 1e300], "need integers").tolist() == [0.0, -3.0, 1e300]
+    ends = [0.0, -3.0, -2.0**63, 2.0**63 - 1024]  # int64's least and the double below 2**63
+    assert integer_valued(ends, "need integers").tolist() == ends
+    assert integer_valued(np.array([2**63 - 1], dtype=np.uint64), "need integers").dtype == np.uint64
     assert integer_valued(7.0, "need integers").shape == ()
     for values, message in (([0.0, 1.5, 2.25], "need integers: entry at index 1 is 1.5"),
                             (np.array([[1.0, 2.0], [3.0, -0.5]]),
                              "need integers: entry at index 3 is -0.5"),
-                            (0.5, "need integers: entry at index 0 is 0.5")):
+                            (0.5, "need integers: entry at index 0 is 0.5"),
+                            # whole numbers past int64, and non-finite entries, with no
+                            # numpy warning on the way
+                            ([0.0, 1e300], "need integers: entry at index 1 is 1e+300"),
+                            ([2.0**63], "need integers: entry at index 0 is 9.223372036854776e+18"),
+                            (np.array([2**63], dtype=np.uint64),
+                             "need integers: entry at index 0 is 9223372036854775808"),
+                            (np.array([0.0, np.inf]), "need integers: entry at index 1 is inf"),
+                            ([-np.inf], "need integers: entry at index 0 is -inf"),
+                            ([1.0, np.nan], "need integers: entry at index 1 is nan")):
         with pytest.raises(ValueError) as err:
             integer_valued(values, "need integers")
         assert str(err.value) == message
