@@ -6,15 +6,15 @@ Subcommands:
   bench          sweep mechanisms x epsilons into a CSV of per-rep losses
   verify         run the self-check suites (oracle, LP, DP ratio, samplers)
 
-Exit codes: 0 success, 1 verification failure, 2 parse error, 3 precondition
-or configuration error.  The default seed comes from the LABELDP_SEED
-environment variable, where a value that is not an integer is a parse error;
-an explicit --seed wins and leaves the variable unread.  A negative seed is a
-configuration error.  Output is a pure function of (input bytes, flags, seed),
-independent of the CPU count, with one exception: exponential's output bytes,
-and a bench CSV that includes exponential, also depend on numpy's build and on
-its CPU dispatch of np.expm1 and np.log1p.  On an AVX-512 host, running with
-NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" shows the effect.
+Exit codes: 0 success, 1 verification failure, 2 parse error, 3 precondition or
+configuration error.  randomize, bench and verify draw, with the seed from
+--seed, else from the LABELDP_SEED environment variable: one that is not an
+integer is a parse error, a negative one a configuration error.  optimize-bins
+draws nothing and reads neither.  Output is a pure function of (input bytes,
+flags, seed), independent of the CPU count, with one exception: exponential's
+output bytes, and a bench CSV that includes exponential, also depend on numpy's
+build and on its CPU dispatch of np.expm1 and np.log1p; an AVX-512 host shows
+it with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR".
 """
 from __future__ import annotations
 
@@ -556,9 +556,10 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="labeldp", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, loss=True):
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"RNG seed (default from ${SEED_ENV}, else 0)")
+    def common(p, seed=True, loss=True):
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help=f"RNG seed (default from ${SEED_ENV}, else 0)")
         if loss:
             p.add_argument("--loss", choices=losses.BUILTIN_KINDS, default="squared",
                            help=POISSON_AT_ZERO)
@@ -578,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_randomize)
 
     p = sub.add_parser("optimize-bins", help="compute the optimal bin layout")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--prior-file", help="CSV of label,probability rows")
     p.add_argument("--input", help="raw label file (requires --public-prior)")
     p.add_argument("--public-prior", action="store_true",
@@ -617,15 +618,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    seeded = "seed" in vars(args)  # randomize, bench and verify draw; optimize-bins does not
     try:
         source = "--seed"
-        if args.seed is None:
+        if seeded and args.seed is None:
             source, text = f"${SEED_ENV}", os.environ.get(SEED_ENV, "0")
             try:
                 args.seed = int(text)
             except ValueError:
                 raise ParseError(f"{source}: not an integer seed: {text!r}") from None
-        if args.seed < 0:
+        if seeded and args.seed < 0:
             raise ValueError(f"{source} must be a non-negative integer, got {args.seed}")
         return args.fn(args)
     except ParseError as e:

@@ -148,13 +148,28 @@ def laplace_sample(y, params: NoiseParams, rng: np.random.Generator):
     return noise
 
 
-def discrete_laplace_sample(y, params: NoiseParams, rng: np.random.Generator):
+def _abs_bound(y) -> int:
+    """The largest |entry| of an integer-valued array, 0 for an empty one."""
+    return max(-int(y.min()), int(y.max())) if y.size else 0
+
+
+def discrete_laplace_sample(y, params: NoiseParams, rng: np.random.Generator,
+                            label_bound: int | None = None):
     """y plus discrete Laplace noise (pmf proportional to e^(-|j|/b), b =
-    sensitivity/eps), sampled exactly as a difference of two geometrics."""
+    sensitivity/eps), sampled exactly as a difference of two geometrics, as
+    int64.  Noise whose largest magnitude plus label_bound (at least the
+    largest |y|, which is the default) would pass int64 is refused before it
+    is added."""
     y = integer_valued(y, "discrete laplace requires integer-valued input")
     b = params.scale
     p = params.geometric_p(1.0 / b if b > 0 else math.inf)  # eps = inf leaves no noise
     noise = rng.geometric(p, size=y.shape) - rng.geometric(p, size=y.shape)
+    if label_bound is None:
+        label_bound = _abs_bound(y)
+    magnitude = _abs_bound(noise)
+    if magnitude + label_bound > _INT64_MAX:
+        raise ValueError(f"eps {params.eps} drew discrete laplace noise of {magnitude} at "
+                         f"scale {b}: the noisy labels would pass the int64 range")
     return y.astype(np.int64) + noise
 
 
@@ -283,8 +298,7 @@ def discrete_staircase_noise(shape, params: NoiseParams, rng: np.random.Generato
 def discrete_staircase_sample(y, params: NoiseParams, rng: np.random.Generator):
     """y plus discrete_staircase_noise, as int64."""
     y = integer_valued(y, "discrete staircase requires integer-valued input")
-    bound = max(-int(y.min()), int(y.max())) if y.size else 0
-    out = discrete_staircase_noise(y.shape, params, rng, bound)
+    out = discrete_staircase_noise(y.shape, params, rng, _abs_bound(y))
     out += y.astype(np.int64, copy=False)
     return out
 

@@ -126,9 +126,12 @@ def _noise_params(universe, eps):
 
 def _integer_grid(universe):
     """The universe as int64, refused unless every element is a whole number
-    in the int64 range."""
-    return integer_valued(universe.values,
+    in the int64 range, and its largest |element|: the label bound of the
+    discrete samplers' int64 check, from the universe and not the labels, so
+    that a refusal tells nothing of them."""
+    grid = integer_valued(universe.values,
                           "the discrete mechanisms need an integer universe").astype(np.int64)
+    return grid, max(-int(grid[0]), int(grid[-1]))
 
 
 @_one_step
@@ -143,17 +146,16 @@ def _staircase(y, universe, eps, rng):
 
 @_one_step
 def _discrete_laplace(idx, universe, eps, rng):
-    ints = _integer_grid(universe).take(idx)
-    return discrete_laplace_sample(ints, _noise_params(universe, eps), rng).astype(float)
+    grid, label_bound = _integer_grid(universe)
+    return discrete_laplace_sample(grid.take(idx), _noise_params(universe, eps), rng,
+                                   label_bound).astype(float)
 
 
 @_one_step
 def _discrete_staircase(idx, universe, eps, rng):
     # the labels are gathered after the last draw, never beside the draw buffers
-    grid = _integer_grid(universe)
+    grid, label_bound = _integer_grid(universe)
     params = NoiseParams(eps=eps, sensitivity=float(round(universe.y_max - universe.y_min)))
-    # bounded by the universe, not the labels, so that a refusal tells nothing of them
-    label_bound = max(-int(grid[0]), int(grid[-1]))
     out = discrete_staircase_noise(idx.shape, params, rng, label_bound)
     out += grid.take(idx)
     return out.astype(float)

@@ -437,6 +437,20 @@ def test_discrete_staircase_past_int64_is_precondition_error(tmp_path, capsys, u
     assert not out.exists()
 
 
+def test_discrete_laplace_past_int64_is_precondition_error(tmp_path, capsys):
+    # noise plus the universe's reach passes int64: refused before the add,
+    # where it wrapped silently
+    src = write(tmp_path / "in.txt", "9223372036854774784\n" * 8)
+    out = tmp_path / "out.txt"
+    assert run(["randomize", "--input", src, "--output", out, "--eps", "1", "--seed", "3",
+                "--mechanism", "discrete-laplace", "--no-clip",
+                "--universe", "9223000000000000000,9223372036854774784"]) == 3
+    assert capsys.readouterr().err == (
+        "error: eps 1.0 drew discrete laplace noise of 724952790571106 at scale "
+        "372036854774784.0: the noisy labels would pass the int64 range\n")
+    assert not out.exists() and not Path(f"{out}.report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # output
 # ---------------------------------------------------------------------------
@@ -857,6 +871,27 @@ def test_optimize_bins_json_output(tmp_path):
                 "--output", dest]) == 0
     blob = json.loads(dest.read_text())
     assert blob["boundaries"][-1] == 3
+
+
+def test_optimize_bins_reads_no_seed(tmp_path, capsys, monkeypatch):
+    prior = write(tmp_path / "p.csv", "0,0.25\n1,0.25\n2,0.5\n")
+    args = ["optimize-bins", "--prior-file", prior, "--eps", "1"]
+    monkeypatch.delenv("LABELDP_SEED", raising=False)
+    assert run(args) == 0
+    unset = capsys.readouterr().out
+    # it draws nothing, so a value the seeded commands refuse is never read
+    for value in ("abc", "-1"):
+        monkeypatch.setenv("LABELDP_SEED", value)
+        assert run(args) == 0
+        assert capsys.readouterr().out == unset
+    with pytest.raises(SystemExit) as exit_info:
+        run([*args, "--seed", "7"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        run(["optimize-bins", "--help"])
+    assert exit_info.value.code == 0
+    assert "--seed" not in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,18 @@ def test_discrete_laplace_requires_integers():
         discrete_laplace_sample(1.5, NoiseParams(eps=1.0, sensitivity=1.0), default_rng(0))
 
 
+@pytest.mark.parametrize("y, label_bound", [(0, 2**63 - 2), (2**63 - 2, None), (2 - 2**63, None)])
+def test_discrete_laplace_refuses_noise_past_int64(y, label_bound):
+    # the bound defaults to the largest |y|; a caller may pass a wider one
+    params = NoiseParams(eps=1.0, sensitivity=1000.0)
+    with pytest.raises(ValueError, match=r"^eps 1.0 drew discrete laplace noise of \d+ at scale "
+                                         r"1000.0: the noisy labels would pass the int64 range$"):
+        discrete_laplace_sample(np.full(8, y, dtype=np.int64), params, default_rng(0),
+                                label_bound)
+    within = discrete_laplace_sample(np.zeros(8, dtype=np.int64), params, default_rng(0))
+    assert within.dtype == np.int64 and np.abs(within).max() > 1
+
+
 @pytest.mark.parametrize("sample", [discrete_laplace_sample, discrete_staircase_sample])
 def test_discrete_samplers_take_integers_of_any_dtype(sample):
     # integer arrays skip the whole-number scan; whole floats pass it and draw
