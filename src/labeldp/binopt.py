@@ -507,6 +507,8 @@ def _segment_pass(lval: np.ndarray, k: int, lam: float):
 
     B[i] = min_{0 <= r < i} B[r] + L[r][i-1] - lam.  Exact value ties go to
     the start whose segmentation has the fewest bins, then the smallest start.
+    A B[i] that is not finite, as a NaN cell or a sum past the float range
+    makes it, raises OverflowError.
     """
     B = np.zeros(k + 1)
     bins = np.zeros(k + 1, dtype=np.int64)
@@ -514,6 +516,8 @@ def _segment_pass(lval: np.ndarray, k: int, lam: float):
     for i in range(1, k + 1):
         cand = B[:i] + lval[_cell(0, i - 1):_cell(0, i)]
         m = int(cand.argmin())
+        if not math.isfinite(cand[m]):  # argmin finds a NaN first
+            raise OverflowError
         if int(cand[::-1].argmin()) != i - 1 - m:  # the last minimum is another start
             ties = (cand == cand[m]).nonzero()[0]
             m = int(ties[bins[ties].argmin()])
@@ -580,12 +584,18 @@ def optimize_bins(prior: Prior, eps: float, loss: LossSpec) -> BinLayout:
     Fills the single-bin table, searches over interval partitions and bin
     counts, then solves each chosen bin's output from scratch.  Exact float
     ties resolve toward fewer bins, then smaller start indices; layouts that
-    tie only in real arithmetic may resolve either way.
+    tie only in real arithmetic may resolve either way.  A table whose cells
+    leave the float range, as the search finds them, is refused.
     """
     loss.check_labels(prior.labels.y_max)
     tilt = tilt_factor(eps)
-    lval = _build_tables(prior, tilt, loss)
-    objective, spans = _parametric_search(lval, prior.k, tilt)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            lval = _build_tables(prior, tilt, loss)
+            objective, spans = _parametric_search(lval, prior.k, tilt)
+    except OverflowError:
+        raise ValueError(f"the {loss.kind} loss's bin table at eps {eps} overflows on labels in "
+                         f"[{prior.labels.y_min:g}, {prior.labels.y_max:g}]") from None
     outputs = _bin_outputs(prior, spans, eps, loss)
     # adjacent outputs that coincide or invert cannot occur at an exact optimum
     # (the outputs form a set and are non-decreasing there), but float ties

@@ -26,9 +26,9 @@ BUILTIN_KINDS = ("squared", "absolute", "poisson")
 class LossSpec:
     """A loss function plus the metadata the optimizer needs.
 
-    eval_fn(yhat, y) must be non-negative on the declared domain and accept
-    numpy arrays in either argument. domain_min, when set, is an open lower
-    bound on yhat (e.g. 0 for the poisson loss).
+    eval_fn(yhat, y), on numpy arrays in either argument, must be convex in
+    yhat and finite on the domain, and may be negative (as poisson is).
+    domain_min, when set, is an open lower bound on yhat (0 for poisson).
     """
 
     kind: str

@@ -35,7 +35,8 @@ from .core import MechanismMatrix, as_indices, check_eps, integer_valued
 _LOG1P_FLOOR = np.nextafter(-1.0, 0.0)
 
 _CHUNK = 4096  # elements: an 8-byte temporary of 32 KiB
-_INT64_MAX = 2**63 - 1
+INT64_MAX = 2**63 - 1
+FLOAT_MAX = float(np.finfo(float).max)
 # the bits of 1.0 and of -0.0 (the sign bit alone), as uint64
 _ONE_BITS = np.array(1.0).view(np.uint64)[()]
 _MINUS_ZERO_BITS = np.array(-0.0).view(np.uint64)[()]
@@ -47,6 +48,26 @@ def _chunked(fn, *arrays):
     flat = [a.reshape(-1) for a in arrays]
     for i in range(0, flat[0].size, _CHUNK):
         fn(*(a[i:i + _CHUNK] for a in flat))
+
+
+def _magnitude(x):
+    """|x| of a number; of an array, its largest |entry| from its min and max,
+    which make no temporary (0 if it is empty, NaN if it holds one)."""
+    if isinstance(x, np.ndarray):
+        return max(-x.min().item(), x.max().item()) if x.size else 0
+    return abs(x)
+
+
+def check_range(noise, label_bound, limit, message: str) -> None:
+    """Refuse noise whose magnitude plus label_bound's passes limit (INT64_MAX
+    or FLOAT_MAX), or is NaN, with ValueError(message.format(the noise's
+    magnitude)).  The additive samplers check their scale or span before the
+    draw and the drawn noise before the add.  Their label_bound defaults to
+    the labels; the pipeline passes its universe, so that a refusal tells
+    nothing of the labels."""
+    m = _magnitude(noise)
+    if not m + _magnitude(label_bound) <= limit:
+        raise ValueError(message.format(m))
 
 
 def _draw_signs(u, rng):
@@ -136,48 +157,43 @@ def rr_on_bins_randomize(own_bins, d: int, eps: float, rng: np.random.Generator)
     return out
 
 
-def laplace_sample(y, params: NoiseParams, rng: np.random.Generator):
-    """y plus continuous Laplace noise with scale sensitivity/eps; refuses an
-    eps so small that the scale overflows."""
-    if params.scale == math.inf:
-        raise ValueError(f"eps {params.eps} too small for sensitivity {params.sensitivity}: "
-                         "the noise scale overflows")
+def laplace_sample(y, params: NoiseParams, rng: np.random.Generator, label_bound=None):
+    """y plus continuous Laplace noise with scale sensitivity/eps."""
+    eps, b = params.eps, params.scale
+    check_range(b, 0, FLOAT_MAX, f"eps {eps} too small for sensitivity {params.sensitivity}: "
+                                 "the noise scale overflows")
     y = np.asarray(y, dtype=float)
-    noise = rng.laplace(0.0, params.scale, size=y.shape)
+    noise = rng.laplace(0.0, b, size=y.shape)
+    check_range(noise, y if label_bound is None else label_bound, FLOAT_MAX,
+                f"eps {eps} drew laplace noise of {{}} at scale {b}: the noisy labels would "
+                "pass the float range")
     noise += y
     return noise
 
 
-def _abs_bound(y) -> int:
-    """The largest |entry| of an integer-valued array, 0 for an empty one."""
-    return max(-int(y.min()), int(y.max())) if y.size else 0
-
-
-def discrete_laplace_sample(y, params: NoiseParams, rng: np.random.Generator,
-                            label_bound: int | None = None):
+def discrete_laplace_sample(y, params: NoiseParams, rng: np.random.Generator, label_bound=None):
     """y plus discrete Laplace noise (pmf proportional to e^(-|j|/b), b =
     sensitivity/eps), sampled exactly as a difference of two geometrics, as
-    int64.  Noise whose largest magnitude plus label_bound (at least the
-    largest |y|, which is the default) would pass int64 is refused before it
-    is added."""
-    y = integer_valued(y, "discrete laplace requires integer-valued input")
+    int64."""
+    y = integer_valued(y, "discrete laplace requires integer-valued input").astype(
+        np.int64, copy=False)
     b = params.scale
     p = params.geometric_p(1.0 / b if b > 0 else math.inf)  # eps = inf leaves no noise
     noise = rng.geometric(p, size=y.shape) - rng.geometric(p, size=y.shape)
-    if label_bound is None:
-        label_bound = _abs_bound(y)
-    magnitude = _abs_bound(noise)
-    if magnitude + label_bound > _INT64_MAX:
-        raise ValueError(f"eps {params.eps} drew discrete laplace noise of {magnitude} at "
-                         f"scale {b}: the noisy labels would pass the int64 range")
-    return y.astype(np.int64) + noise
+    check_range(noise, y if label_bound is None else label_bound, INT64_MAX,
+                f"eps {params.eps} drew discrete laplace noise of {{}} at scale {b}: the noisy "
+                "labels would pass the int64 range")
+    noise += y
+    return noise
 
 
-def staircase_sample(y, params: NoiseParams, rng: np.random.Generator):
+def staircase_sample(y, params: NoiseParams, rng: np.random.Generator, label_bound=None):
     """y plus continuous staircase noise: geometric rung with ratio e^(-eps),
     a high/low step within the rung (widths gamma*D and (1-gamma)*D, heights
     1 : e^(-eps)), a sign, and a uniform position inside the step."""
     eps, delta = params.eps, params.sensitivity
+    check_range(delta, 0, FLOAT_MAX, f"eps {eps}: the staircase span {delta} is past the "
+                                     "float range")
     gamma = params.gamma()
     y = np.asarray(y, dtype=float)
     rung = rng.geometric(params.geometric_p(eps), size=y.shape)
@@ -207,19 +223,23 @@ def staircase_sample(y, params: NoiseParams, rng: np.random.Generator):
     out = flat.view(np.float64)
     out[...] = flat
     out = out.reshape(y.shape)
-    out *= delta
-    out += u
+    with np.errstate(over="ignore"):  # noise past the float range is refused below
+        out *= delta
+        out += u
     sign = _draw_signs(u, rng)
     sign <<= 63
     np.bitwise_xor(out.view(np.int64), sign, out=out.view(np.int64))
+    check_range(out, y if label_bound is None else label_bound, FLOAT_MAX,
+                f"eps {eps} drew staircase noise of {{}} at span {delta}: the noisy labels "
+                "would pass the float range")
     out += y
     return out
 
 
 def discrete_staircase_noise(shape, params: NoiseParams, rng: np.random.Generator,
-                             label_bound: int = 0):
+                             label_bound=0):
     """Discrete staircase noise over the integers, an int64 array of the
-    given shape, for labels of absolute value at most label_bound.
+    given shape, for labels bounded by label_bound as check_range reads it.
 
     The pmf is a(r) on |i| in [0, r), e^(-eps) a(r) on |i| in [r, Delta), and
     decays by e^(-eps) per rung of width Delta, with
@@ -231,8 +251,7 @@ def discrete_staircase_noise(shape, params: NoiseParams, rng: np.random.Generato
     delta = int(params.sensitivity)
     if delta != params.sensitivity or delta < 2:
         raise ValueError("discrete staircase requires integer sensitivity >= 2")
-    if delta > _INT64_MAX:
-        raise ValueError(f"discrete staircase span {delta} is past the int64 range")
+    check_range(delta, 0, INT64_MAX, f"discrete staircase span {delta} is past the int64 range")
     r = params.discrete_r(delta)
     b, q = math.exp(-eps), params.geometric_p(eps)  # q = 1 - b
     a = q / (2 * r + 2 * b * (delta - r) - q)
@@ -251,9 +270,9 @@ def discrete_staircase_noise(shape, params: NoiseParams, rng: np.random.Generato
         mag = rng.geometric(q, size=n_nz)  # the rung, then the magnitude
         mag *= ~first  # the first rung is rung 0
         rung = int(mag.max())
-        if (rung + 1) * delta - 1 + label_bound > _INT64_MAX:
-            raise ValueError(f"eps {eps} drew a discrete staircase rung of {rung} at span "
-                             f"{delta}: the noisy labels would pass the int64 range")
+        check_range((rung + 1) * delta - 1, label_bound, INT64_MAX,
+                    f"eps {eps} drew a discrete staircase rung of {rung} at span {delta}: the "
+                    "noisy labels would pass the int64 range")
         # the first rung holds r - 1 high cells past the atom, the others r
         lo_weight = b * (delta - r)
         p_first, p_rest = (w / (w + lo_weight) if w + lo_weight > 0 else 0.0
@@ -297,9 +316,10 @@ def discrete_staircase_noise(shape, params: NoiseParams, rng: np.random.Generato
 
 def discrete_staircase_sample(y, params: NoiseParams, rng: np.random.Generator):
     """y plus discrete_staircase_noise, as int64."""
-    y = integer_valued(y, "discrete staircase requires integer-valued input")
-    out = discrete_staircase_noise(y.shape, params, rng, _abs_bound(y))
-    out += y.astype(np.int64, copy=False)
+    y = integer_valued(y, "discrete staircase requires integer-valued input").astype(
+        np.int64, copy=False)
+    out = discrete_staircase_noise(y.shape, params, rng, y)
+    out += y
     return out
 
 
@@ -325,8 +345,9 @@ def exponential_mechanism_sample(y, lo: float, hi: float, eps: float,
     b = 2.0 * (float(hi) - float(lo)) / float(eps)
     if b == 0:  # eps = inf leaves no noise
         return y.copy()
-    if b == math.inf:
-        raise ValueError(f"eps {eps} too small for the range [{lo}, {hi}]: the noise scale overflows")
+    # the outputs stay in [lo, hi], so only the scale itself must be finite
+    check_range(b, 0, FLOAT_MAX, f"eps {eps} too small for the range [{lo}, {hi}]: the noise "
+                                 "scale overflows")
     below = np.subtract(lo, y, out=np.empty_like(y))
     below /= b
     np.negative(np.expm1(below, out=below), out=below)

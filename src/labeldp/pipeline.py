@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -96,7 +97,7 @@ def universe_indices(labels, universe: LabelSet) -> np.ndarray:
     return idx.reshape(x.shape)
 
 
-def _rr_on_bins(idx, universe, eps, rng, loss, eps1, clip):
+def _rr_on_bins(idx, universe, eps, rng, loss, eps1):
     """Two-step rr-on-bins; eps1 defaults to sqrt(k/n) of the total eps."""
     budget = (default_budget_split(eps, universe.k, idx.size) if eps1 is None
               else split_budget(eps, eps1))
@@ -107,16 +108,10 @@ def _rr_on_bins(idx, universe, eps, rng, loss, eps1, clip):
 
 
 def _one_step(draw):
-    """Registry sampler for a mechanism that spends all of eps on draw(x,
-    universe, eps, rng), clipping its output into the range on request."""
-
-    def sample(x, universe, eps, rng, loss, eps1, clip):
-        noisy = draw(x, universe, eps, rng)
-        if clip:
-            np.clip(noisy, universe.y_min, universe.y_max, out=noisy)
-        return Outputs(None, None, noisy), EpsilonBudget(eps1=0.0, eps2=eps), None, None
-
-    return sample
+    """The sample of a mechanism that spends all of eps on draw(x, universe,
+    eps, rng)."""
+    return lambda x, universe, eps, rng, loss, eps1: (
+        Outputs(None, None, draw(x, universe, eps, rng)), EpsilonBudget(0.0, eps), None, None)
 
 
 def _noise_params(universe, eps):
@@ -126,37 +121,35 @@ def _noise_params(universe, eps):
 
 def _integer_grid(universe):
     """The universe as int64, refused unless every element is a whole number
-    in the int64 range, and its largest |element|: the label bound of the
-    discrete samplers' int64 check, from the universe and not the labels, so
-    that a refusal tells nothing of them."""
-    grid = integer_valued(universe.values,
+    in the int64 range."""
+    return integer_valued(universe.values,
                           "the discrete mechanisms need an integer universe").astype(np.int64)
-    return grid, max(-int(grid[0]), int(grid[-1]))
 
 
+# the additive samplers bound the labels' reach by the universe, not by the labels
 @_one_step
 def _laplace(y, universe, eps, rng):
-    return laplace_sample(y, _noise_params(universe, eps), rng)
+    return laplace_sample(y, _noise_params(universe, eps), rng, universe.values)
 
 
 @_one_step
 def _staircase(y, universe, eps, rng):
-    return staircase_sample(y, _noise_params(universe, eps), rng)
+    return staircase_sample(y, _noise_params(universe, eps), rng, universe.values)
 
 
 @_one_step
 def _discrete_laplace(idx, universe, eps, rng):
-    grid, label_bound = _integer_grid(universe)
+    grid = _integer_grid(universe)
     return discrete_laplace_sample(grid.take(idx), _noise_params(universe, eps), rng,
-                                   label_bound).astype(float)
+                                   grid).astype(float)
 
 
 @_one_step
 def _discrete_staircase(idx, universe, eps, rng):
     # the labels are gathered after the last draw, never beside the draw buffers
-    grid, label_bound = _integer_grid(universe)
+    grid = _integer_grid(universe)
     params = NoiseParams(eps=eps, sensitivity=float(round(universe.y_max - universe.y_min)))
-    out = discrete_staircase_noise(idx.shape, params, rng, label_bound)
+    out = discrete_staircase_noise(idx.shape, params, rng, grid)
     out += grid.take(idx)
     return out.astype(float)
 
@@ -166,49 +159,58 @@ def _exponential(y, universe, eps, rng):
     return exponential_mechanism_sample(y, universe.y_min, universe.y_max, eps, rng)
 
 
-def _rr(idx, universe, eps, rng, loss, eps1, clip):
+def _rr(idx, universe, eps, rng, loss, eps1):
     """Plain randomized response: rr-on-bins' last step with one bin per
-    universe element and all of eps; its outputs need no clip."""
+    universe element and all of eps."""
     out = rr_on_bins_randomize(idx, universe.k, eps, rng)
     return _indexed(universe.values, out), EpsilonBudget(eps1=0.0, eps2=eps), None, None
 
 
-# name -> (takes universe indices, sampler).  A sampler without indices gets
-# the labels clamped into [y_min, y_max]; each returns (Outputs, budget,
-# estimated prior, layout).
+@dataclass(frozen=True)
+class Mechanism:
+    """What randomize knows of a mechanism.  sample(x, universe, eps, rng,
+    loss, eps1) returns (Outputs, budget, estimated prior, layout) from the
+    labels' universe indices x if indexed, else from the labels clamped into
+    [y_min, y_max].  An additive mechanism's outputs leave that range unless
+    randomize clips them; the others' stay inside it, and a solved one's
+    inside the loss's domain as well."""
+
+    indexed: bool
+    additive: bool
+    sample: Callable
+    solved: bool = False
+
+
 MECHANISMS = {
-    "rr-on-bins": (True, _rr_on_bins),
-    "laplace": (False, _laplace),
-    "discrete-laplace": (True, _discrete_laplace),
-    "staircase": (False, _staircase),
-    "discrete-staircase": (True, _discrete_staircase),
-    "exponential": (False, _exponential),
-    "rr": (True, _rr),
+    "rr-on-bins": Mechanism(indexed=True, additive=False, sample=_rr_on_bins, solved=True),
+    "laplace": Mechanism(indexed=False, additive=True, sample=_laplace),
+    "discrete-laplace": Mechanism(indexed=True, additive=True, sample=_discrete_laplace),
+    "staircase": Mechanism(indexed=False, additive=True, sample=_staircase),
+    "discrete-staircase": Mechanism(indexed=True, additive=True, sample=_discrete_staircase),
+    "exponential": Mechanism(indexed=False, additive=False, sample=_exponential),
+    "rr": Mechanism(indexed=True, additive=False, sample=_rr),
 }
 
 
-def find_mechanism(name):
+def find_mechanism(name) -> Mechanism:
     """MECHANISMS[name], or a ValueError naming the mechanisms there are."""
     if name not in MECHANISMS:
         raise ValueError(f"unknown mechanism {name!r}; pick from {', '.join(MECHANISMS)}")
     return MECHANISMS[name]
 
 
-# the one-step mechanisms whose outputs leave [y_min, y_max] unless clipped
-_ADDITIVE = ("laplace", "discrete-laplace", "staircase", "discrete-staircase")
-
-
-def _check_loss_domain(mechanism, universe: LabelSet, loss: LossSpec, clip: bool) -> None:
+def _check_loss_domain(name, mech: Mechanism, universe: LabelSet, loss: LossSpec,
+                       clip: bool) -> None:
     """Refuse a run whose outputs can fall below the loss's domain, where the
     loss would read NaN: an unclipped additive mechanism, or a universe that
-    reaches below domain_min.  rr-on-bins solves its outputs inside the
+    reaches below domain_min.  A solved mechanism's outputs are inside the
     domain, and optimize_bins refuses the labels it cannot."""
     lo = loss.domain_min
-    if lo is None or mechanism == "rr-on-bins":
+    if lo is None or mech.solved:
         return
-    if not clip and mechanism in _ADDITIVE:
+    if not clip and mech.additive:
         raise ValueError(f"the {loss.kind} loss needs outputs above {lo:g}: "
-                         f"clip the outputs of {mechanism} into the universe range")
+                         f"clip the outputs of {name} into the universe range")
     if universe.y_min < lo:
         raise ValueError(f"the {loss.kind} loss needs outputs above {lo:g}, "
                          f"but the universe reaches {universe.y_min:g}")
@@ -229,7 +231,7 @@ def randomize(mechanism, labels, universe: LabelSet, eps: float, loss: LossSpec,
     drawing from rng.
 
     eps1 is rr-on-bins' prior-estimation share (default sqrt(k/n)); clip
-    clamps the one-step mechanisms' outputs into the universe range.  A
+    clamps the additive mechanisms' outputs into the universe range.  A
     caller running many mechanisms on one batch passes indices =
     universe_indices(labels, universe) to map it once.  A run whose outputs
     can fall outside the loss's domain, a NaN or negative eps, a label that
@@ -237,21 +239,23 @@ def randomize(mechanism, labels, universe: LabelSet, eps: float, loss: LossSpec,
     label, is refused before anything is sampled.  Returns (Outputs,
     report), the noisy labels in the order of the input.
     """
-    indexed, sample = find_mechanism(mechanism)
+    mech = find_mechanism(mechanism)
     check_eps(eps)
-    _check_loss_domain(mechanism, universe, loss, clip)
+    _check_loss_domain(mechanism, mech, universe, loss, clip)
     raw = _labels(labels)
     if indices is not None:
         indices = as_indices(indices, universe.k)
         if indices.shape != raw.shape:
             raise ValueError(f"indices of shape {indices.shape} for labels of shape {raw.shape}")
-    if indexed:
+    if mech.indexed:
         x = universe_indices(raw, universe) if indices is None else indices
     elif raw.min() >= universe.y_min and raw.max() <= universe.y_max:
         x = raw  # clip would return the same bits, -0.0 included; no sampler writes x
     else:
         x = np.clip(raw, universe.y_min, universe.y_max)
-    out, budget, prior, layout = sample(x, universe, eps, rng, loss, eps1, clip)
+    out, budget, prior, layout = mech.sample(x, universe, eps, rng, loss, eps1)
     del x  # a clamped copy is freed before the loss takes its temporary
+    if clip and mech.additive:
+        np.clip(out.values, universe.y_min, universe.y_max, out=out.values)
     loss_on_inputs = float(np.mean(loss.eval_fn(out.values, raw)))
     return out, RandomizationReport(budget, prior, layout, loss_on_inputs, raw.size, loss.kind)

@@ -451,6 +451,53 @@ def test_discrete_laplace_past_int64_is_precondition_error(tmp_path, capsys):
     assert not out.exists() and not Path(f"{out}.report.json").exists()
 
 
+@pytest.mark.parametrize("mechanism, universe, clip, message", [
+    # the span itself is inf: refused before any draw, where it wrote nan
+    ("staircase", "-1e308,1e308", "--clip", "eps 1.0: the staircase span inf is past the float "
+                                            "range"),
+    # drawn noise plus the universe's reach passes the largest double:
+    # refused before the add, where it wrote inf, or the range's top once clipped
+    *((mech, "0,1e307,1e308", clip, f"eps 1.0 drew {mech} noise of inf at {at} 1e+308: the "
+                                    "noisy labels would pass the float range")
+      for mech, at in (("laplace", "scale"), ("staircase", "span"))
+      for clip in ("--clip", "--no-clip")),
+], ids=["span", "laplace-clip", "laplace-no-clip", "staircase-clip", "staircase-no-clip"])
+def test_noise_past_the_float_range_is_precondition_error(tmp_path, capsys, mechanism, universe,
+                                                          clip, message):
+    labels = np.random.default_rng(0).choice([0.0, 1e307, 1e308], 200)
+    src = write(tmp_path / "in.txt", "".join(f"{v!r}\n" for v in labels.tolist()))
+    out = tmp_path / "out.txt"
+    assert run(["randomize", "--input", src, "--output", out, "--eps", "1", "--seed", "1",
+                "--mechanism", mechanism, clip, f"--universe={universe}"]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and not Path(f"{out}.report.json").exists()
+
+
+PRIOR_TO_1E200 = "0,0.3\n1,0.4\n1e200,0.3\n"
+
+
+@pytest.mark.parametrize("loss, eps", [("squared", "1"), ("poisson", "800"), ("absolute", "800")])
+def test_optimize_bins_table_past_the_float_range_is_precondition_error(tmp_path, capsys, loss,
+                                                                         eps):
+    # squared and poisson read NaN cells, where the search raised numpy's
+    # "argmin of an empty sequence"; absolute read inf ones, where the ratio
+    # search never settled
+    prior = write(tmp_path / "prior.csv", PRIOR_TO_1E200)
+    assert run(["optimize-bins", "--prior-file", prior, "--loss", loss, "--eps", eps]) == 3
+    assert capsys.readouterr() == ("", f"error: the {loss} loss's bin table at eps {float(eps)} "
+                                       "overflows on labels in [0, 1e+200]\n")
+
+
+def test_rr_on_bins_table_past_the_float_range_is_precondition_error(tmp_path, capsys):
+    src = write(tmp_path / "in.txt", "1\n2\n3\n")
+    out = tmp_path / "out.txt"
+    assert run(["randomize", "--input", src, "--output", out, "--eps", "1", "--eps1", "0.5",
+                "--universe", "0,1e160"]) == 3
+    assert capsys.readouterr().err == ("error: the squared loss's bin table at eps 0.5 overflows "
+                                       "on labels in [0, 1e+160]\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # output
 # ---------------------------------------------------------------------------

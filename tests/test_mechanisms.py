@@ -20,6 +20,7 @@ from labeldp import (
     rr_on_bins_randomize,
     staircase_sample,
 )
+from labeldp.mechanisms import FLOAT_MAX, INT64_MAX, check_range
 from labeldp.verify import (
     discrete_laplace_pmf,
     discrete_staircase_pmf,
@@ -647,3 +648,27 @@ def test_discrete_staircase_refuses_a_sum_past_int64():
         discrete_staircase_sample(near, params, default_rng(2))
     with pytest.raises(ValueError, match="span 9223372036854775808 is past the int64 range"):
         discrete_staircase_sample([0], NoiseParams(eps=1.0, sensitivity=2.0**63), default_rng(2))
+
+
+def test_check_range_adds_magnitudes_exactly_and_refuses_nan():
+    # int64 sums are exact at the limit; an array's magnitude is its largest |entry|
+    check_range(np.array([-3, 2]), np.array([0, 2**63 - 4]), INT64_MAX, "{}")
+    with pytest.raises(ValueError, match="^4$"):
+        check_range(np.array([2, -4]), 2**63 - 4, INT64_MAX, "{}")
+    check_range(np.array([], dtype=float), FLOAT_MAX, FLOAT_MAX, "{}")
+    for noise, labels in ((np.array([1.0, np.nan]), 0.0), (1e308, np.array([-1e308])),
+                          (np.float64(-np.inf), 0.0)):
+        with pytest.raises(ValueError, match="^(nan|1e\\+308|inf)$"):
+            check_range(noise, labels, FLOAT_MAX, "{}")
+
+
+@pytest.mark.parametrize("sample, at", [(laplace_sample, "scale"), (staircase_sample, "span")])
+def test_float_samplers_refuse_a_sum_past_the_float_range(sample, at):
+    # the largest |label| counts with the drawn noise, as in the int64 samplers
+    params = NoiseParams(eps=1.0, sensitivity=1e306)
+    near = np.r_[np.zeros(99), -1.79e308]
+    assert np.isfinite(sample(np.zeros(100), params, default_rng(2))).all()
+    with pytest.raises(ValueError, match=f"^eps 1.0 drew {sample.__name__[:-7]} noise of .* at "
+                                         f"{at} 1e\\+306: the noisy labels would pass the float "
+                                         "range$"):
+        sample(near, params, default_rng(2))

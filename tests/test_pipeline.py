@@ -224,7 +224,9 @@ def test_in_range_labels_draw_as_their_clamped_copy(mech, clip, bottom):
     out, _ = randomize(mech, labels, uni, 1.0, SQUARED, default_rng(8), clip=clip)
     clamped = np.clip(labels, uni.y_min, uni.y_max)
     assert clamped.flags.writeable and clamped.tobytes() == before
-    ref, *_ = MECHANISMS[mech][1](clamped, uni, 1.0, default_rng(8), SQUARED, None, clip)
+    ref, *_ = MECHANISMS[mech].sample(clamped, uni, 1.0, default_rng(8), SQUARED, None)
+    if clip and MECHANISMS[mech].additive:
+        np.clip(ref.values, uni.y_min, uni.y_max, out=ref.values)
     assert out.values.tobytes() == ref.values.tobytes()
     assert labels.tobytes() == before
 
@@ -238,8 +240,8 @@ def test_discrete_staircase_gathers_its_labels_after_the_same_draws(eps, k, n):
     # afterwards: the bytes of the sampler on the gathered labels
     uni = make_label_set(range(k))
     idx = default_rng(3).integers(0, k, n)
-    out, *_ = MECHANISMS["discrete-staircase"][1](idx, uni, eps, default_rng(9), SQUARED,
-                                                  None, False)
+    out, *_ = MECHANISMS["discrete-staircase"].sample(idx, uni, eps, default_rng(9), SQUARED,
+                                                      None)
     params = NoiseParams(eps=eps, sensitivity=float(k - 1))
     ints = uni.values.astype(np.int64)[idx]
     ref = discrete_staircase_sample(ints, params, default_rng(9))
