@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LabelSet, Prior, check_eps
-from .losses import POISSON_YHAT_FLOOR, LossSpec
+from .losses import ABSOLUTE, POISSON, POISSON_YHAT_FLOOR, SQUARED, LossSpec
 
 TILT_CAP = 1e300          # e^eps saturates here; layouts beyond eps ~ 35 are identity-like
 GOLDEN_TOL = 1e-10        # bracket width in yhat at which a custom-loss search stops uncertified
@@ -181,10 +181,10 @@ def _rows_poisson(p: np.ndarray, y: np.ndarray, tilt: float):
 
 
 def _rows_absolute(p: np.ndarray, y: np.ndarray, tilt: float):
-    """Per start r, the tilted absolute-loss minimum over ascending labels y,
-    one block of starts at a time (see _absolute_block), whose temporaries
-    are freed before the next block's are made."""
-    T = tilt - 1.0
+    """Per start r, the tilted absolute-loss minimum over the mirrored labels
+    y, negated to ascend, one block of starts at a time (see _absolute_block),
+    whose temporaries are freed before the next block's are made."""
+    T, y = tilt - 1.0, -y
     P = np.concatenate(([0.0], np.cumsum(p)))
     d_all = sum(_deviations(p, y))
     for r0, pm in _row_blocks(p):
@@ -395,6 +395,13 @@ def _physical_memory() -> float:
         return math.inf
 
 
+def check_memory(need: int, what: str) -> None:
+    """Refuse a build of need bytes past physical memory, before it allocates."""
+    if need > (memory := _physical_memory()):
+        raise ValueError(f"{what} needs {need:,} bytes, more than the {memory:,.0f} "
+                         "bytes of physical memory")
+
+
 def _build_tables(prior: Prior, tilt: float, loss: LossSpec) -> np.ndarray:
     """The single-bin table L, packed by bin end: L[r][i] at _cell(r, i).
 
@@ -405,21 +412,13 @@ def _build_tables(prior: Prior, tilt: float, loss: LossSpec) -> np.ndarray:
     A table larger than the machine's physical memory is refused unallocated.
     """
     k = prior.k
-    cells, memory = k * (k + 1) // 2, _physical_memory()
-    if 8 * cells > memory:
-        raise ValueError(f"the bin table for k={k} labels needs {8 * cells:,} bytes, "
-                         f"more than the {memory:,.0f} bytes of physical memory")
+    cells = k * (k + 1) // 2
+    check_memory(8 * cells, f"the bin table for k={k} labels")
     cols = np.empty(cells)
     p = np.ascontiguousarray(prior.probs[::-1])
     y = np.ascontiguousarray(prior.labels.values[::-1])
-    if loss.kind == "squared":
-        rows = _rows_squared(p, y, tilt)
-    elif loss.kind == "poisson":
-        rows = _rows_poisson(p, y, tilt)
-    elif loss.kind == "absolute":
-        rows = _rows_absolute(p, -y, tilt)  # negated, the labels ascend again
-    else:
-        rows = _rows_generic(p, y, tilt, loss)
+    closed = _closed_forms(loss)
+    rows = closed[0](p, y, tilt) if closed else _rows_generic(p, y, tilt, loss)
     for r, vals in rows:
         end = k - 1 - r  # the mirrored row r holds the bins [end - n, end]
         cols[_cell(0, end):_cell(0, end + 1)] = vals[::-1]
@@ -498,6 +497,14 @@ def inner_min_generic(prior: Prior, r: int, i: int, eps: float, loss: LossSpec):
     return float(x[0]), float(v[0])
 
 
+def _closed_forms(loss: LossSpec):
+    """(table rows, interval solver) of the built-in loss == loss, else None."""
+    return next((f for spec, *f in ((SQUARED, _rows_squared, inner_min_squared),
+                                    (POISSON, _rows_poisson, inner_min_poisson),
+                                    (ABSOLUTE, _rows_absolute, inner_min_absolute))
+                 if spec == loss), None)
+
+
 # ---------------------------------------------------------------------------
 # search over partitions
 # ---------------------------------------------------------------------------
@@ -570,10 +577,9 @@ def _parametric_search(lval: np.ndarray, k: int, tilt: float):
 
 def _bin_outputs(prior: Prior, spans, eps: float, loss: LossSpec) -> list[float]:
     """Each bin's output, solved from scratch; in lockstep for a custom loss."""
-    closed = {"squared": inner_min_squared, "poisson": inner_min_poisson,
-              "absolute": inner_min_absolute}.get(loss.kind)
-    if closed is not None:
-        return [closed(prior, a + 1, b + 1, eps)[0] for a, b in spans]
+    closed = _closed_forms(loss)
+    if closed:
+        return [closed[1](prior, a + 1, b + 1, eps)[0] for a, b in spans]
     w = _tilted_rows(prior.probs, spans, tilt_factor(eps))
     return [float(x) for x in _convex_rows(w, prior.labels.values, loss)[0]]
 

@@ -29,8 +29,8 @@ from decimal import Decimal, DecimalException, InvalidOperation
 
 import numpy as np
 
-from . import binopt, losses
-from .binopt import BinLayout, optimize_bins
+from . import losses
+from .binopt import BinLayout, check_memory, optimize_bins
 from .core import LabelSet, Prior, check_eps, make_label_set, make_prior
 from .pipeline import MECHANISMS, find_mechanism, randomize, universe_indices
 
@@ -189,11 +189,8 @@ def parse_universe(spec: str) -> LabelSet:
             raise ParseError(f"universe min {lo} > max {hi}")
         try:
             n = int((hi - lo) // step) + 1
-            need, memory = n * UNIVERSE_ELEMENT_BYTES, binopt._physical_memory()
-            if need > memory:
-                raise ValueError(f"universe {spec!r} has {n:,} elements, whose build needs "
-                                 f"{need:,} bytes, more than the {memory:,.0f} bytes of "
-                                 "physical memory")
+            check_memory(n * UNIVERSE_ELEMENT_BYTES, f"universe {spec!r} has {n:,} elements, "
+                         "whose build")
             values = [float(lo + i * step) for i in range(n)]
         except DecimalException:  # a count past 28 digits, or a value past the exponent range
             raise ValueError(f"universe {spec!r} has 10^28 elements or more, "
@@ -362,10 +359,7 @@ def cmd_randomize(args) -> int:
             loss_kind=run.loss_kind,
         )
 
-    if out.index is None:
-        _write_lines(args.output, out.values)
-    else:
-        _write_lines(args.output, table=out.table, index=out.index)
+    _write_lines(args.output, out.values, out.table, out.index)
     with open(args.output + ".report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -448,11 +442,8 @@ BENCH_MAX_THREADS = 4  # cells in flight at most; each holds a few label-sized a
 def _bench_workers(cells: int) -> int:
     """Threads for bench's cells: one per CPU this process may run on, at
     most one per cell and BENCH_MAX_THREADS."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:  # a platform without CPU affinity
-        cpus = os.cpu_count() or 1
-    return max(1, min(cells, cpus, BENCH_MAX_THREADS))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cells, cpus or 1, BENCH_MAX_THREADS))
 
 
 def cmd_bench(args) -> int:

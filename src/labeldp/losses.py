@@ -24,7 +24,7 @@ BUILTIN_KINDS = ("squared", "absolute", "poisson")
 
 @dataclass(frozen=True)
 class LossSpec:
-    """A loss function plus the metadata the optimizer needs.
+    """A loss function plus the metadata the optimizer needs; kind only names it.
 
     eval_fn(yhat, y), on numpy arrays in either argument, must be convex in
     yhat and finite on the domain, and may be negative (as poisson is).

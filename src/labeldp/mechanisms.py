@@ -37,6 +37,7 @@ _LOG1P_FLOOR = np.nextafter(-1.0, 0.0)
 _CHUNK = 4096  # elements: an 8-byte temporary of 32 KiB
 INT64_MAX = 2**63 - 1
 FLOAT_MAX = float(np.finfo(float).max)
+_SPAN_PAST = "eps {}: the {} span {} is past the float range"  # refused before any draw
 # the bits of 1.0 and of -0.0 (the sign bit alone), as uint64
 _ONE_BITS = np.array(1.0).view(np.uint64)[()]
 _MINUS_ZERO_BITS = np.array(-0.0).view(np.uint64)[()]
@@ -159,8 +160,9 @@ def rr_on_bins_randomize(own_bins, d: int, eps: float, rng: np.random.Generator)
 
 def laplace_sample(y, params: NoiseParams, rng: np.random.Generator, label_bound=None):
     """y plus continuous Laplace noise with scale sensitivity/eps."""
-    eps, b = params.eps, params.scale
-    check_range(b, 0, FLOAT_MAX, f"eps {eps} too small for sensitivity {params.sensitivity}: "
+    eps, span, b = params.eps, params.sensitivity, params.scale
+    check_range(span, 0, FLOAT_MAX, _SPAN_PAST.format(eps, "laplace", span))
+    check_range(b, 0, FLOAT_MAX, f"eps {eps} too small for sensitivity {span}: "
                                  "the noise scale overflows")
     y = np.asarray(y, dtype=float)
     noise = rng.laplace(0.0, b, size=y.shape)
@@ -192,8 +194,7 @@ def staircase_sample(y, params: NoiseParams, rng: np.random.Generator, label_bou
     a high/low step within the rung (widths gamma*D and (1-gamma)*D, heights
     1 : e^(-eps)), a sign, and a uniform position inside the step."""
     eps, delta = params.eps, params.sensitivity
-    check_range(delta, 0, FLOAT_MAX, f"eps {eps}: the staircase span {delta} is past the "
-                                     "float range")
+    check_range(delta, 0, FLOAT_MAX, _SPAN_PAST.format(eps, "staircase", delta))
     gamma = params.gamma()
     y = np.asarray(y, dtype=float)
     rung = rng.geometric(params.geometric_p(eps), size=y.shape)
@@ -342,7 +343,9 @@ def exponential_mechanism_sample(y, lo: float, hi: float, eps: float,
     check_eps(eps, positive=True)
     if hi == lo:
         return np.full(y.shape, float(lo))
-    b = 2.0 * (float(hi) - float(lo)) / float(eps)
+    span = float(hi) - float(lo)
+    check_range(span, 0, FLOAT_MAX, _SPAN_PAST.format(eps, "exponential", span))
+    b = 2.0 * span / float(eps)
     if b == 0:  # eps = inf leaves no noise
         return y.copy()
     # the outputs stay in [lo, hi], so only the scale itself must be finite

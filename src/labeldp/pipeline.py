@@ -148,8 +148,7 @@ def _discrete_laplace(idx, universe, eps, rng):
 def _discrete_staircase(idx, universe, eps, rng):
     # the labels are gathered after the last draw, never beside the draw buffers
     grid = _integer_grid(universe)
-    params = NoiseParams(eps=eps, sensitivity=float(round(universe.y_max - universe.y_min)))
-    out = discrete_staircase_noise(idx.shape, params, rng, grid)
+    out = discrete_staircase_noise(idx.shape, _noise_params(universe, eps), rng, grid)
     out += grid.take(idx)
     return out.astype(float)
 
@@ -257,5 +256,6 @@ def randomize(mechanism, labels, universe: LabelSet, eps: float, loss: LossSpec,
     del x  # a clamped copy is freed before the loss takes its temporary
     if clip and mech.additive:
         np.clip(out.values, universe.y_min, universe.y_max, out=out.values)
-    loss_on_inputs = float(np.mean(loss.eval_fn(out.values, raw)))
+    with np.errstate(over="ignore"):  # a loss past the float range reads inf
+        loss_on_inputs = float(np.mean(loss.eval_fn(out.values, raw)))
     return out, RandomizationReport(budget, prior, layout, loss_on_inputs, raw.size, loss.kind)

@@ -63,16 +63,16 @@ def _interval_minimum(p, y, lo, hi, tilt, loss: LossSpec):
     """Exact tilted minimizer for one interval [lo, hi] of label indices."""
     w = p.copy()
     w[lo: hi + 1] *= tilt
-    if loss.kind == "squared":
+    if loss == losses.SQUARED:
         # centred on the heaviest label, whose weight (up to 1e300) would
         # multiply any rounding of an uncentred mean
         c = float(y[np.argmax(w)])
         shift = float(np.dot(w, y - c) / np.sum(w))
         return c + shift, float(np.dot(w, (y - c - shift) ** 2))
-    if loss.kind == "poisson":
+    if loss == losses.POISSON:
         mean = max(float(np.dot(w, y) / np.sum(w)), POISSON_YHAT_FLOOR)
         return mean, float(np.sum(w) * mean - np.dot(w, y) * math.log(mean))
-    if loss.kind == "absolute":
+    if loss == losses.ABSOLUTE:
         cum = np.cumsum(w)
         m = int(np.searchsorted(cum, 0.5 * cum[-1]))
         med = float(y[m])

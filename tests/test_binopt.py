@@ -19,7 +19,7 @@ from labeldp import (
     make_prior,
     optimize_bins,
 )
-from labeldp import binopt
+from labeldp import binopt, losses
 from labeldp.binopt import TILT_CAP, _build_tables, tilt_factor
 from labeldp.verify import (
     _interval_minimum,
@@ -635,3 +635,52 @@ def test_layout_validation():
     lay = BinLayout(ls, (1, 3), (0.0, 1.5), 1.0, 0.1)
     assert lay.assignments().tolist() == [0, 1, 1]
     assert lay.outputs[lay.assignments()[2]] == 1.5
+
+
+def test_the_loss_itself_picks_its_solver():
+    # a squared kind on the absolute loss's function takes the convex search,
+    # not the squared closed form, which gave objective 13.12 and outputs
+    # 1.98, 5.28 here
+    pr = make_prior(make_label_set([0, 1, 2, 10]), [1, 1, 1, 1])
+    mislabelled = optimize_bins(pr, 1.0, losses.LossSpec("squared", losses._absolute, True))
+    assert mislabelled.objective == pytest.approx(optimize_bins(pr, 1.0, ABSOLUTE).objective,
+                                                  rel=0, abs=1e-9)
+    brute = brute_force_optimal_bins(pr, 1.0, losses.LossSpec("squared", losses._absolute, True))
+    assert mislabelled.objective == pytest.approx(brute.objective, rel=1e-9)
+    assert mislabelled.boundaries == brute.boundaries == (2, 4)
+    # a copy equal to a built-in takes its closed form, bit for bit
+    for builtin in ALL_LOSSES:
+        copy = losses.LossSpec(builtin.kind, builtin.eval_fn, True, builtin.domain_min)
+        assert copy is not builtin
+        assert optimize_bins(pr, 1.0, copy) == optimize_bins(pr, 1.0, builtin)
+
+
+def test_an_unhashable_custom_loss_is_searched():
+    class Absolute:  # __eq__ without __hash__: instances are unhashable
+        def __call__(self, yhat, y):
+            return np.abs(np.asarray(yhat) - np.asarray(y))
+
+        def __eq__(self, other):
+            return isinstance(other, Absolute)
+
+    pr = make_prior(make_label_set([0, 1, 2, 10]), [1, 1, 1, 1])
+    # the kind matches a built-in, so the comparison reaches eval_fn
+    lay = optimize_bins(pr, 1.0, losses.LossSpec("absolute", Absolute(), True))
+    assert lay.objective == pytest.approx(optimize_bins(pr, 1.0, ABSOLUTE).objective, abs=1e-9)
+
+
+def test_physical_memory_is_inf_where_the_os_does_not_say(monkeypatch):
+    def refuse(name):
+        raise OSError(f"no {name}")
+
+    monkeypatch.setattr(binopt.os, "sysconf", refuse)
+    assert binopt._physical_memory() == math.inf
+    binopt.check_memory(2**62, "a build")  # nothing is refused
+
+
+def test_check_memory_names_the_build(monkeypatch):
+    monkeypatch.setattr(binopt, "_physical_memory", lambda: 100.0)
+    binopt.check_memory(100, "a build")
+    with pytest.raises(ValueError, match="^a build needs 1,000 bytes, more than the 100 bytes of "
+                                         "physical memory$"):
+        binopt.check_memory(1000, "a build")

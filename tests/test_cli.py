@@ -455,13 +455,18 @@ def test_discrete_laplace_past_int64_is_precondition_error(tmp_path, capsys):
     # the span itself is inf: refused before any draw, where it wrote nan
     ("staircase", "-1e308,1e308", "--clip", "eps 1.0: the staircase span inf is past the float "
                                             "range"),
+    # no eps can help a span of inf: laplace and exponential name it, where
+    # they blamed eps for a scale of inf
+    *((mech, "-1e308,1e308", "--clip", f"eps 1.0: the {mech} span inf is past the float range")
+      for mech in ("laplace", "exponential")),
     # drawn noise plus the universe's reach passes the largest double:
     # refused before the add, where it wrote inf, or the range's top once clipped
     *((mech, "0,1e307,1e308", clip, f"eps 1.0 drew {mech} noise of inf at {at} 1e+308: the "
                                     "noisy labels would pass the float range")
       for mech, at in (("laplace", "scale"), ("staircase", "span"))
       for clip in ("--clip", "--no-clip")),
-], ids=["span", "laplace-clip", "laplace-no-clip", "staircase-clip", "staircase-no-clip"])
+], ids=["span", "laplace-span", "exponential-span", "laplace-clip", "laplace-no-clip",
+        "staircase-clip", "staircase-no-clip"])
 def test_noise_past_the_float_range_is_precondition_error(tmp_path, capsys, mechanism, universe,
                                                           clip, message):
     labels = np.random.default_rng(0).choice([0.0, 1e307, 1e308], 200)
@@ -471,6 +476,30 @@ def test_noise_past_the_float_range_is_precondition_error(tmp_path, capsys, mech
                 "--mechanism", mechanism, clip, f"--universe={universe}"]) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists() and not Path(f"{out}.report.json").exists()
+
+
+def test_loss_diagnostic_past_the_float_range_reads_inf(tmp_path, capsys):
+    # rr's outputs are +-1e308 and their squared error passes the float range:
+    # the diagnostic reads inf, with no numpy warning, which Tier-1 makes an error
+    src = write(tmp_path / "in.txt", "1\n2\n3\n")
+    out, csv = tmp_path / "out.txt", tmp_path / "bench.csv"
+    assert run(["randomize", "--input", src, "--output", out, "--eps", "1", "--mechanism", "rr",
+                "--universe=-1e308,1e308"]) == 0
+    assert json.loads(Path(f"{out}.report.json").read_text())["mechanism_loss_on_inputs"] == "inf"
+    assert run(["bench", "--input", src, "--output", csv, "--eps-list", "1", "--reps", "1",
+                "--mechanisms", "rr", "--universe=-1e308,1e308"]) == 0
+    assert csv.read_text() == "mechanism,eps,rep,loss\nrr,1,0,inf\n"
+    assert capsys.readouterr().err == ""
+
+
+def test_discrete_staircase_on_one_point_is_precondition_error(tmp_path, capsys):
+    # a one-point universe has sensitivity 1, as for the other additive mechanisms
+    src = write(tmp_path / "in.txt", "5\n5\n")
+    out = tmp_path / "out.txt"
+    assert run(["randomize", "--input", src, "--output", out, "--eps", "1",
+                "--mechanism", "discrete-staircase", "--universe", "5"]) == 3
+    assert capsys.readouterr().err == "error: discrete staircase requires integer sensitivity >= 2\n"
+    assert not out.exists()
 
 
 PRIOR_TO_1E200 = "0,0.3\n1,0.4\n1e200,0.3\n"
@@ -1070,6 +1099,21 @@ def test_bench_workers_are_capped_by_cells_and_cpus(monkeypatch):
     assert cli._bench_workers(1000) == cli.BENCH_MAX_THREADS
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert cli._bench_workers(1000) == 1
+
+
+def test_bench_workers_without_cpu_affinity(monkeypatch):
+    # a platform without sched_getaffinity counts every CPU, and one if it cannot
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._bench_workers(1000) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._bench_workers(1000) == 1
+
+
+def test_bench_eps_list_of_no_entry_is_precondition_error(tmp_path, capsys):
+    assert run(["bench", "--synthetic", "uniform", "--n", "10", "--universe", "0:4:1",
+                "--eps-list", ","]) == 3
+    assert capsys.readouterr().err == "error: bad eps list ','\n"
 
 
 @pytest.mark.parametrize("workers", [1, 3])

@@ -377,10 +377,13 @@ def test_exponential_mechanism_guards():
 
 @pytest.mark.parametrize("lo, hi, eps", [(0.0, 400.0, 1e-310), (0.0, 1e308, 1.0), (-1e308, 1e308, 1.0)])
 def test_exponential_mechanism_rejects_overflowing_scale(lo, hi, eps):
-    # b = 2 (hi - lo) / eps past the float range would turn every draw into NaN
-    with pytest.raises(ValueError, match="too small for the range"):
+    # b = 2 (hi - lo) / eps past the float range would turn every draw into NaN;
+    # a span hi - lo itself past it is refused first, naming the span, as no eps helps
+    match = ("^eps 1.0: the exponential span inf is past the float range$" if hi - lo == math.inf
+             else "too small for the range")
+    with pytest.raises(ValueError, match=match):
         exponential_mechanism_sample(np.array([lo, hi]), lo, hi, eps, default_rng(0))
-    with pytest.raises(ValueError, match="too small for the range"):
+    with pytest.raises(ValueError, match=match):
         exponential_mechanism_sample(np.array([lo]), np.float64(lo), np.float64(hi),
                                      np.float64(eps), default_rng(0))
 

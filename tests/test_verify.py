@@ -227,6 +227,12 @@ def test_lp_matches_grid_enumeration():
         assert sol.objective == pytest.approx(enum, abs=1e-6)
 
 
+def test_grid_enumeration_refuses_k_past_10():
+    pr = make_prior(make_label_set(range(11)), np.ones(11))
+    with pytest.raises(ValueError, match="grid enumeration limited to k <= 10"):
+        best_rr_on_bins_over_grid(pr, [0.0, 5.0], 1.0, SQUARED)
+
+
 def test_lp_feasibility_of_solution():
     rng = np.random.default_rng(24)
     pr = random_prior(rng, k_max=5)
@@ -347,6 +353,17 @@ def test_sampler_check_power():
         return rng.choice(vals, size=n, p=true)
 
     assert not empirical_sampler_check(sampler, vals, claimed, 10**5, np.random.default_rng(2))
+
+
+def test_sampler_check_fails_draws_off_a_support_with_no_remainder():
+    # the claimed probabilities sum to 1, so no draw may fall outside the values
+    def sampler(n, rng):
+        draws = rng.choice([0.0, 1.0], size=n)
+        draws[0] = 0.5
+        return draws
+
+    assert not empirical_sampler_check(sampler, [0.0, 1.0], [0.5, 0.5], 10**4,
+                                       np.random.default_rng(4))
 
 
 def test_sampler_check_deterministic_point_mass():
