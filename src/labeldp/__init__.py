@@ -2,14 +2,6 @@
 sets: optimal binned randomized response, private prior estimation, the
 additive-noise baselines, and independent optimality verifiers."""
 
-from .binopt import (
-    BinLayout,
-    inner_min_absolute,
-    inner_min_generic,
-    inner_min_poisson,
-    inner_min_squared,
-    optimize_bins,
-)
 from .core import (
     EpsilonBudget,
     LabelSet,
@@ -41,13 +33,15 @@ from .prior import HistogramEstimate, default_budget_split, laplace_histogram, s
 
 __version__ = "0.1.0"
 
-# the oracles are loaded on first use, so the CLI's cold start never compiles them
-_VERIFY_NAMES = ("LpSolution", "brute_force_optimal_bins", "check_eps_dp",
-                 "empirical_sampler_check", "lp_optimal_mechanism")
+# loaded on first use, so a command that runs no optimizer or oracle never compiles them
+_LAZY = {**dict.fromkeys(("BinLayout", "inner_min_absolute", "inner_min_generic",
+                         "inner_min_poisson", "inner_min_squared", "optimize_bins"), ".binopt"),
+         **dict.fromkeys(("LpSolution", "brute_force_optimal_bins", "check_eps_dp",
+                          "empirical_sampler_check", "lp_optimal_mechanism"), ".verify")}
 
 
 def __getattr__(name):
-    if name in _VERIFY_NAMES:
-        from . import verify
-        return getattr(verify, name)
+    if name in _LAZY:
+        from importlib import import_module
+        return getattr(import_module(_LAZY[name], __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

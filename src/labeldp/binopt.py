@@ -37,12 +37,11 @@ chosen bins are then solved from scratch by the single-interval solvers.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelSet, Prior, check_eps
+from .core import LabelSet, Prior, check_eps, check_memory
 from .losses import ABSOLUTE, POISSON, POISSON_YHAT_FLOOR, SQUARED, LossSpec
 
 TILT_CAP = 1e300          # e^eps saturates here; layouts beyond eps ~ 35 are identity-like
@@ -385,21 +384,6 @@ def _rows_generic(p: np.ndarray, y: np.ndarray, tilt: float, loss: LossSpec):
 def _cell(a: int, b: int) -> int:
     """Index of L[a][b] (0-based, a <= b) in the packed table."""
     return b * (b + 1) // 2 + a
-
-
-def _physical_memory() -> float:
-    """Bytes of physical memory on this machine; inf where the OS does not say."""
-    try:
-        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
-    except (AttributeError, OSError, ValueError):
-        return math.inf
-
-
-def check_memory(need: int, what: str) -> None:
-    """Refuse a build of need bytes past physical memory, before it allocates."""
-    if need > (memory := _physical_memory()):
-        raise ValueError(f"{what} needs {need:,} bytes, more than the {memory:,.0f} "
-                         "bytes of physical memory")
 
 
 def _build_tables(prior: Prior, tilt: float, loss: LossSpec) -> np.ndarray:

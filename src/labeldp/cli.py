@@ -26,13 +26,15 @@ import os
 import sys
 import warnings
 from decimal import Decimal, DecimalException, InvalidOperation
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import losses
-from .binopt import BinLayout, check_memory, optimize_bins
-from .core import LabelSet, Prior, check_eps, make_label_set, make_prior
+from .core import LabelSet, Prior, check_eps, check_memory, make_label_set, make_prior
 from .pipeline import MECHANISMS, find_mechanism, randomize, universe_indices
+if TYPE_CHECKING:
+    from .binopt import BinLayout
 
 SEED_ENV = "LABELDP_SEED"
 FLOAT_NOISE = ("laplace, staircase and exponential draw float noise and are not hardened "
@@ -371,6 +373,7 @@ def cmd_randomize(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_optimize_bins(args) -> int:
+    from .binopt import optimize_bins
     if args.prior_file:
         prior = read_prior_file(args.prior_file)
     elif args.input:

@@ -1,11 +1,12 @@
-"""Foundational domain types: label sets, priors, mechanism matrices, budgets.
+"""Foundational domain types (label sets, priors, mechanism matrices, budgets)
+and the one memory rule: check_memory refuses a build past physical memory.
 
-All types here are immutable after construction and safe to share across
-threads; every operation is a pure function.
+The types are immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -33,6 +34,21 @@ def refuse_first(ok, values: np.ndarray, message: str) -> None:
     if not ok.all():
         i = int(np.argmin(ok))
         raise ValueError(message.format(i, values.flat[i].item()))
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory on this machine; inf where the OS does not say."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, OSError, ValueError):
+        return math.inf
+
+
+def check_memory(need: int, what: str) -> None:
+    """Refuse a build of need bytes past physical memory, before it allocates."""
+    if need > (memory := _physical_memory()):
+        raise ValueError(f"{what} needs {need:,} bytes, more than the {memory:,.0f} "
+                         "bytes of physical memory")
 
 
 class ValueEq:

@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .binopt import BinLayout
 from .core import MechanismMatrix, as_indices, check_eps, integer_valued
+if TYPE_CHECKING:
+    from .binopt import BinLayout
 
 # the double just above -1: keeps log1p finite where a side's mass rounds to 1,
 # which needs eps * distance / Delta above about 70

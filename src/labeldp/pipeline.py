@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .binopt import BinLayout, optimize_bins
 from .core import (EpsilonBudget, LabelSet, Prior, as_indices, check_eps, integer_valued,
                    refuse_first)
 from .losses import LossSpec
@@ -30,6 +29,8 @@ from .mechanisms import (
     staircase_sample,
 )
 from .prior import default_budget_split, laplace_histogram, split_budget
+if TYPE_CHECKING:
+    from .binopt import BinLayout
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,7 @@ def universe_indices(labels, universe: LabelSet) -> np.ndarray:
 
 def _rr_on_bins(idx, universe, eps, rng, loss, eps1):
     """Two-step rr-on-bins; eps1 defaults to sqrt(k/n) of the total eps."""
+    from .binopt import optimize_bins
     budget = (default_budget_split(eps, universe.k, idx.size) if eps1 is None
               else split_budget(eps, eps1))
     estimate = laplace_histogram(idx, universe, budget.eps1, rng)

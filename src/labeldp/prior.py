@@ -8,7 +8,6 @@ inferring it from the data would leak.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -16,8 +15,6 @@ import numpy as np
 
 from .core import EpsilonBudget, LabelSet, Prior, ValueEq, as_indices, check_eps, make_prior
 from .mechanisms import NoiseParams, laplace_sample
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +42,9 @@ def laplace_histogram(indices, universe: LabelSet, eps1: float,
     noised = laplace_sample(counts, NoiseParams(eps=eps1, sensitivity=2.0), rng)
     noised = np.maximum(noised, 0.0)
     if noised.sum() <= 0.0:
-        log.warning("all noised histogram counts clamped to zero; using uniform prior")
+        import logging  # only on this fallback, so the CLI's cold start never loads it
+        logging.getLogger(__name__).warning(
+            "all noised histogram counts clamped to zero; using uniform prior")
         prior = make_prior(universe, np.ones(universe.k))
     else:
         prior = make_prior(universe, noised)

@@ -19,7 +19,7 @@ from labeldp import (
     make_prior,
     optimize_bins,
 )
-from labeldp import binopt, losses
+from labeldp import binopt, core, losses
 from labeldp.binopt import TILT_CAP, _build_tables, tilt_factor
 from labeldp.verify import (
     _interval_minimum,
@@ -673,14 +673,14 @@ def test_physical_memory_is_inf_where_the_os_does_not_say(monkeypatch):
     def refuse(name):
         raise OSError(f"no {name}")
 
-    monkeypatch.setattr(binopt.os, "sysconf", refuse)
-    assert binopt._physical_memory() == math.inf
-    binopt.check_memory(2**62, "a build")  # nothing is refused
+    monkeypatch.setattr(core.os, "sysconf", refuse)
+    assert core._physical_memory() == math.inf
+    core.check_memory(2**62, "a build")  # nothing is refused
 
 
 def test_check_memory_names_the_build(monkeypatch):
-    monkeypatch.setattr(binopt, "_physical_memory", lambda: 100.0)
-    binopt.check_memory(100, "a build")
+    monkeypatch.setattr(core, "_physical_memory", lambda: 100.0)
+    core.check_memory(100, "a build")
     with pytest.raises(ValueError, match="^a build needs 1,000 bytes, more than the 100 bytes of "
                                          "physical memory$"):
-        binopt.check_memory(1000, "a build")
+        core.check_memory(1000, "a build")

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from labeldp import binopt, cli, losses, pipeline
+from labeldp import cli, core, losses, pipeline
 from labeldp.cli import (
     ParseError,
     _bulk_labels,
@@ -328,7 +328,7 @@ def test_parse_universe():
 
 def test_universe_past_physical_memory_is_refused_unbuilt(monkeypatch):
     # the limit is patched, so no spec here is ever built past 4 elements
-    monkeypatch.setattr(binopt, "_physical_memory", lambda: 4 * cli.UNIVERSE_ELEMENT_BYTES)
+    monkeypatch.setattr(core, "_physical_memory", lambda: 4 * cli.UNIVERSE_ELEMENT_BYTES)
     assert parse_universe("0:3:1").k == 4
     with pytest.raises(ValueError, match="universe '0:4:1' has 5 elements, whose build needs "):
         parse_universe("0:4:1")
@@ -1225,12 +1225,12 @@ def test_poisson_rr_on_bins_keeps_its_refusal(tmp_path, capsys):
 
 def test_rr_on_bins_refuses_a_table_past_physical_memory(tmp_path, capsys, monkeypatch):
     # k = 401 needs 80,601 cells of 8 bytes; the limit is patched, never reached
-    monkeypatch.setattr(binopt, "_physical_memory", lambda: 8 * 80_600)
+    monkeypatch.setattr(core, "_physical_memory", lambda: 8 * 80_600)
     inp = write(tmp_path / "in.txt", "\n".join(str(v % 401) for v in range(2000)) + "\n")
     assert run(["randomize", "--input", inp, "--output", tmp_path / "out.txt", "--eps", "1",
                 "--eps1", "0.5", "--universe", "0:400:1"]) == 3
     assert "k=401 labels needs 644,808 bytes" in capsys.readouterr().err
-    monkeypatch.setattr(binopt, "_physical_memory", lambda: 8 * 80_601)
+    monkeypatch.setattr(core, "_physical_memory", lambda: 8 * 80_601)
     assert run(["randomize", "--input", inp, "--output", tmp_path / "out.txt", "--eps", "1",
                 "--eps1", "0.5", "--universe", "0:400:1"]) == 0
 
@@ -1249,28 +1249,76 @@ def test_bench_no_noise_limit(tmp_path):
 # verify
 # ---------------------------------------------------------------------------
 
+def fresh(code):
+    """Run code in a fresh interpreter on this checkout's sources."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_import_leaves_scipy_out():
     # scipy.stats costs about a second to import; only the sampler check of
     # `verify` loads it, on demand
-    code = ("import sys, labeldp, labeldp.cli\n"
-            "assert 'scipy.stats' not in sys.modules, 'imported at start'\n"
-            "assert labeldp.cli.main(['verify', '--quick', '--seed', '2']) == 0\n"
-            "assert 'scipy.stats' in sys.modules\n")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    fresh("import sys, labeldp, labeldp.cli\n"
+          "assert 'scipy.stats' not in sys.modules, 'imported at start'\n"
+          "assert labeldp.cli.main(['verify', '--quick', '--seed', '2']) == 0\n"
+          "assert 'scipy.stats' in sys.modules\n")
 
 
 def test_cli_import_leaves_oracles_out():
-    # the oracles load on first use of their names, not with the CLI
-    code = ("import sys, labeldp.cli\n"
-            "assert 'labeldp.verify' not in sys.modules, 'oracles imported'\n"
-            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules), 'scipy imported'\n"
-            "from labeldp import brute_force_optimal_bins\n"
-            "assert brute_force_optimal_bins is sys.modules['labeldp.verify'].brute_force_optimal_bins\n")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    # the oracles, and the optimizer, load on first use of their names, not with the CLI
+    fresh("import sys, labeldp.cli\n"
+          "assert 'labeldp.verify' not in sys.modules, 'oracles imported'\n"
+          "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules), 'scipy imported'\n"
+          "from labeldp import brute_force_optimal_bins\n"
+          "assert brute_force_optimal_bins is sys.modules['labeldp.verify'].brute_force_optimal_bins\n"
+          "from labeldp import BinLayout, inner_min_generic, optimize_bins\n"
+          "from labeldp import binopt\n"
+          "assert (BinLayout, inner_min_generic, optimize_bins) == "
+          "(binopt.BinLayout, binopt.inner_min_generic, binopt.optimize_bins)\n")
+
+
+def test_cli_import_leaves_optimizer_and_logging_out():
+    # only the commands that run the optimizer load it, and only the uniform
+    # fallback of the prior estimate loads logging; modules the interpreter
+    # loaded before labeldp (site's .pth files) are not labeldp's
+    fresh("import sys\n"
+          "before = set(sys.modules)\n"
+          "import labeldp.cli\n"
+          "new = set(sys.modules) - before\n"
+          "heavy = {'labeldp.binopt', 'labeldp.verify', 'logging', 'traceback'}\n"
+          "assert not heavy & new, sorted(heavy & new)\n"
+          "assert not any(m.split('.')[0] == 'scipy' for m in new), 'scipy imported'\n")
+
+
+def test_additive_commands_leave_the_optimizer_out(tmp_path):
+    inp = write(tmp_path / "in.txt", "\n".join(str(v % 21) for v in range(300)) + "\n")
+    fresh("import sys\n"
+          "from labeldp.cli import main\n"
+          f"assert main(['randomize', '--input', {inp!r}, '--output', {str(tmp_path / 'o.txt')!r}, "
+          "'--universe', '0:20:1', '--eps', '1', '--seed', '1', '--mechanism', 'laplace']) == 0\n"
+          "assert main(['bench', '--synthetic', 'uniform', '--n', '200', '--universe', '0:20:1', "
+          f"'--eps-list', '1,2', '--reps', '2', '--seed', '3', '--output', {str(tmp_path / 'b.csv')!r}, "
+          "'--mechanisms', 'laplace,rr']) == 0\n"
+          "assert 'labeldp.binopt' not in sys.modules\n")
+
+
+def test_bench_loads_the_optimizer_on_its_pool_threads(tmp_path):
+    # a fresh interpreter first imports binopt on a worker thread, in cells
+    # that race for it; the CSV is the one of the same call in this process
+    common = ["bench", "--synthetic", "zipf:1.1", "--n", "300", "--universe", "0:20:1",
+              "--eps-list", "0.5,1,4", "--reps", "2", "--seed", "4",
+              "--mechanisms", "rr-on-bins,laplace"]
+    assert run([*common, "--output", tmp_path / "in_process.csv"]) == 0
+    fresh("import sys\n"
+          "sys.setswitchinterval(1e-5)\n"
+          "from labeldp import cli\n"
+          "cli._bench_workers = lambda cells: 3\n"
+          f"assert cli.main({[*common, '--output', str(tmp_path / 'fresh.csv')]!r}) == 0\n"
+          "assert 'labeldp.binopt' in sys.modules\n")
+    expected = (tmp_path / "in_process.csv").read_bytes()
+    assert (tmp_path / "fresh.csv").read_bytes() == expected
+    assert len(expected.splitlines()) == 1 + 2 * 3 * 2
 
 
 def test_verify_quick_passes(capsys):
